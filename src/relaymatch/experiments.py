@@ -334,7 +334,7 @@ def write_result(result: EnsembleResult, out_dir) -> None:
             with open(out / f"cdf_{solver}.csv", "w") as fh:
                 fh.write("iterations,cumulative_probability\n")
                 for x, p in zip(xs, ps):
-                    fh.write(f"{x},{p!r}\n")
+                    fh.write(f"{x},{float(p)!r}\n")
                 fh.write(f"# non_converged_fraction,"
                          f"{result.non_converged_fraction(solver)!r}\n")
 
@@ -344,6 +344,6 @@ def write_result(result: EnsembleResult, out_dir) -> None:
             with open(out / f"mean_trace_{solver}.csv", "w") as fh:
                 fh.write("iteration,mean_lambda\n")
                 for k, lam in enumerate(trace, start=1):
-                    fh.write(f"{k},{lam!r}\n")
+                    fh.write(f"{k},{float(lam)!r}\n")
 
     _write_manifest(config, out)

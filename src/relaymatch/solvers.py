@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -127,96 +128,185 @@ def pma_accept(u_new: float, u_old: float, beta: float) -> float:
     return 1.0 - 1.0 / (1.0 + math.exp(d))
 
 
+def _numpy_sum(xs) -> float:
+    """Sum of floats in the order float64 ndarray.sum() adds them: one
+    running sum below 8 terms, eight interleaved partial sums up to 128,
+    halves of a multiple of 8 beyond."""
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n <= 128:
+        stop = n - n % 8
+        r = xs[:8]
+        for i in range(8, stop, 8):
+            r = [a + b for a, b in zip(r, xs[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in xs[stop:]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _numpy_sum(xs[:half]) + _numpy_sum(xs[half:])
+
+
 def pma_propose(attractiveness: Sequence[float], quota: int, rng,
                 size: Optional[int] = None) -> tuple:
     """Sample a candidate radio set: size uniform in {1..quota} unless given,
     radios drawn without replacement with probability proportional to
-    attractiveness."""
-    w = np.asarray(attractiveness, dtype=float)
-    idx = np.flatnonzero(w > 0)
-    if idx.size == 0:
+    attractiveness.
+
+    Successive sampling as in numpy's Generator.choice(p=..., replace=False),
+    with the same draws from rng, so both give the same set and leave rng in
+    the same state. Raises ValueError, as numpy does, when fewer than `size`
+    radios keep a nonzero probability after normalisation.
+    """
+    w = [float(x) for x in attractiveness]
+    idx = [i for i, x in enumerate(w) if x > 0]
+    if not idx:
         log.info("all relay radios unattractive; proposing the empty set")
         return ()
     if size is None:
         size = int(rng.integers(1, quota + 1))
-    size = min(size, idx.size)
-    p = w[idx] / w[idx].sum()
-    pick = rng.choice(idx, size=size, replace=False, p=p)
-    return tuple(sorted(int(i) for i in pick))
+    size = min(size, len(idx))
+    positive = [w[i] for i in idx]
+    # The normaliser is summed in numpy's order so p is bit-identical to
+    # w[idx] / w[idx].sum(), and so is every draw it decides.
+    total = _numpy_sum(positive)
+    p = [x / total for x in positive]
+    if not math.isfinite(total) or len(p) - p.count(0.0) < size:
+        raise ValueError("fewer nonzero probabilities than the sample size")
+    found = []
+    while len(found) < size:
+        draws = rng.random(size - len(found)).tolist()
+        for j in found:
+            p[j] = 0.0
+        cdf = list(itertools.accumulate(p))
+        last = cdf[-1]
+        cdf = [c / last for c in cdf]
+        for x in draws:
+            # a found radio has p == 0 and an empty cdf step, so it is never
+            # drawn again; each round adds at least one radio
+            j = bisect_right(cdf, x)
+            if j not in found:
+                found.append(j)
+    found.sort()
+    return tuple([idx[j] for j in found])
 
 
-class _MoveEvaluator:
-    """Relay acceptance utility for one deviating source, cached across the
-    candidate strategies of a single move.
+class _MatchingState:
+    """One matching under unilateral moves: strategies, radio loads,
+    per-radio occupants (sorted by source id), and per-source rate and
+    satisfaction, with global satisfaction `lam`.
 
-    Utility of a candidate set: the deviator's satisfaction plus, for every
-    source sharing a touched radio, its satisfaction change versus the
-    deviator dropping out. Only sources on touched radios enter the sum;
-    everyone else's terms are identically zero.
+    A move updates only the sources on the radios it touches, then re-adds
+    lam over all sources.
     """
 
-    __slots__ = ("source", "caps", "profiles", "loads0", "occ", "strategies",
-                 "_base")
+    __slots__ = ("caps", "profiles", "strategies", "loads", "occupants",
+                 "rates", "sat", "lam", "_mover", "_loads0", "_absent")
 
-    def __init__(self, strategies, loads, caps_rows, profiles, source):
-        self.source = source
+    def __init__(self, strategies, caps_rows, profiles, num_radios):
         self.caps = caps_rows
         self.profiles = profiles
-        self.strategies = strategies
-        loads0 = list(loads)
-        for l in strategies[source]:
+        self.strategies = [tuple(s) for s in strategies]
+        self.loads = [0] * num_radios
+        self.occupants = [[] for _ in range(num_radios)]
+        for n, strat in enumerate(self.strategies):
+            for l in strat:
+                self.loads[l] += 1
+                self.occupants[l].append(n)
+        self.rates = [0.0] * len(self.strategies)
+        self.sat = [0.0] * len(self.strategies)
+        for n in range(len(self.strategies)):
+            self._refresh(n)
+        self._sum()
+        self._mover = None
+
+    def _refresh(self, n):
+        rate = 0.0
+        row = self.caps[n]
+        loads = self.loads
+        for l in self.strategies[n]:
+            rate += row[l] / loads[l]
+        self.rates[n] = rate
+        self.sat[n] = self.profiles[n].evaluate(rate)
+
+    def _sum(self):
+        # Added in source order by an explicit loop so lam is bit-identical
+        # to a from-scratch sum; built-in sum() is compensated on Python 3.12+.
+        lam = 0.0
+        for s in self.sat:
+            lam += s
+        self.lam = lam
+
+    def _remove(self, n):
+        """Set up utility() for mover n: radio loads with n removed, and
+        (rate, satisfaction) as if n held no radio of every source sharing
+        a radio with n."""
+        cur = self.strategies[n]
+        loads0 = self.loads.copy()
+        for l in cur:
             loads0[l] -= 1
-        self.loads0 = loads0
-        occ = [[] for _ in loads0]
-        for k, strat in enumerate(strategies):
-            if k != source:
-                for l in strat:
-                    occ[l].append(k)
-        self.occ = occ
-        self._base = {}
+        caps = self.caps
+        absent = {}
+        for l in cur:
+            for k in self.occupants[l]:
+                if k != n and k not in absent:
+                    rate = 0.0
+                    row = caps[k]
+                    for m in self.strategies[k]:
+                        rate += row[m] / loads0[m]
+                    absent[k] = (rate, self.profiles[k].evaluate(rate))
+        self._mover, self._loads0, self._absent = n, loads0, absent
 
-    def _absent(self, k):
-        """(rate, satisfaction) of source k with the deviator absent."""
-        cached = self._base.get(k)
-        if cached is None:
-            rate = 0.0
-            row = self.caps[k]
-            loads0 = self.loads0
-            for l in self.strategies[k]:
-                rate += row[l] / loads0[l]
-            cached = (rate, self.profiles[k].evaluate(rate))
-            self._base[k] = cached
-        return cached
-
-    def utility(self, candidate) -> float:
-        loads0 = self.loads0
-        row = self.caps[self.source]
+    def utility(self, n, candidate) -> float:
+        """Relay acceptance utility of `candidate` for source n: its own
+        satisfaction plus, for every source sharing a radio of the
+        candidate, the satisfaction change versus n holding no radio.
+        Differences between two candidates equal the change of lam."""
+        if self._mover != n:
+            self._remove(n)
+        loads0, caps, occupants = self._loads0, self.caps, self.occupants
+        row = caps[n]
         rate = 0.0
         for l in candidate:
             rate += row[l] / (loads0[l] + 1)
-        value = self.profiles[self.source].evaluate(rate)
+        value = self.profiles[n].evaluate(rate)
         drops = {}
         for l in candidate:
             a = loads0[l]
             if a:
                 shrink = 1.0 / a - 1.0 / (a + 1)
-                for k in self.occ[l]:
-                    drops[k] = drops.get(k, 0.0) + self.caps[k][l] * shrink
+                for k in occupants[l]:
+                    if k != n:
+                        drops[k] = drops.get(k, 0.0) + caps[k][l] * shrink
+        absent, rates, sat, profiles = self._absent, self.rates, self.sat, self.profiles
         for k, drop in drops.items():
-            base_rate, base_f = self._absent(k)
-            value += self.profiles[k].evaluate(base_rate - drop) - base_f
+            base_rate, base_f = absent.get(k) or (rates[k], sat[k])
+            value += profiles[k].evaluate(base_rate - drop) - base_f
         return value
 
-
-def _lambda_of(strategies, loads, caps_rows, profiles) -> float:
-    total = 0.0
-    for n, strat in enumerate(strategies):
-        rate = 0.0
-        row = caps_rows[n]
-        for l in strat:
-            rate += row[l] / loads[l]
-        total += profiles[n].evaluate(rate)
-    return total
+    def move(self, n, new_set) -> None:
+        """Give source n the strategy new_set and update lam."""
+        old = self.strategies[n]
+        loads, occupants = self.loads, self.occupants
+        for l in old:
+            loads[l] -= 1
+            occupants[l].remove(n)
+        for l in new_set:
+            loads[l] += 1
+            insort(occupants[l], n)
+        self.strategies[n] = tuple(new_set)
+        touched = {n}
+        for l in set(old).symmetric_difference(new_set):
+            touched.update(occupants[l])
+        for k in touched:
+            self._refresh(k)
+        self._sum()
+        self._mover = None
 
 
 def _random_initial(quotas, num_radios, rng):
@@ -227,14 +317,6 @@ def _random_initial(quotas, num_radios, rng):
         pick = rng.choice(num_radios, size=size, replace=False)
         strategies.append(tuple(sorted(int(i) for i in pick)))
     return strategies
-
-
-def _apply(strategies, loads, source, new_set):
-    for l in strategies[source]:
-        loads[l] -= 1
-    for l in new_set:
-        loads[l] += 1
-    strategies[source] = tuple(new_set)
 
 
 def run_pma(topology, profiles, caps, config: SolverConfig, rng=None,
@@ -254,13 +336,11 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng=None,
     quotas = [min(s.num_radios, quota_override) if quota_override else s.num_radios
               for s in topology.sources]
     caps_rows = caps.tolist()
-    strategies = _random_initial(quotas, n_radio, rng)
-    loads = [0] * n_radio
-    for strat in strategies:
-        for l in strat:
-            loads[l] += 1
+    state = _MatchingState(_random_initial(quotas, n_radio, rng), caps_rows,
+                           profiles, n_radio)
+    strategies, loads = state.strategies, state.loads
 
-    lam = _lambda_of(strategies, loads, caps_rows, profiles)
+    lam = state.lam
     initial_lambda = lam
     best_lam = lam
     best_strategies = list(strategies)
@@ -274,21 +354,24 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng=None,
         for n in map(int, rng.permutation(n_src)):
             activations += 1
             beta = config.beta(activations)
+            current = strategies[n]
+            row = caps_rows[n]
             if config.shared_rate_attractiveness:
-                weights = [caps_rows[n][l] / (loads[l] + (0 if l in strategies[n] else 1))
-                           for l in range(n_radio)]
+                # a radio's share if n joined it; n's own radios keep theirs
+                weights = [c / (a + 1) for c, a in zip(row, loads)]
+                for l in current:
+                    weights[l] = row[l] / loads[l]
             else:
-                weights = caps_rows[n]
+                weights = row
             size = int(rng.integers(0, quotas[n] + 1))
             candidate = () if size == 0 else pma_propose(weights, quotas[n], rng,
                                                          size=size)
-            ev = _MoveEvaluator(strategies, loads, caps_rows, profiles, n)
-            u_old = ev.utility(strategies[n])
-            u_new = ev.utility(candidate)
+            u_old = state.utility(n, current)
+            u_new = state.utility(n, candidate)
             accepted = bool(rng.random() < pma_accept(u_new, u_old, beta))
-            if accepted and candidate != strategies[n]:
-                _apply(strategies, loads, n, candidate)
-                lam = _lambda_of(strategies, loads, caps_rows, profiles)
+            if accepted and candidate != current:
+                state.move(n, candidate)
+                lam = state.lam
                 if lam > best_lam + tol:
                     last_improve = k
                 if lam > best_lam + SATISFACTION_TOL:
@@ -335,14 +418,11 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng=None,
                 f"per-source strategy count {count} exceeds cap {config.strategy_cap}")
     candidates = {q: enumerate_strategies(n_radio, q) for q in set(quotas)}
 
-    caps_rows = caps.tolist()
-    strategies = _random_initial(quotas, n_radio, rng)
-    loads = [0] * n_radio
-    for strat in strategies:
-        for l in strat:
-            loads[l] += 1
+    state = _MatchingState(_random_initial(quotas, n_radio, rng), caps.tolist(),
+                           profiles, n_radio)
+    strategies = state.strategies
 
-    lam = _lambda_of(strategies, loads, caps_rows, profiles)
+    lam = state.lam
     initial_lambda = lam
     lam_hist, actor_hist, acc_hist = [], [], []
     last_improve = 0
@@ -355,17 +435,16 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng=None,
             if iteration >= config.max_iterations:
                 break
             iteration += 1
-            ev = _MoveEvaluator(strategies, loads, caps_rows, profiles, n)
             best_set = strategies[n]
-            best_u = ev.utility(best_set)
+            best_u = state.utility(n, best_set)
             for cand in candidates[quotas[n]]:
-                u = ev.utility(cand)
+                u = state.utility(n, cand)
                 if u > best_u + SATISFACTION_TOL:
                     best_u, best_set = u, cand
             accepted = best_set != strategies[n]
             if accepted:
-                _apply(strategies, loads, n, best_set)
-                lam = _lambda_of(strategies, loads, caps_rows, profiles)
+                state.move(n, best_set)
+                lam = state.lam
                 changed = True
                 last_improve = iteration
             lam_hist.append(lam)
@@ -393,7 +472,9 @@ def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
     Sources propose one radio at a time in preference order (per-pair AF
     capacity); each radio holds at most config.radio_quota proposers and,
     when over quota, evicts the holder whose removal costs it the least
-    satisfaction. Runs until proposals are exhausted.
+    satisfaction. Runs until proposals are exhausted; a run that
+    max_iterations cuts off with proposals still queued has no convergence
+    iteration.
     """
     del rng  # deterministic
     n_src, n_radio = topology.num_sources, topology.num_radios
@@ -402,11 +483,10 @@ def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
     prefs = [sorted(range(n_radio), key=lambda l: (-caps_rows[n][l], l))
              for n in range(n_src)]
     cursor = [0] * n_src
-    holders = [[] for _ in range(n_radio)]
-    strategies = [() for _ in range(n_src)]
-    loads = [0] * n_radio
+    state = _MatchingState([()] * n_src, caps_rows, profiles, n_radio)
+    strategies = state.strategies
 
-    lam = _lambda_of(strategies, loads, caps_rows, profiles)
+    lam = state.lam
     initial_lambda = lam
     lam_hist, actor_hist, acc_hist = [], [], []
     queue = deque(range(n_src))
@@ -418,22 +498,21 @@ def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
             continue
         l = prefs[n][cursor[n]]
         cursor[n] += 1
-        holders[l].append(n)
-        _apply(strategies, loads, n, (l,))
+        state.move(n, (l,))
         accepted = True
-        if len(holders[l]) > quota:
+        holders = state.occupants[l]
+        if len(holders) > quota:
             # satisfaction of each holder at the post-eviction load
-            reduced = len(holders[l]) - 1
+            reduced = len(holders) - 1
             scores = [(profiles[h].evaluate(caps_rows[h][l] / reduced), -h)
-                      for h in holders[l]]
-            evicted = holders[l][scores.index(min(scores))]
-            holders[l].remove(evicted)
-            _apply(strategies, loads, evicted, ())
+                      for h in holders]
+            evicted = holders[scores.index(min(scores))]
+            state.move(evicted, ())
             queue.append(evicted)
             if evicted == n:
                 accepted = False
         iteration += 1
-        lam = _lambda_of(strategies, loads, caps_rows, profiles)
+        lam = state.lam
         lam_hist.append(lam)
         actor_hist.append(n)
         acc_hist.append(accepted)
@@ -441,9 +520,11 @@ def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
             observer({"iteration": iteration, "actor": n, "accepted": accepted,
                       "lambda": lam, "strategies": tuple(strategies)})
 
+    truncated = any(cursor[k] < n_radio for k in queue)
     trace = IterationTrace(lam=np.array(lam_hist), actor=np.array(actor_hist),
                            accepted=np.array(acc_hist, dtype=bool),
-                           convergence_iteration=iteration if iteration else None,
+                           convergence_iteration=(iteration if iteration and not truncated
+                                                  else None),
                            initial_lambda=initial_lambda)
     return Matching(strategies, n_radio), trace
 

@@ -156,6 +156,18 @@ class TestPersistence:
         run_ensemble(small_config())
         assert (tmp_path / "env_out" / "runs.csv").exists()
 
+    def test_aggregate_csv_cells_are_plain_numbers(self, tmp_path):
+        run_ensemble(small_config(), out_dir=tmp_path)
+        paths = sorted(tmp_path.glob("cdf_*.csv")) + sorted(
+            tmp_path.glob("mean_trace_*.csv"))
+        assert len(paths) == 4
+        for path in paths:
+            for line in path.read_text().splitlines()[1:]:
+                cells = line.split(",")
+                # the comment line carries a label, then the number
+                for cell in cells[1:] if line.startswith("#") else cells:
+                    float(cell)
+
     def test_write_result_idempotent(self, tmp_path):
         result = run_ensemble(small_config())
         write_result(result, tmp_path)

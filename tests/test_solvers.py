@@ -1,16 +1,19 @@
 """Unit tests for the solver family: proposal/acceptance rules, trace
 bookkeeping, baselines and the exhaustive oracle."""
 
+import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import relaymatch as rm
 from relaymatch.errors import ConfigurationError, EnumerationLimitError
 from relaymatch.matching import count_strategies, enumerate_strategies
-from relaymatch.solvers import IterationTrace, _MoveEvaluator
+from relaymatch.solvers import (IterationTrace, _MatchingState, _numpy_sum,
+                                _random_initial)
 
 from conftest import make_instance, spawn_seeds
 
@@ -71,8 +74,53 @@ class TestProposalRule:
         rng = np.random.default_rng(5)
         assert rm.pma_propose([0.0, 0.0], quota=2, rng=rng) == ()
 
+    @settings(max_examples=300, deadline=None)
+    @given(weights=st.lists(st.one_of(st.just(0.0),
+                                      st.floats(min_value=1e-3, max_value=1e9)),
+                            min_size=1, max_size=40),
+           quota=st.integers(min_value=1, max_value=40),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_matches_numpy_choice(self, weights, quota, seed):
+        for size in range(1, quota + 1):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = rm.pma_propose(weights, quota, ours, size=size)
+            assert got == _numpy_propose(weights, size, ref)
+            assert ours.random() == ref.random()
 
-class TestMoveEvaluator:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=1.0, max_value=2.0), max_size=300))
+    def test_normaliser_sums_in_numpy_order(self, xs):
+        # one ulp in the normaliser moves a draw only with probability ~1e-16,
+        # so the sampler comparison above cannot see the summation order.
+        # Terms of one magnitude make almost every addition round, so any
+        # other order gives a different sum.
+        assert _numpy_sum(xs) == np.asarray(xs, dtype=float).sum()
+
+    def test_underflowing_probabilities_raise_like_numpy(self):
+        # 5e-324 / 1e10 underflows to a zero probability: two radios have
+        # positive weight but only one can be drawn
+        weights = [5e-324, 1e10]
+        ours, ref = np.random.default_rng(8), np.random.default_rng(8)
+        with pytest.raises(ValueError):
+            _numpy_propose(weights, 2, ref)
+        with pytest.raises(ValueError):
+            rm.pma_propose(weights, quota=2, rng=ours, size=2)
+        assert ours.random() == ref.random()
+        assert rm.pma_propose(weights, quota=2, rng=ours, size=1) == (1,)
+
+
+def _numpy_propose(weights, size, rng):
+    """Reference proposal: numpy's weighted sampling without replacement."""
+    w = np.asarray(weights, dtype=float)
+    idx = np.flatnonzero(w > 0)
+    if idx.size == 0:
+        return ()
+    size = min(size, idx.size)
+    pick = rng.choice(idx, size=size, replace=False, p=w[idx] / w[idx].sum())
+    return tuple(sorted(int(i) for i in pick))
+
+
+class TestMatchingState:
     def test_matches_reference_utility(self):
         rng = np.random.default_rng(17)
         for trial in range(20):
@@ -83,13 +131,33 @@ class TestMoveEvaluator:
             strategies = [space[n][int(rng.integers(len(space[n])))]
                           for n in range(5)]
             m = rm.Matching(strategies, topo.num_radios)
-            loads = list(m.loads())
             n = int(rng.integers(5))
-            ev = _MoveEvaluator(list(m.strategies), loads, caps.tolist(),
-                                profiles, n)
+            state = _MatchingState(m.strategies, caps.tolist(), profiles,
+                                   topo.num_radios)
             for cand in space[n]:
                 expected = rm.relay_utility(m, n, cand, profiles, caps)
-                assert ev.utility(cand) == pytest.approx(expected, abs=1e-10)
+                assert state.utility(n, cand) == pytest.approx(expected, abs=1e-10)
+
+    def test_moves_agree_with_fresh_recompute(self, mid_instance):
+        topo, profiles, caps = mid_instance
+        rng = np.random.default_rng(23)
+        space = [enumerate_strategies(topo.num_radios, q) for q in topo.quotas]
+        state = _MatchingState([()] * topo.num_sources, caps.tolist(), profiles,
+                               topo.num_radios)
+        for _ in range(200):
+            n = int(rng.integers(topo.num_sources))
+            cand = space[n][int(rng.integers(len(space[n])))]
+            before = rm.Matching(state.strategies, topo.num_radios)
+            du = state.utility(n, cand) - state.utility(n, state.strategies[n])
+            state.move(n, cand)
+            m = rm.Matching(state.strategies, topo.num_radios)
+            lam = rm.global_satisfaction(m, profiles, caps)
+            assert state.lam == pytest.approx(lam, abs=1e-12)
+            assert du == pytest.approx(
+                lam - rm.global_satisfaction(before, profiles, caps), abs=1e-10)
+            assert state.loads == list(m.loads())
+            assert state.occupants == [list(m.sources_of(l))
+                                       for l in range(topo.num_radios)]
 
 
 class TestIterationTrace:
@@ -157,6 +225,71 @@ class TestPma:
         assert custom.beta(5) == 42.0
 
 
+@pytest.mark.parametrize("kind", ["pma", "many_to_one"])
+def test_observer_sees_true_lambda_and_potential_identity(kind, mid_instance):
+    """Every observed event carries the true global satisfaction, and the
+    utility gap the solver used equals the change of global satisfaction
+    that the proposed deviation would cause."""
+    topo, profiles, caps = mid_instance
+    events = []
+    _, trace = rm.solve(topo, profiles, caps, rm.SolverConfig(kind=kind, seed=12),
+                        observer=events.append)
+    assert len(events) == len(trace)
+    quotas = [1] * topo.num_sources if kind == "many_to_one" else topo.quotas
+    # the initial state is the first thing a solver draws from its stream
+    before = _random_initial(quotas, topo.num_radios, np.random.default_rng(12))
+    lam_before = rm.global_satisfaction(rm.Matching(before, topo.num_radios),
+                                        profiles, caps)
+    assert lam_before == pytest.approx(trace.initial_lambda, abs=1e-10)
+    for event in events:
+        after = rm.Matching(event["strategies"], topo.num_radios)
+        lam = rm.global_satisfaction(after, profiles, caps)
+        assert event["lambda"] == pytest.approx(lam, abs=1e-10)
+        n = event["actor"]
+        deviated = rm.Matching(before, topo.num_radios).with_strategy(
+            n, event["candidate"])
+        gain = rm.global_satisfaction(deviated, profiles, caps) - lam_before
+        assert event["u_new"] - event["u_old"] == pytest.approx(gain, abs=1e-10)
+        before, lam_before = event["strategies"], lam
+
+
+def _run_digest(matching, trace):
+    h = hashlib.sha256()
+    h.update(repr(matching.strategies).encode())
+    h.update(np.asarray(trace.lam, dtype=np.float64).tobytes())
+    h.update(np.asarray(trace.actor, dtype=np.int64).tobytes())
+    h.update(np.asarray(trace.accepted, dtype=bool).tobytes())
+    h.update(repr(trace.convergence_iteration).encode())
+    return h.hexdigest()
+
+
+# Digests of (matching, trace.lam, trace.actor, trace.accepted,
+# convergence_iteration), recorded while proposals were still drawn by numpy's
+# Generator.choice: any change to how the solvers consume their random stream
+# or order their floating-point sums shows up here.
+PINNED_DIGESTS = {
+    ("pma", 1): "4caf4166fe0e7719ea093a5bc89e05cb06afe657a524d3194ac7c41f85585abe",
+    ("pma", 5): "0618b47cc1326d0bf776f046eb3cf6d6ab61dff4e14f0e27ea94d59e254597a3",
+    ("pma", 7): "69698580b222e443e424fedf1af788833cad1242cf9fc13b7ae1e37354034ea3",
+    ("many_to_one", 1): "b2cd2cbcf79e8d68152b908050524842ba92929e56eea49a21b25e60018acab4",
+    ("many_to_one", 5): "40d55e27e4621ae0f24e668b79eb56d98f1a2aff60e1d10239a007847a86ea14",
+    ("many_to_one", 7): "21371de6d741ea7e525fb604d5b92d84ac69da068c204f692a97236b4e727d12",
+    ("best_response", 1): "b65e2e3495ff4453ce91ad09dcf0d737df4085f4a0980b143d85f512b4ec6172",
+    ("best_response", 5): "806995f4f43c33551738b892fa7c0c8d7bb940d5c3974864ccc5c60344831fe8",
+    ("best_response", 7): "6b1792466bf4f09b2475c0c6da660b7caac9a45905790c85546971d736778a32",
+    ("substitutable", 0): "fa1457922673159469399d905f8dfae503869d77887bcec8912992a1967dae86",
+}
+
+
+@pytest.mark.parametrize("kind,seed", sorted(PINNED_DIGESTS))
+def test_pinned_run_digest(kind, seed):
+    # 10 radios, so proposal weights are normalised by numpy's 8-way sum
+    topo, profiles, caps = make_instance(2026, num_sources=8, num_relays=5,
+                                         radios_per_relay=2, source_radios=(2, 3))
+    m, trace = rm.solve(topo, profiles, caps, rm.SolverConfig(kind=kind, seed=seed))
+    assert _run_digest(m, trace) == PINNED_DIGESTS[kind, seed]
+
+
 class TestManyToOne:
     def test_all_strategies_at_most_one_radio(self, mid_instance):
         topo, profiles, caps = mid_instance
@@ -216,6 +349,16 @@ class TestSubstitutable:
         m1, _ = rm.run_substitutable(topo, profiles, caps, cfg)
         m2, _ = rm.run_substitutable(topo, profiles, caps, cfg)
         assert m1 == m2
+
+    def test_truncated_run_reports_no_convergence(self, mid_instance):
+        topo, profiles, caps = mid_instance
+        _, full = rm.run_substitutable(topo, profiles, caps,
+                                       rm.SolverConfig(kind="substitutable"))
+        assert full.convergence_iteration == len(full) > 3
+        cut = rm.SolverConfig(kind="substitutable", max_iterations=3)
+        _, trace = rm.run_substitutable(topo, profiles, caps, cut)
+        assert len(trace) == 3
+        assert trace.convergence_iteration is None
 
 
 class TestExhaustive:

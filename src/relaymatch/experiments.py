@@ -50,6 +50,17 @@ class ExperimentConfig:
             raise ConfigurationError("at least one solver is required")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        for s in self.solvers:
+            # each solver draws from its replication's seed stream, and a
+            # callable schedule cannot be written to the manifest or hashed
+            if s.seed is not None:
+                raise ConfigurationError(
+                    f"solver {s.name!r}: seed is not used in an ensemble; "
+                    "set master_seed instead")
+            if s.beta_schedule is not None:
+                raise ConfigurationError(
+                    f"solver {s.name!r}: beta_schedule cannot be recorded in "
+                    "an ensemble manifest")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -80,7 +91,11 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def config_hash(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True).encode()
+        """Digest of every setting that changes results; workers and
+        out_dir change only where and how fast they are produced."""
+        doc = self.to_dict()
+        del doc["workers"], doc["out_dir"]
+        payload = json.dumps(doc, sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
 
 

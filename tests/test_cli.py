@@ -175,3 +175,11 @@ class TestOracle:
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out.startswith("optimal_lambda,")
+
+    @pytest.mark.parametrize("flags", [["--nonempty", "--max-set-size", "0"],
+                                       ["--max-set-size", "-1"]])
+    def test_invalid_strategy_space_exits_one(self, tmp_path, capsys, flags):
+        topo_path = make_topology_file(tmp_path, name="small.json")
+        code = main(["oracle", "--topology", str(topo_path), *flags])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err

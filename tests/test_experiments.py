@@ -47,6 +47,25 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             small_config(workers=0)
 
+    def test_hash_ignores_workers_and_out_dir(self, tmp_path):
+        config = small_config()
+        assert small_config(out_dir=str(tmp_path)).config_hash() == config.config_hash()
+        assert small_config(master_seed=78).config_hash() != config.config_hash()
+        for workers in (1, 2):
+            run_ensemble(small_config(workers=workers, replications=2),
+                         out_dir=tmp_path / str(workers))
+        hashes = {json.loads((tmp_path / w / "manifest.json").read_text())
+                  ["config_sha256"] for w in ("1", "2")}
+        assert hashes == {small_config(workers=2, replications=2).config_hash()}
+
+    def test_unrecorded_solver_settings_rejected(self):
+        # a solver seed would be ignored (each solver draws from its
+        # replication's stream) and a schedule callable cannot be hashed
+        with pytest.raises(ConfigurationError, match="seed"):
+            small_config(solvers=[rm.SolverConfig(kind="pma", seed=3)])
+        with pytest.raises(ConfigurationError, match="beta_schedule"):
+            small_config(solvers=[rm.SolverConfig(beta_schedule=lambda t: 1.0)])
+
 
 class TestSeedDiscipline:
     def test_replication_seeds_deterministic_and_distinct(self):

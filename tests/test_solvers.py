@@ -1,15 +1,19 @@
 """Unit tests for the solver family: proposal/acceptance rules, trace
 bookkeeping, baselines and the exhaustive oracle."""
 
+import dataclasses
 import hashlib
 import io
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import relaymatch as rm
+from relaymatch import solvers
 from relaymatch.errors import ConfigurationError, EnumerationLimitError
 from relaymatch.matching import count_strategies, enumerate_strategies
 from relaymatch.solvers import (IterationTrace, _MatchingState, _numpy_sum,
@@ -385,6 +389,93 @@ class TestExhaustive:
         with pytest.raises(EnumerationLimitError, match=str(expected)):
             rm.exhaustive_search(topo, profiles, caps)
 
+    def test_negative_or_empty_set_size_rejected(self):
+        topo, profiles, caps = make_instance(3)
+        with pytest.raises(ConfigurationError, match="max_set_size"):
+            rm.exhaustive_search(topo, profiles, caps, max_set_size=-1)
+        with pytest.raises(ConfigurationError, match="empty strategy space"):
+            rm.exhaustive_search(topo, profiles, caps, include_empty=False,
+                                 max_set_size=0)
+        # the empty set alone is a valid, if trivial, strategy space
+        m, _ = rm.exhaustive_search(topo, profiles, caps, max_set_size=0)
+        assert m == rm.Matching.empty(topo.num_sources, topo.num_radios)
+        # a topology file may give a source no radio at all
+        idle = dataclasses.replace(topo, sources=(
+            dataclasses.replace(topo.sources[0], num_radios=0), *topo.sources[1:]))
+        with pytest.raises(ConfigurationError, match="empty strategy space"):
+            rm.exhaustive_search(idle, profiles, caps, include_empty=False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           num_sources=st.integers(min_value=1, max_value=5),
+           num_radios=st.integers(min_value=1, max_value=6),
+           include_empty=st.booleans(),
+           max_set_size=st.sampled_from([None, 1]),
+           chunk=st.sampled_from([1, 7, 64, solvers._ORACLE_CHUNK]))
+    def test_matches_reference_loop(self, seed, num_sources, num_radios,
+                                    include_empty, max_set_size, chunk):
+        topo, profiles, caps = make_instance(seed, num_sources=num_sources,
+                                             num_relays=num_radios,
+                                             radios_per_relay=1,
+                                             source_radios=(1, 3))
+        assume(math.prod(count_strategies(num_radios, q, include_empty,
+                                          max_set_size)
+                         for q in topo.quotas) <= 20_000)
+        # small chunks put many chunk boundaries inside small spaces
+        with mock.patch.object(solvers, "_ORACLE_CHUNK", chunk):
+            m, lam = rm.exhaustive_search(topo, profiles, caps, include_empty,
+                                          max_set_size)
+        m_ref, lam_ref = _reference_exhaustive(topo, profiles, caps,
+                                               include_empty, max_set_size)
+        assert m == m_ref
+        assert lam.hex() == lam_ref.hex()
+
+    def test_first_maximum_wins_across_chunks(self):
+        # identical sources on equal capacities: every relabelling of the
+        # radios scores the same lambda, bit for bit
+        topo, _, _ = make_instance(5, num_sources=3, num_relays=3,
+                                   radios_per_relay=2, source_radios=2)
+        profiles = (rm.SatisfactionProfile(30e6),) * 3
+        caps = np.full((3, topo.num_radios), 20e6)
+        spaces = [enumerate_strategies(topo.num_radios, 2)] * 3
+        lams = [rm.global_satisfaction(rm.Matching(combo, topo.num_radios),
+                                       profiles, caps)
+                for combo in itertools.product(*spaces)]
+        best = max(lams)
+        winners = [i for i, lam in enumerate(lams) if lam == best]
+        assert len(lams) > solvers._ORACLE_CHUNK
+        assert winners[-1] // solvers._ORACLE_CHUNK > winners[0] // solvers._ORACLE_CHUNK
+        m, lam = rm.exhaustive_search(topo, profiles, caps)
+        first = np.unravel_index(winners[0], [len(sp) for sp in spaces])
+        assert m.strategies == tuple(sp[i] for sp, i in zip(spaces, first))
+        assert lam == best
+
+    @pytest.mark.parametrize("params", [
+        dict(num_sources=4, num_relays=3, radios_per_relay=1, source_radios=(1, 2)),
+        dict(num_sources=4, num_relays=3, radios_per_relay=2, source_radios=(1, 2)),
+        dict(num_sources=3, num_relays=2, radios_per_relay=2, source_radios=3),
+    ])
+    def test_evaluates_no_more_than_reference(self, params):
+        topo, profiles, caps = make_instance(13, **params)
+        counting = [_CountingProfile(p) for p in profiles]
+        rm.exhaustive_search(topo, counting, caps)
+        total = math.prod(count_strategies(topo.num_radios, q) for q in topo.quotas)
+        assert sum(p.calls for p in counting) <= topo.num_sources * total
+
+    def test_criterion_2_instances_digest(self):
+        # sha256 of (strategies, lambda.hex()) of the oracle on the 200
+        # criterion-2 instances, recorded with the per-profile loop
+        params = rm.TopologyParams(num_sources=4, num_relays=3,
+                                   radios_per_relay=1, source_radios=(1, 2),
+                                   path_loss=rm.AIR_TO_AIR)
+        h = hashlib.sha256()
+        for topo_seed, _ in spawn_seeds(314, 200):
+            topo = rm.generate_topology(params, topo_seed)
+            m, lam = rm.exhaustive_search(topo, rm.default_profiles(topo),
+                                          rm.build_capacity_table(topo))
+            h.update(repr((m.strategies, lam.hex())).encode())
+        assert h.hexdigest() == CRITERION_2_ORACLE_DIGEST
+
     def test_deterministic_tie_break(self):
         profiles = (rm.SatisfactionProfile(10e6),)
         caps = np.array([[20e6, 20e6]])
@@ -395,10 +486,62 @@ class TestExhaustive:
         assert m.radios_of(0) == (0,)
 
 
+CRITERION_2_ORACLE_DIGEST = \
+    "0b11793fc294ea790e5290d392b876bcce2d428b66895f106b7cc80c7ba79647"
+
+
+class _CountingProfile:
+    """A satisfaction profile that counts its evaluations."""
+
+    def __init__(self, profile):
+        self.profile, self.calls = profile, 0
+
+    def evaluate(self, rate):
+        self.calls += 1
+        return self.profile.evaluate(rate)
+
+
+def _reference_exhaustive(topology, profiles, caps, include_empty=True,
+                          max_set_size=None):
+    """Reference oracle: score every profile in itertools.product order with
+    one from-scratch recompute each; the first maximum wins."""
+    n_radio = topology.num_radios
+    per_source = [enumerate_strategies(n_radio, s.num_radios, include_empty,
+                                       max_set_size)
+                  for s in topology.sources]
+    caps_rows = caps.tolist()
+    evaluators = [p.evaluate for p in profiles]
+    best_lam = -1.0
+    best_profile = None
+    for combo in itertools.product(*per_source):
+        loads = [0] * n_radio
+        for strat in combo:
+            for l in strat:
+                loads[l] += 1
+        lam = 0.0
+        for n, strat in enumerate(combo):
+            rate = 0.0
+            row = caps_rows[n]
+            for l in strat:
+                rate += row[l] / loads[l]
+            lam += evaluators[n](rate)
+        if lam > best_lam:
+            best_lam = lam
+            best_profile = combo
+    return rm.Matching(best_profile, n_radio), best_lam
+
+
 class TestSolveDispatcher:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             rm.SolverConfig(kind="simulated_annealing")
+
+    def test_oracle_space_validated(self):
+        with pytest.raises(ConfigurationError, match="max_set_size"):
+            rm.SolverConfig(kind="exhaustive", max_set_size=-1)
+        with pytest.raises(ConfigurationError, match="empty strategy space"):
+            rm.SolverConfig(kind="exhaustive", include_empty=False, max_set_size=0)
+        rm.SolverConfig(kind="exhaustive", include_empty=False, max_set_size=1)
 
     def test_exhaustive_kind_wraps_trace(self):
         topo, profiles, caps = make_instance(19, num_sources=2, num_relays=2,

@@ -12,9 +12,8 @@ from .radio import (AIR_TO_AIR, LOS_2GHZ, PATH_LOSS_PRESETS, LinkGainTable,
                     generate_topology, load_topology, noise_power, path_gain,
                     save_topology, snr)
 from .matching import (Matching, SatisfactionProfile, StabilityResult,
-                       default_profiles, global_satisfaction,
-                       interference_set, is_feasible, is_stable, mutual,
-                       radio_throughput, relay_utility, satisfaction, sv_rate)
+                       default_profiles, global_satisfaction, is_feasible,
+                       is_stable, relay_utility, sv_rate)
 from .solvers import (IterationTrace, SolverConfig, exhaustive_search,
                       pma_accept, pma_propose, run_best_response,
                       run_many_to_one, run_pma, run_substitutable, solve)

@@ -18,9 +18,9 @@ from .experiments import ExperimentConfig, run_ensemble, run_sweep
 from .matching import (Matching, default_profiles, enumerate_strategies,
                        global_satisfaction, is_feasible, is_stable,
                        relay_utility)
-from .radio import (PATH_LOSS_PRESETS, PathLossModel, TopologyParams,
-                    build_capacity_table, build_gain_table, generate_topology,
-                    load_topology, save_topology)
+from .radio import (PATH_LOSS_PRESETS, TopologyParams, build_capacity_table,
+                    build_gain_table, generate_topology, load_topology,
+                    save_topology)
 from .solvers import SOLVER_KINDS, SolverConfig, exhaustive_search, solve
 
 
@@ -48,11 +48,6 @@ def _topology_params(args) -> TopologyParams:
     if args.config is not None:
         with open(args.config) as fh:
             doc = json.load(fh)
-        if isinstance(doc.get("path_loss"), dict):
-            doc["path_loss"] = PathLossModel(**doc["path_loss"])
-        for key in ("rate_requirement_bps", "source_annulus", "source_radios"):
-            if isinstance(doc.get(key), list):
-                doc[key] = tuple(doc[key])
     if args.sources is not None:
         doc["num_sources"] = args.sources
     if args.relays is not None:
@@ -61,7 +56,7 @@ def _topology_params(args) -> TopologyParams:
         doc["radios_per_relay"] = args.radios_per_relay
     if args.path_loss is not None:
         doc["path_loss"] = PATH_LOSS_PRESETS[args.path_loss]
-    return TopologyParams(**doc)
+    return TopologyParams.from_dict(doc)
 
 
 def _load_instance(path):
@@ -98,6 +93,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     if args.topology is not None:
+        given = [f"--{dest.replace('_', '-')}" for dest in
+                 ("sources", "relays", "radios_per_relay", "path_loss", "config")
+                 if getattr(args, dest) is not None]
+        if given:
+            raise ConfigurationError(
+                f"--topology fixes the instance; {', '.join(given)} would be ignored")
         topology, caps, profiles = _load_instance(args.topology)
     else:
         topology = generate_topology(_topology_params(args), args.seed)

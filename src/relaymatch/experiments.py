@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError
 from .matching import default_profiles, global_satisfaction
-from .radio import (PathLossModel, TopologyParams, build_capacity_table,
-                    build_gain_table, generate_topology)
+from .radio import (TopologyParams, build_capacity_table, build_gain_table,
+                    generate_topology)
 from .solvers import IterationTrace, SolverConfig, solve
 
 OUT_DIR_ENV = "RELAYMATCH_OUT"
@@ -51,34 +51,28 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
         for s in self.solvers:
-            # each solver draws from its replication's seed stream, and a
-            # callable schedule cannot be written to the manifest or hashed
+            # each solver draws from its replication's seed stream
             if s.seed is not None:
                 raise ConfigurationError(
                     f"solver {s.name!r}: seed is not used in an ensemble; "
                     "set master_seed instead")
-            if s.beta_schedule is not None:
-                raise ConfigurationError(
-                    f"solver {s.name!r}: beta_schedule cannot be recorded in "
-                    "an ensemble manifest")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
         doc["metrics"] = list(self.metrics)
-        for s in doc["solvers"]:
-            s.pop("beta_schedule", None)
+        return doc
+
+    def _recorded(self) -> dict:
+        """Every setting that changes results: to_dict() without workers
+        and out_dir, which change only where and how fast they are produced."""
+        doc = self.to_dict()
+        del doc["workers"], doc["out_dir"]
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = dict(doc)
-        topo = dict(doc.get("topology", {}))
-        if "path_loss" in topo and isinstance(topo["path_loss"], dict):
-            topo["path_loss"] = PathLossModel(**topo["path_loss"])
-        for key in ("rate_requirement_bps", "source_annulus", "source_radios"):
-            if isinstance(topo.get(key), list):
-                topo[key] = tuple(topo[key])
-        doc["topology"] = TopologyParams(**topo)
+        doc["topology"] = TopologyParams.from_dict(doc.get("topology", {}))
         doc["solvers"] = [SolverConfig(**s) if isinstance(s, dict) else s
                           for s in doc.get("solvers", [])]
         if "metrics" in doc:
@@ -91,11 +85,9 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def config_hash(self) -> str:
-        """Digest of every setting that changes results; workers and
-        out_dir change only where and how fast they are produced."""
-        doc = self.to_dict()
-        del doc["workers"], doc["out_dir"]
-        payload = json.dumps(doc, sort_keys=True).encode()
+        """Digest of every setting that changes results, the manifest's
+        config block."""
+        payload = json.dumps(self._recorded(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
 
 
@@ -266,8 +258,7 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list:
     results = []
     for n in config.sweep_num_sources:
         sub = ExperimentConfig(
-            topology=TopologyParams(**{**asdict_params(config.topology),
-                                       "num_sources": int(n)}),
+            topology=replace(config.topology, num_sources=int(n)),
             solvers=config.solvers,
             replications=config.replications,
             master_seed=int(np.random.SeedSequence(
@@ -294,12 +285,6 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list:
     return results
 
 
-def asdict_params(params: TopologyParams) -> dict:
-    doc = asdict(params)
-    doc["path_loss"] = PathLossModel(**doc["path_loss"])
-    return doc
-
-
 def _resolve_out_dir(config: ExperimentConfig, out_dir):
     if out_dir is not None:
         return out_dir
@@ -314,7 +299,7 @@ def _write_manifest(config: ExperimentConfig, out: Path, extra=None) -> None:
                                               config.replications,
                                               len(config.solvers))]
     manifest = {
-        "config": config.to_dict(),
+        "config": config._recorded(),
         "config_sha256": config.config_hash(),
         "version": __version__,
         "topology_seeds": seeds,

@@ -4,13 +4,17 @@ Sources and relay radios are referred to by their integer ids. Capacity
 tables are (N, L) arrays with caps[n, l] = AF capacity of source n through
 radio l. Every source connected to a radio gets an equal time share, so a
 radio carrying A sources delivers caps[n, l] / A to each of them.
+
+One kernel, _MatchingState, holds the rate, satisfaction and relay-utility
+arithmetic; the solvers run on it, and global_satisfaction, relay_utility
+and is_stable are thin wrappers over it.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -56,11 +60,6 @@ class SatisfactionProfile:
                         + self.offset)
 
 
-def satisfaction(rate_bps: float, profile: SatisfactionProfile) -> float:
-    """Satisfaction of a source achieving rate_bps, in (0, 1)."""
-    return profile.evaluate(rate_bps)
-
-
 def default_profiles(topology, slope_per_bps: float = 1e-6,
                      offset: float = 7.5) -> tuple:
     return tuple(SatisfactionProfile(required_rate_bps=s.required_rate_bps,
@@ -68,34 +67,30 @@ def default_profiles(topology, slope_per_bps: float = 1e-6,
                  for s in topology.sources)
 
 
+def _canonical(radios: Iterable[int], num_radios: int) -> tuple:
+    """A strategy as a sorted tuple of distinct radio ids in [0, num_radios)."""
+    s = tuple(sorted(set(map(int, radios))))
+    if s and (s[0] < 0 or s[-1] >= num_radios):
+        raise ConfigurationError("radio id out of range")
+    return s
+
+
 class Matching:
     """Immutable bipartite assignment between sources and relay radios.
 
     Stored source-side as sorted radio tuples; the radio-side view and per
-    radio loads are derived, so mutuality holds by construction. Use
-    :func:`mutual` to validate matchings supplied as two independent maps.
+    radio loads are derived, so mutuality holds by construction.
     """
 
     __slots__ = ("_strategies", "_num_radios")
 
     def __init__(self, strategies: Sequence[Iterable[int]], num_radios: int):
-        self._strategies = tuple(tuple(sorted(set(map(int, s)))) for s in strategies)
         self._num_radios = int(num_radios)
-        for s in self._strategies:
-            if s and (s[0] < 0 or s[-1] >= self._num_radios):
-                raise ConfigurationError("radio id out of range")
+        self._strategies = tuple(_canonical(s, self._num_radios) for s in strategies)
 
     @classmethod
     def empty(cls, num_sources: int, num_radios: int) -> "Matching":
         return cls([()] * num_sources, num_radios)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple], num_sources: int,
-                   num_radios: int) -> "Matching":
-        strategies = [[] for _ in range(num_sources)]
-        for n, l in pairs:
-            strategies[n].append(l)
-        return cls(strategies, num_radios)
 
     @property
     def num_sources(self) -> int:
@@ -124,12 +119,9 @@ class Matching:
                 loads[l] += 1
         return loads
 
-    def load(self, radio: int) -> int:
-        return len(self.sources_of(radio))
-
     def with_strategy(self, source: int, radios: Iterable[int]) -> "Matching":
         new = list(self._strategies)
-        new[source] = tuple(sorted(set(map(int, radios))))
+        new[source] = _canonical(radios, self._num_radios)
         m = Matching.__new__(Matching)
         m._strategies = tuple(new)
         m._num_radios = self._num_radios
@@ -149,28 +141,11 @@ class Matching:
     def to_dict(self) -> dict:
         return {str(n): list(s) for n, s in enumerate(self._strategies)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, doc: dict, num_radios: int) -> "Matching":
         n = max(int(k) for k in doc) + 1 if doc else 0
         strategies = [doc.get(str(i), []) for i in range(n)]
         return cls(strategies, num_radios)
-
-
-def mutual(by_source: dict, by_radio: dict) -> bool:
-    """True iff two independently supplied views agree: s in by_radio[c]
-    exactly when c in by_source[s]."""
-    for s, radios in by_source.items():
-        for c in radios:
-            if s not in by_radio.get(c, ()):
-                return False
-    for c, sources in by_radio.items():
-        for s in sources:
-            if c not in by_source.get(s, ()):
-                return False
-    return True
 
 
 def sv_rate(m: Matching, source: int, caps: np.ndarray) -> float:
@@ -182,63 +157,146 @@ def sv_rate(m: Matching, source: int, caps: np.ndarray) -> float:
     return float(sum(row[l] / loads[l] for l in m.radios_of(source)))
 
 
-def radio_throughput(m: Matching, radio: int, caps: np.ndarray) -> float:
-    """Delivered throughput of one radio: mean AF capacity of its sources."""
-    holders = m.sources_of(radio)
-    if not holders:
-        return 0.0
-    return float(sum(caps[n, radio] for n in holders) / len(holders))
+class _MatchingState:
+    """One matching under unilateral moves: strategies, radio loads,
+    per-radio occupants (sorted by source id), and per-source rate and
+    satisfaction, with global satisfaction `lam`.
+
+    A move updates only the sources on the radios it touches, then re-adds
+    lam over all sources.
+    """
+
+    __slots__ = ("caps", "profiles", "strategies", "loads", "occupants",
+                 "rates", "sat", "lam", "_mover", "_loads0", "_absent")
+
+    def __init__(self, strategies, caps_rows, profiles, num_radios):
+        self.caps = caps_rows
+        self.profiles = profiles
+        self.strategies = [tuple(s) for s in strategies]
+        self.loads = [0] * num_radios
+        self.occupants = [[] for _ in range(num_radios)]
+        for n, strat in enumerate(self.strategies):
+            for l in strat:
+                self.loads[l] += 1
+                self.occupants[l].append(n)
+        self.rates = [0.0] * len(self.strategies)
+        self.sat = [0.0] * len(self.strategies)
+        for n in range(len(self.strategies)):
+            self._refresh(n)
+        self._sum()
+        self._mover = None
+
+    def _refresh(self, n):
+        rate = 0.0
+        row = self.caps[n]
+        loads = self.loads
+        for l in self.strategies[n]:
+            rate += row[l] / loads[l]
+        self.rates[n] = rate
+        self.sat[n] = self.profiles[n].evaluate(rate)
+
+    def _sum(self):
+        # Added in source order by an explicit loop so lam is bit-identical
+        # to a from-scratch sum; built-in sum() is compensated on Python 3.12+.
+        lam = 0.0
+        for s in self.sat:
+            lam += s
+        self.lam = lam
+
+    def _remove(self, n):
+        """Set up utility() for mover n: radio loads with n removed, and
+        (rate, satisfaction) as if n held no radio of every source sharing
+        a radio with n."""
+        cur = self.strategies[n]
+        loads0 = self.loads.copy()
+        for l in cur:
+            loads0[l] -= 1
+        caps = self.caps
+        absent = {}
+        for l in cur:
+            for k in self.occupants[l]:
+                if k != n and k not in absent:
+                    rate = 0.0
+                    row = caps[k]
+                    for m in self.strategies[k]:
+                        rate += row[m] / loads0[m]
+                    absent[k] = (rate, self.profiles[k].evaluate(rate))
+        self._mover, self._loads0, self._absent = n, loads0, absent
+
+    def utility(self, n, candidate) -> float:
+        """Relay acceptance utility of `candidate` for source n: its own
+        satisfaction plus, for every source sharing a radio of the
+        candidate, the satisfaction change versus n holding no radio.
+        Differences between two candidates equal the change of lam."""
+        if self._mover != n:
+            self._remove(n)
+        loads0, caps, occupants = self._loads0, self.caps, self.occupants
+        row = caps[n]
+        rate = 0.0
+        for l in candidate:
+            rate += row[l] / (loads0[l] + 1)
+        value = self.profiles[n].evaluate(rate)
+        drops = {}
+        for l in candidate:
+            a = loads0[l]
+            if a:
+                shrink = 1.0 / a - 1.0 / (a + 1)
+                for k in occupants[l]:
+                    if k != n:
+                        drops[k] = drops.get(k, 0.0) + caps[k][l] * shrink
+        absent, rates, sat, profiles = self._absent, self.rates, self.sat, self.profiles
+        for k, drop in drops.items():
+            base_rate, base_f = absent.get(k) or (rates[k], sat[k])
+            value += profiles[k].evaluate(base_rate - drop) - base_f
+        return value
+
+    def move(self, n, new_set) -> None:
+        """Give source n the strategy new_set and update lam."""
+        old = self.strategies[n]
+        loads, occupants = self.loads, self.occupants
+        for l in old:
+            loads[l] -= 1
+            occupants[l].remove(n)
+        for l in new_set:
+            loads[l] += 1
+            insort(occupants[l], n)
+        self.strategies[n] = tuple(new_set)
+        touched = {n}
+        for l in set(old).symmetric_difference(new_set):
+            touched.update(occupants[l])
+        for k in touched:
+            self._refresh(k)
+        self._sum()
+        self._mover = None
+
+
+def _state(m: Matching, profiles, caps: np.ndarray) -> _MatchingState:
+    return _MatchingState(m.strategies, caps.tolist(), profiles, m.num_radios)
 
 
 def global_satisfaction(m: Matching, profiles: Sequence[SatisfactionProfile],
                         caps: np.ndarray) -> float:
     """Aggregate satisfaction over all sources, in (0, N)."""
-    loads = m.loads()
-    total = 0.0
-    for n, profile in enumerate(profiles):
-        rate = sum(caps[n, l] / loads[l] for l in m.radios_of(n))
-        total += profile.evaluate(rate)
-    return total
-
-
-def interference_set(m: Matching, source: int,
-                     new_radios: Iterable[int]) -> frozenset:
-    """Sources (other than the deviator) holding any radio touched by either
-    the current or the candidate strategy."""
-    union = set(new_radios) | set(m.radios_of(source))
-    return frozenset(n for n, s in enumerate(m.strategies)
-                     if n != source and any(l in union for l in s))
+    return _state(m, profiles, caps).lam
 
 
 def relay_utility(m: Matching, source: int, radios: Iterable[int],
                   profiles: Sequence[SatisfactionProfile], caps: np.ndarray,
-                  quota: Optional[int] = None,
-                  context: Optional[Iterable[int]] = None) -> float:
+                  quota: Optional[int] = None) -> float:
     """Relay-side acceptance utility of a candidate strategy for one source.
 
     Own satisfaction plus the externality it imposes: for every source
-    sharing a touched radio, the satisfaction change versus the deviator
-    dropping out entirely. Unilateral differences of this value equal the
-    corresponding differences of global satisfaction.
-
-    `context` optionally fixes the set of touched radios (e.g. the union of
-    old and new strategies when scoring a proposal pair); by default it is
-    the union of `radios` with the source's current strategy in `m`.
+    sharing a radio of the candidate, the satisfaction change versus the
+    deviator dropping out entirely. Unilateral differences of this value
+    equal the corresponding differences of global satisfaction.
     """
-    radios = tuple(sorted(set(map(int, radios))))
+    if not 0 <= source < m.num_sources:
+        raise ConfigurationError(f"unknown source id {source}")
+    radios = _canonical(radios, m.num_radios)
     if quota is not None and len(radios) > quota:
         raise ConfigurationError(
             f"strategy of size {len(radios)} violates quota {quota}")
-    union = set(radios) | set(m.radios_of(source)) if context is None else set(context)
-    state = m.with_strategy(source, radios)
-    absent = m.with_strategy(source, ())
-    affected = [n for n, s in enumerate(m.strategies)
-                if n != source and any(l in union for l in s)]
-    value = profiles[source].evaluate(sv_rate(state, source, caps))
-    for k in affected:
-        value += (profiles[k].evaluate(sv_rate(state, k, caps))
-                  - profiles[k].evaluate(sv_rate(absent, k, caps)))
-    return value
+    return _state(m, profiles, caps).utility(source, radios)
 
 
 def is_feasible(m: Matching, topology) -> bool:
@@ -289,20 +347,20 @@ def is_stable(m: Matching, topology, profiles: Sequence[SatisfactionProfile],
 
     Enumerates each source's full strategy space (subsets up to its quota,
     empty set included); raises EnumerationLimitError beyond the cap rather
-    than silently truncating.
+    than silently truncating. By the potential identity a candidate raises
+    global satisfaction by its relay-utility gain over the current
+    strategy, so one state scores every candidate; the witness is the first candidate whose gain
+    exceeds tol, best response's own stopping rule.
     """
     total = sum(count_strategies(topology.num_radios, s.num_radios)
                 for s in topology.sources)
     if total > max_strategies:
         raise EnumerationLimitError(
             f"stability check needs {total} strategy evaluations, cap is {max_strategies}")
-    base = global_satisfaction(m, profiles, caps)
+    state = _state(m, profiles, caps)
     for n, src in enumerate(topology.sources):
-        current = m.radios_of(n)
+        u_current = state.utility(n, m.radios_of(n))
         for cand in enumerate_strategies(topology.num_radios, src.num_radios):
-            if cand == current:
-                continue
-            alt = global_satisfaction(m.with_strategy(n, cand), profiles, caps)
-            if alt > base + tol:
+            if state.utility(n, cand) > u_current + tol:
                 return StabilityResult(stable=False, witness=(n, cand))
     return StabilityResult(stable=True)

@@ -176,6 +176,18 @@ class TopologyParams:
     source_annulus: tuple = (0.6, 1.0)   # fractions of the half-diagonal
     path_loss: PathLossModel = field(default_factory=PathLossModel)
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "TopologyParams":
+        """Parameters from JSON: path_loss as a dict of PathLossModel fields
+        (or a model), pairs as lists."""
+        doc = dict(doc)
+        if isinstance(doc.get("path_loss"), dict):
+            doc["path_loss"] = PathLossModel(**doc["path_loss"])
+        for key in ("rate_requirement_bps", "source_annulus", "source_radios"):
+            if isinstance(doc.get(key), list):
+                doc[key] = tuple(doc[key])
+        return cls(**doc)
+
     def validate(self) -> None:
         if self.num_sources < 1 or self.num_relays < 1:
             raise ConfigurationError("need at least one source and one relay")

@@ -10,16 +10,16 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, EnumerationLimitError
-from .matching import (SATISFACTION_TOL, Matching, count_strategies,
-                       enumerate_strategies)
+from .matching import (SATISFACTION_TOL, Matching, _MatchingState,
+                       count_strategies, enumerate_strategies)
 
 log = logging.getLogger(__name__)
 
@@ -50,7 +50,6 @@ class SolverConfig:
     # not count as progress. Exact-identity checks use SATISFACTION_TOL.
     improvement_tol: float = 1e-2
     label: Optional[str] = None
-    beta_schedule: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
         if self.kind not in SOLVER_KINDS:
@@ -67,8 +66,6 @@ class SolverConfig:
 
     def beta(self, activations: int) -> float:
         """Inverse temperature after a total number of source activations."""
-        if self.beta_schedule is not None:
-            return self.beta_schedule(activations)
         return min(activations / self.anneal_scale, self.beta_max)
 
     @property
@@ -199,119 +196,6 @@ def pma_propose(attractiveness: Sequence[float], quota: int, rng,
                 found.append(j)
     found.sort()
     return tuple([idx[j] for j in found])
-
-
-class _MatchingState:
-    """One matching under unilateral moves: strategies, radio loads,
-    per-radio occupants (sorted by source id), and per-source rate and
-    satisfaction, with global satisfaction `lam`.
-
-    A move updates only the sources on the radios it touches, then re-adds
-    lam over all sources.
-    """
-
-    __slots__ = ("caps", "profiles", "strategies", "loads", "occupants",
-                 "rates", "sat", "lam", "_mover", "_loads0", "_absent")
-
-    def __init__(self, strategies, caps_rows, profiles, num_radios):
-        self.caps = caps_rows
-        self.profiles = profiles
-        self.strategies = [tuple(s) for s in strategies]
-        self.loads = [0] * num_radios
-        self.occupants = [[] for _ in range(num_radios)]
-        for n, strat in enumerate(self.strategies):
-            for l in strat:
-                self.loads[l] += 1
-                self.occupants[l].append(n)
-        self.rates = [0.0] * len(self.strategies)
-        self.sat = [0.0] * len(self.strategies)
-        for n in range(len(self.strategies)):
-            self._refresh(n)
-        self._sum()
-        self._mover = None
-
-    def _refresh(self, n):
-        rate = 0.0
-        row = self.caps[n]
-        loads = self.loads
-        for l in self.strategies[n]:
-            rate += row[l] / loads[l]
-        self.rates[n] = rate
-        self.sat[n] = self.profiles[n].evaluate(rate)
-
-    def _sum(self):
-        # Added in source order by an explicit loop so lam is bit-identical
-        # to a from-scratch sum; built-in sum() is compensated on Python 3.12+.
-        lam = 0.0
-        for s in self.sat:
-            lam += s
-        self.lam = lam
-
-    def _remove(self, n):
-        """Set up utility() for mover n: radio loads with n removed, and
-        (rate, satisfaction) as if n held no radio of every source sharing
-        a radio with n."""
-        cur = self.strategies[n]
-        loads0 = self.loads.copy()
-        for l in cur:
-            loads0[l] -= 1
-        caps = self.caps
-        absent = {}
-        for l in cur:
-            for k in self.occupants[l]:
-                if k != n and k not in absent:
-                    rate = 0.0
-                    row = caps[k]
-                    for m in self.strategies[k]:
-                        rate += row[m] / loads0[m]
-                    absent[k] = (rate, self.profiles[k].evaluate(rate))
-        self._mover, self._loads0, self._absent = n, loads0, absent
-
-    def utility(self, n, candidate) -> float:
-        """Relay acceptance utility of `candidate` for source n: its own
-        satisfaction plus, for every source sharing a radio of the
-        candidate, the satisfaction change versus n holding no radio.
-        Differences between two candidates equal the change of lam."""
-        if self._mover != n:
-            self._remove(n)
-        loads0, caps, occupants = self._loads0, self.caps, self.occupants
-        row = caps[n]
-        rate = 0.0
-        for l in candidate:
-            rate += row[l] / (loads0[l] + 1)
-        value = self.profiles[n].evaluate(rate)
-        drops = {}
-        for l in candidate:
-            a = loads0[l]
-            if a:
-                shrink = 1.0 / a - 1.0 / (a + 1)
-                for k in occupants[l]:
-                    if k != n:
-                        drops[k] = drops.get(k, 0.0) + caps[k][l] * shrink
-        absent, rates, sat, profiles = self._absent, self.rates, self.sat, self.profiles
-        for k, drop in drops.items():
-            base_rate, base_f = absent.get(k) or (rates[k], sat[k])
-            value += profiles[k].evaluate(base_rate - drop) - base_f
-        return value
-
-    def move(self, n, new_set) -> None:
-        """Give source n the strategy new_set and update lam."""
-        old = self.strategies[n]
-        loads, occupants = self.loads, self.occupants
-        for l in old:
-            loads[l] -= 1
-            occupants[l].remove(n)
-        for l in new_set:
-            loads[l] += 1
-            insort(occupants[l], n)
-        self.strategies[n] = tuple(new_set)
-        touched = {n}
-        for l in set(old).symmetric_difference(new_set):
-            touched.update(occupants[l])
-        for k in touched:
-            self._refresh(k)
-        self._sum()
-        self._mover = None
 
 
 def _random_initial(quotas, num_radios, rng):

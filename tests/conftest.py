@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import relaymatch as rm
+from relaymatch.matching import SATISFACTION_TOL, enumerate_strategies
 
 
 def make_instance(seed, **params):
@@ -24,6 +25,50 @@ def spawn_seeds(master, count, width=2):
         parts = child.spawn(width)
         out.append((int(parts[0].generate_state(1, np.uint64)[0]), *parts[1:]))
     return out
+
+
+def _reference_global_satisfaction(m, profiles, caps):
+    """Global satisfaction recomputed from scratch: numpy loads, each
+    source's rate summed over its radios, satisfactions added in source
+    order."""
+    loads = m.loads()
+    total = 0.0
+    for n, profile in enumerate(profiles):
+        rate = sum(caps[n, l] / loads[l] for l in m.radios_of(n))
+        total += profile.evaluate(rate)
+    return total
+
+
+def _reference_relay_utility(m, source, radios, profiles, caps):
+    """Relay utility recomputed from scratch: own satisfaction with the
+    candidate, plus for every other source on a radio of the current or
+    the candidate strategy, its satisfaction with the candidate minus its
+    satisfaction with the deviator holding no radio."""
+    radios = tuple(sorted(set(radios)))
+    union = set(radios) | set(m.radios_of(source))
+    state = m.with_strategy(source, radios)
+    absent = m.with_strategy(source, ())
+    value = profiles[source].evaluate(rm.sv_rate(state, source, caps))
+    for k, strat in enumerate(m.strategies):
+        if k != source and union.intersection(strat):
+            value += (profiles[k].evaluate(rm.sv_rate(state, k, caps))
+                      - profiles[k].evaluate(rm.sv_rate(absent, k, caps)))
+    return value
+
+
+def _reference_is_stable(m, topology, profiles, caps, tol=SATISFACTION_TOL):
+    """Stability by global satisfaction: the first unilateral deviation, in
+    enumeration order, that raises the from-scratch lambda by more than tol."""
+    base = _reference_global_satisfaction(m, profiles, caps)
+    for n, src in enumerate(topology.sources):
+        for cand in enumerate_strategies(topology.num_radios, src.num_radios):
+            if cand == m.radios_of(n):
+                continue
+            alt = _reference_global_satisfaction(m.with_strategy(n, cand),
+                                                 profiles, caps)
+            if alt > base + tol:
+                return rm.StabilityResult(stable=False, witness=(n, cand))
+    return rm.StabilityResult(stable=True)
 
 
 @pytest.fixture

@@ -67,6 +67,18 @@ class TestRun:
         code = main(["run", "--topology", str(tmp_path / "absent.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("flag", [["--sources", "3"], ["--relays", "2"],
+                                      ["--radios-per-relay", "2"],
+                                      ["--path-loss", "macro"],
+                                      ["--config", "params.json"]])
+    def test_topology_file_rejects_instance_flags(self, tmp_path, capsys, flag):
+        # the file fixes the instance, so these flags would be ignored
+        topo = make_topology_file(tmp_path)
+        code = main(["run", "--topology", str(topo), *flag])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "configuration error" in err and flag[0] in err
+
     def test_generated_instance_without_file(self, capsys):
         code = main(["run", "--sources", "2", "--relays", "2",
                      "--solver", "substitutable", "--seed", "1"])

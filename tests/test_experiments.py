@@ -1,5 +1,6 @@
 """Unit tests for the ensemble runner, metrics and persistence."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -59,12 +60,10 @@ class TestConfig:
         assert hashes == {small_config(workers=2, replications=2).config_hash()}
 
     def test_unrecorded_solver_settings_rejected(self):
-        # a solver seed would be ignored (each solver draws from its
-        # replication's stream) and a schedule callable cannot be hashed
+        # a solver seed would be ignored: each solver draws from its
+        # replication's stream
         with pytest.raises(ConfigurationError, match="seed"):
             small_config(solvers=[rm.SolverConfig(kind="pma", seed=3)])
-        with pytest.raises(ConfigurationError, match="beta_schedule"):
-            small_config(solvers=[rm.SolverConfig(beta_schedule=lambda t: 1.0)])
 
 
 class TestSeedDiscipline:
@@ -155,6 +154,11 @@ class TestPersistence:
         assert (tmp_path / "mean_trace_pma.csv").exists()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config_sha256"] == config.config_hash()
+        # the manifest records exactly the settings the hash digests
+        block = json.dumps(manifest["config"], sort_keys=True).encode()
+        assert manifest["config_sha256"] == hashlib.sha256(block).hexdigest()
+        assert "workers" not in manifest["config"]
+        assert "out_dir" not in manifest["config"]
         assert manifest["version"] == rm.__version__
         assert len(manifest["topology_seeds"]) == config.replications
         header = (tmp_path / "runs.csv").read_text().splitlines()[0]
@@ -231,3 +235,16 @@ class TestWorkerPool:
         parallel = run_ensemble(small_config(workers=2))
         np.testing.assert_array_equal(serial.final_lambdas("pma"),
                                       parallel.final_lambdas("pma"))
+
+    @pytest.mark.parametrize("sweep", [None, [2, 3]])
+    def test_output_bytes_identical_for_any_worker_count(self, tmp_path, sweep):
+        run = run_sweep if sweep else run_ensemble
+        files = {}
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            run(small_config(workers=workers, replications=2,
+                             sweep_num_sources=sweep), out_dir=out)
+            files[workers] = {str(p.relative_to(out)): p.read_bytes()
+                              for p in out.rglob("*") if p.is_file()}
+        assert len(files[1]) >= 6
+        assert files[1] == files[2]

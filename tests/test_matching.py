@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import relaymatch as rm
 from relaymatch.errors import ConfigurationError, EnumerationLimitError
-from relaymatch.matching import (SATISFACTION_TOL, count_strategies,
-                                 enumerate_strategies)
+from relaymatch.matching import (SATISFACTION_TOL, _MatchingState,
+                                 count_strategies, enumerate_strategies)
 
-from conftest import make_instance
+from conftest import (_reference_global_satisfaction, _reference_is_stable,
+                      _reference_relay_utility, make_instance)
 
 
 class TestSatisfaction:
@@ -42,10 +44,6 @@ class TestSatisfaction:
         with pytest.raises(ConfigurationError):
             rm.SatisfactionProfile(required_rate_bps=1e6, offset=7.0)
 
-    def test_free_function_matches_profile(self):
-        p = rm.SatisfactionProfile(required_rate_bps=10e6)
-        assert rm.satisfaction(12e6, p) == p.evaluate(12e6)
-
 
 class TestMatchingState:
     def test_strategies_sorted_and_deduplicated(self):
@@ -55,6 +53,14 @@ class TestMatchingState:
     def test_radio_id_out_of_range(self):
         with pytest.raises(ConfigurationError):
             rm.Matching([(3,)], num_radios=3)
+        m = rm.Matching([(0,), ()], num_radios=3)
+        profiles = (rm.SatisfactionProfile(10e6),) * 2
+        caps = np.full((2, 3), 20e6)
+        for radios in ((-1,), (3,), (0, 3)):
+            with pytest.raises(ConfigurationError):
+                m.with_strategy(1, radios)
+            with pytest.raises(ConfigurationError):
+                rm.relay_utility(m, 1, radios, profiles, caps)
 
     def test_views_are_mutual_by_construction(self):
         m = rm.Matching([(0, 1), (1,), ()], num_radios=2)
@@ -62,7 +68,6 @@ class TestMatchingState:
         assert m.sources_of(1) == (0, 1)
         assert m.sources_of(0) == (0,)
         assert list(m.loads()) == [1, 2]
-        assert m.load(1) == 2
 
     def test_with_strategy_returns_new_object(self):
         m = rm.Matching([(0,), ()], num_radios=2)
@@ -80,22 +85,6 @@ class TestMatchingState:
         m = rm.Matching([(0, 1), (), (1,)], num_radios=2)
         doc = m.to_dict()
         assert rm.Matching.from_dict(doc, 2) == m
-
-    def test_from_pairs(self):
-        m = rm.Matching.from_pairs([(0, 1), (0, 0), (2, 1)], num_sources=3,
-                                   num_radios=2)
-        assert m.strategies == ((0, 1), (), (1,))
-
-
-class TestMutual:
-    def test_agreeing_views(self):
-        assert rm.mutual({0: (0, 1), 1: (1,)}, {0: (0,), 1: (0, 1)})
-
-    def test_radio_side_missing_source(self):
-        assert not rm.mutual({0: (0,)}, {0: ()})
-
-    def test_source_side_missing_radio(self):
-        assert not rm.mutual({0: ()}, {0: (0,)})
 
 
 class TestRates:
@@ -117,13 +106,6 @@ class TestRates:
     def test_sole_holder_gets_full_capacity(self):
         m = rm.Matching([(1,), ()], num_radios=2)
         assert rm.sv_rate(m, 0, self.make_caps()) == pytest.approx(30e6)
-
-    def test_radio_throughput_mean_of_holders(self):
-        caps = np.array([[20e6], [40e6]])
-        m = rm.Matching([(0,), (0,)], num_radios=1)
-        assert rm.radio_throughput(m, 0, caps) == pytest.approx(30e6)
-        empty = rm.Matching([(), ()], num_radios=1)
-        assert rm.radio_throughput(empty, 0, caps) == 0.0
 
 
 class TestGlobalSatisfaction:
@@ -170,10 +152,12 @@ class TestRelayUtility:
         with pytest.raises(ConfigurationError):
             rm.relay_utility(m, 0, (0, 1), profiles, caps, quota=1)
 
-    def test_interference_set(self):
-        m = rm.Matching([(0,), (0, 1), (2,)], num_radios=3)
-        assert rm.interference_set(m, 0, (1,)) == {1}
-        assert rm.interference_set(m, 0, (2,)) == {1, 2}
+    def test_unknown_source_raises(self):
+        topo, profiles, caps = make_instance(5)
+        m = rm.Matching.empty(topo.num_sources, topo.num_radios)
+        for source in (-1, topo.num_sources):
+            with pytest.raises(ConfigurationError):
+                rm.relay_utility(m, source, (0,), profiles, caps)
 
 
 class TestPotentialIdentity:
@@ -258,3 +242,60 @@ class TestStability:
         m = rm.Matching.empty(topo.num_sources, topo.num_radios)
         with pytest.raises(EnumerationLimitError):
             rm.is_stable(m, topo, profiles, caps, max_strategies=100)
+
+
+def _random_matching(seed, num_sources, num_relays, radios_per_relay):
+    """A seeded instance with quotas 1-3 and a uniformly drawn feasible
+    matching, plus each source's strategy space and the drawing rng."""
+    topo, profiles, caps = make_instance(seed, num_sources=num_sources,
+                                         num_relays=num_relays,
+                                         radios_per_relay=radios_per_relay,
+                                         source_radios=None)
+    rng = np.random.default_rng(seed)
+    space = [enumerate_strategies(topo.num_radios, q) for q in topo.quotas]
+    m = rm.Matching([s[int(rng.integers(len(s)))] for s in space],
+                    topo.num_radios)
+    return topo, profiles, caps, m, space, rng
+
+
+instances = st.tuples(st.integers(min_value=0, max_value=2 ** 32 - 1),
+                      st.integers(min_value=1, max_value=5),
+                      st.integers(min_value=1, max_value=3),
+                      st.integers(min_value=1, max_value=2))
+
+
+class TestWrappersMatchReference:
+    """The kernel-backed public functions against from-scratch loops."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=instances)
+    def test_global_satisfaction_and_rates(self, instance):
+        topo, profiles, caps, m, _, _ = _random_matching(*instance)
+        assert (rm.global_satisfaction(m, profiles, caps)
+                == _reference_global_satisfaction(m, profiles, caps))
+        state = _MatchingState(m.strategies, caps.tolist(), profiles,
+                               topo.num_radios)
+        assert state.rates == [rm.sv_rate(m, n, caps)
+                               for n in range(topo.num_sources)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=instances)
+    def test_relay_utility(self, instance):
+        topo, profiles, caps, m, space, rng = _random_matching(*instance)
+        n = int(rng.integers(topo.num_sources))
+        for cand in space[n]:
+            assert abs(rm.relay_utility(m, n, cand, profiles, caps)
+                       - _reference_relay_utility(m, n, cand, profiles, caps)
+                       ) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=instances, settle=st.booleans())
+    def test_is_stable_verdict_and_witness(self, instance, settle):
+        topo, profiles, caps, m, _, rng = _random_matching(*instance)
+        if settle:
+            # best response stops only at a stable matching
+            m, _ = rm.run_best_response(topo, profiles, caps,
+                                        rm.SolverConfig(kind="best_response"),
+                                        rng=rng)
+        assert (rm.is_stable(m, topo, profiles, caps)
+                == _reference_is_stable(m, topo, profiles, caps))

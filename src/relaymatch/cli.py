@@ -104,7 +104,7 @@ def _cmd_run(args) -> int:
         topology = generate_topology(_topology_params(args), args.seed)
         caps = build_capacity_table(topology)
         profiles = default_profiles(topology)
-    config = SolverConfig(kind=args.solver, seed=args.seed)
+    config = SolverConfig(kind=args.solver)
     matching, trace = solve(topology, profiles, caps, config,
                             np.random.default_rng(args.seed))
     trace.write_csv(sys.stdout)

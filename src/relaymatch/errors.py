@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from dataclasses import fields
+
 
 class ConfigurationError(ValueError):
     """Raised when user-supplied parameters are inconsistent or out of range."""
@@ -7,3 +9,12 @@ class ConfigurationError(ValueError):
 
 class EnumerationLimitError(RuntimeError):
     """Raised when a strategy-space enumeration would exceed its configured cap."""
+
+
+def from_fields(cls, doc: dict):
+    """cls(**doc) for a dataclass cls; keys that are not its fields raise
+    ConfigurationError naming them, not a bare TypeError."""
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    return cls(**doc)

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError
+from .errors import ConfigurationError, from_fields
 from .matching import default_profiles, global_satisfaction
 from .radio import (TopologyParams, build_capacity_table, build_gain_table,
                     generate_topology)
@@ -35,8 +35,6 @@ class ExperimentConfig:
     solvers: list = field(default_factory=lambda: [SolverConfig(kind="pma")])
     replications: int = 1
     master_seed: int = 0
-    satisfaction_slope: float = 1e-6
-    satisfaction_offset: float = 7.5
     metrics: tuple = ("runs", "cdf")
     out_dir: Optional[str] = None
     workers: int = 1
@@ -50,12 +48,10 @@ class ExperimentConfig:
             raise ConfigurationError("at least one solver is required")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        for s in self.solvers:
-            # each solver draws from its replication's seed stream
-            if s.seed is not None:
-                raise ConfigurationError(
-                    f"solver {s.name!r}: seed is not used in an ensemble; "
-                    "set master_seed instead")
+        kinds = [s.kind for s in self.solvers]
+        if len(set(kinds)) < len(kinds):
+            raise ConfigurationError(
+                f"solver kinds {kinds} repeat; a kind names one output series")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -73,11 +69,11 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = dict(doc)
         doc["topology"] = TopologyParams.from_dict(doc.get("topology", {}))
-        doc["solvers"] = [SolverConfig(**s) if isinstance(s, dict) else s
+        doc["solvers"] = [from_fields(SolverConfig, s) if isinstance(s, dict) else s
                           for s in doc.get("solvers", [])]
         if "metrics" in doc:
             doc["metrics"] = tuple(doc["metrics"])
-        return cls(**doc)
+        return from_fields(cls, doc)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -119,16 +115,14 @@ def _run_replication(config: ExperimentConfig, index: int, topo_seed: int,
         topology = generate_topology(config.topology, topo_seed)
         gains = build_gain_table(topology)
         caps = build_capacity_table(topology, gains)
-        profiles = default_profiles(topology,
-                                    slope_per_bps=config.satisfaction_slope,
-                                    offset=config.satisfaction_offset)
+        profiles = default_profiles(topology)
         records = []
         for solver_cfg, seed_seq in zip(config.solvers, solver_seeds):
             rng = np.random.default_rng(seed_seq)
             m, trace = solve(topology, profiles, caps, solver_cfg, rng)
             records.append(RunRecord(
                 replication=index,
-                solver=solver_cfg.name,
+                solver=solver_cfg.kind,
                 topology_seed=topo_seed,
                 final_lambda=float(global_satisfaction(m, profiles, caps)),
                 convergence_iteration=trace.convergence_iteration,
@@ -150,11 +144,7 @@ class EnsembleResult:
 
     @property
     def solver_names(self) -> list:
-        seen = []
-        for r in self.records:
-            if r.solver not in seen:
-                seen.append(r.solver)
-        return seen
+        return [s.kind for s in self.config.solvers]
 
     def records_for(self, solver: str) -> list:
         out = [r for r in self.records if r.solver == solver]
@@ -257,18 +247,11 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list:
         raise ConfigurationError("sweep_num_sources is empty")
     results = []
     for n in config.sweep_num_sources:
-        sub = ExperimentConfig(
-            topology=replace(config.topology, num_sources=int(n)),
-            solvers=config.solvers,
-            replications=config.replications,
+        sub = replace(
+            config, topology=replace(config.topology, num_sources=int(n)),
             master_seed=int(np.random.SeedSequence(
                 (config.master_seed, int(n))).generate_state(1)[0]),
-            satisfaction_slope=config.satisfaction_slope,
-            satisfaction_offset=config.satisfaction_offset,
-            metrics=config.metrics,
-            workers=config.workers,
-            store_traces=config.store_traces,
-        )
+            sweep_num_sources=None, out_dir=None)
         results.append((int(n), run_ensemble(sub)))
 
     out_dir = _resolve_out_dir(config, out_dir)

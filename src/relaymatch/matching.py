@@ -60,11 +60,8 @@ class SatisfactionProfile:
                         + self.offset)
 
 
-def default_profiles(topology, slope_per_bps: float = 1e-6,
-                     offset: float = 7.5) -> tuple:
-    return tuple(SatisfactionProfile(required_rate_bps=s.required_rate_bps,
-                                     slope_per_bps=slope_per_bps, offset=offset)
-                 for s in topology.sources)
+def default_profiles(topology) -> tuple:
+    return tuple(SatisfactionProfile(s.required_rate_bps) for s in topology.sources)
 
 
 def _canonical(radios: Iterable[int], num_radios: int) -> tuple:
@@ -120,6 +117,8 @@ class Matching:
         return loads
 
     def with_strategy(self, source: int, radios: Iterable[int]) -> "Matching":
+        if not 0 <= source < len(self._strategies):
+            raise ConfigurationError(f"unknown source id {source}")
         new = list(self._strategies)
         new[source] = _canonical(radios, self._num_radios)
         m = Matching.__new__(Matching)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, from_fields
 
 log = logging.getLogger(__name__)
 
@@ -182,11 +182,11 @@ class TopologyParams:
         (or a model), pairs as lists."""
         doc = dict(doc)
         if isinstance(doc.get("path_loss"), dict):
-            doc["path_loss"] = PathLossModel(**doc["path_loss"])
+            doc["path_loss"] = from_fields(PathLossModel, doc["path_loss"])
         for key in ("rate_requirement_bps", "source_annulus", "source_radios"):
             if isinstance(doc.get(key), list):
                 doc[key] = tuple(doc[key])
-        return cls(**doc)
+        return from_fields(cls, doc)
 
     def validate(self) -> None:
         if self.num_sources < 1 or self.num_relays < 1:

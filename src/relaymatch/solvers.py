@@ -1,8 +1,8 @@
 """Relay-selection solvers over a common interface.
 
-All solvers take (topology, profiles, caps, config) and return a final
-Matching plus an IterationTrace. The stochastic ones draw from a
-numpy Generator, so fixed seeds reproduce runs bit-exactly.
+All solvers take (topology, profiles, caps, config, rng) and return a final
+Matching plus an IterationTrace. The stochastic ones draw only from the
+numpy Generator rng, so fixed seeds reproduce runs bit-exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import logging
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,48 +29,34 @@ SOLVER_KINDS = ("pma", "best_response", "many_to_one", "substitutable", "exhaust
 #: measuring throughput and peak RSS on 4-source instances
 _ORACLE_CHUNK = 2048
 
+STOP_WINDOW = 100           # iterations without improvement => converged
+BETA_MAX = 1000.0           # clip for the annealing schedule
+# The inverse temperature rises by 1 per ANNEAL_SCALE source activations,
+# so small systems keep exploring for as many activations as large ones.
+ANNEAL_SCALE = 60.0
+# Convergence bookkeeping: a gain this small is indistinguishable from
+# the Boltzmann wandering that finite beta cannot suppress, so it does
+# not count as progress. Exact-identity checks use SATISFACTION_TOL.
+IMPROVEMENT_TOL = 1e-2
+
 
 @dataclass
 class SolverConfig:
     kind: str = "pma"
     max_iterations: int = 1000
-    stop_window: int = 100           # iterations without improvement => converged
-    beta_max: float = 1000.0         # clip for the annealing schedule
-    # The inverse temperature rises by 1 per anneal_scale source activations,
-    # so small systems keep exploring for as many activations as large ones.
-    anneal_scale: float = 60.0
-    seed: Optional[int] = None
     strategy_cap: int = 10 ** 8      # enumeration guard (oracle, best response)
     radio_quota: int = 2             # substitutable baseline only
-    shared_rate_attractiveness: bool = True
-    include_empty: bool = True       # oracle: allow the empty strategy
-    max_set_size: Optional[int] = None
-    # Convergence bookkeeping: a gain this small is indistinguishable from
-    # the Boltzmann wandering that finite beta cannot suppress, so it does
-    # not count as progress. Exact-identity checks use SATISFACTION_TOL.
-    improvement_tol: float = 1e-2
-    label: Optional[str] = None
 
     def __post_init__(self):
         if self.kind not in SOLVER_KINDS:
             raise ConfigurationError(f"unknown solver kind {self.kind!r}")
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
-        if self.stop_window < 1:
-            raise ConfigurationError("stop_window must be >= 1")
-        if self.beta_max < 0:
-            raise ConfigurationError("beta_max must be >= 0")
-        if self.anneal_scale <= 0:
-            raise ConfigurationError("anneal_scale must be positive")
-        _check_oracle_space(self.include_empty, self.max_set_size)
 
-    def beta(self, activations: int) -> float:
-        """Inverse temperature after a total number of source activations."""
-        return min(activations / self.anneal_scale, self.beta_max)
 
-    @property
-    def name(self) -> str:
-        return self.label or self.kind
+def beta(activations: int) -> float:
+    """Inverse temperature after a total number of source activations."""
+    return min(activations / ANNEAL_SCALE, BETA_MAX)
 
 
 @dataclass
@@ -208,7 +194,7 @@ def _random_initial(quotas, num_radios, rng):
     return strategies
 
 
-def run_pma(topology, profiles, caps, config: SolverConfig, rng=None,
+def run_pma(topology, profiles, caps, config: SolverConfig, rng,
             quota_override: Optional[int] = None, observer=None):
     """Potential matching: per iteration, every source (in random order)
     proposes a weighted random radio set — or a full withdrawal — which the
@@ -217,10 +203,9 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng=None,
 
     Sources act one at a time, so every state change is a unilateral
     deviation. The walk is stochastic, so the best state visited is tracked
-    and returned; the run converges once stop_window iterations pass without
+    and returned; the run converges once STOP_WINDOW iterations pass without
     a material gain over that best value.
     """
-    rng = np.random.default_rng(config.seed) if rng is None else rng
     n_src, n_radio = topology.num_sources, topology.num_radios
     quotas = [min(s.num_radios, quota_override) if quota_override else s.num_radios
               for s in topology.sources]
@@ -234,7 +219,6 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng=None,
     best_lam = lam
     best_strategies = list(strategies)
     last_improve = 0
-    tol = config.improvement_tol
     lam_hist, actor_hist, acc_hist, iter_hist = [], [], [], []
     converged = None
     activations = 0
@@ -242,26 +226,22 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng=None,
     for k in range(1, config.max_iterations + 1):
         for n in map(int, rng.permutation(n_src)):
             activations += 1
-            beta = config.beta(activations)
             current = strategies[n]
             row = caps_rows[n]
-            if config.shared_rate_attractiveness:
-                # a radio's share if n joined it; n's own radios keep theirs
-                weights = [c / (a + 1) for c, a in zip(row, loads)]
-                for l in current:
-                    weights[l] = row[l] / loads[l]
-            else:
-                weights = row
+            # a radio's share if n joined it; n's own radios keep theirs
+            weights = [c / (a + 1) for c, a in zip(row, loads)]
+            for l in current:
+                weights[l] = row[l] / loads[l]
             size = int(rng.integers(0, quotas[n] + 1))
             candidate = () if size == 0 else pma_propose(weights, quotas[n], rng,
                                                          size=size)
             u_old = state.utility(n, current)
             u_new = state.utility(n, candidate)
-            accepted = bool(rng.random() < pma_accept(u_new, u_old, beta))
+            accepted = bool(rng.random() < pma_accept(u_new, u_old, beta(activations)))
             if accepted and candidate != current:
                 state.move(n, candidate)
                 lam = state.lam
-                if lam > best_lam + tol:
+                if lam > best_lam + IMPROVEMENT_TOL:
                     last_improve = k
                 if lam > best_lam + SATISFACTION_TOL:
                     best_lam = lam
@@ -274,7 +254,7 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng=None,
                 observer({"iteration": k, "actor": n, "candidate": candidate,
                           "u_old": u_old, "u_new": u_new, "accepted": accepted,
                           "lambda": lam, "strategies": tuple(strategies)})
-        if k - last_improve >= config.stop_window:
+        if k - last_improve >= STOP_WINDOW:
             converged = last_improve
             break
 
@@ -286,18 +266,17 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng=None,
     return Matching(best_strategies, n_radio), trace
 
 
-def run_many_to_one(topology, profiles, caps, config: SolverConfig, rng=None,
+def run_many_to_one(topology, profiles, caps, config: SolverConfig, rng,
                     observer=None):
     """PMA with every source quota clamped to a single radio."""
     return run_pma(topology, profiles, caps, config, rng=rng,
                    quota_override=1, observer=observer)
 
 
-def run_best_response(topology, profiles, caps, config: SolverConfig, rng=None,
+def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
                       observer=None):
     """Round-robin sweeps where the acting source adopts its utility-maximizing
     feasible radio set; terminates once a full sweep changes nothing."""
-    rng = np.random.default_rng(config.seed) if rng is None else rng
     n_src, n_radio = topology.num_sources, topology.num_radios
     quotas = [s.num_radios for s in topology.sources]
     for q in quotas:
@@ -418,16 +397,6 @@ def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
     return Matching(strategies, n_radio), trace
 
 
-def _check_oracle_space(include_empty: bool, max_set_size: Optional[int]) -> None:
-    """Reject oracle settings that leave no strategy, or read a negative size
-    cap as "empty set only"."""
-    if max_set_size is not None and max_set_size < 0:
-        raise ConfigurationError("max_set_size must be >= 0")
-    if not include_empty and max_set_size == 0:
-        raise ConfigurationError(
-            "empty strategy space: the empty set is excluded and max_set_size is 0")
-
-
 def exhaustive_search(topology, profiles, caps, include_empty: bool = True,
                       max_set_size: Optional[int] = None, cap: int = 10 ** 8):
     """Global optimum over the full Cartesian strategy space.
@@ -453,7 +422,11 @@ def exhaustive_search(topology, profiles, caps, include_empty: bool = True,
     optimum and its lambda are bit-identical to one. np.argmax takes the
     first maximum within a chunk and a strict > the first across chunks.
     """
-    _check_oracle_space(include_empty, max_set_size)
+    if max_set_size is not None and max_set_size < 0:
+        raise ConfigurationError("max_set_size must be >= 0")
+    if not include_empty and max_set_size == 0:
+        raise ConfigurationError(
+            "empty strategy space: the empty set is excluded and max_set_size is 0")
     n_src, n_radio = topology.num_sources, topology.num_radios
     counts = [count_strategies(n_radio, s.num_radios, include_empty, max_set_size)
               for s in topology.sources]
@@ -517,8 +490,7 @@ def exhaustive_search(topology, profiles, caps, include_empty: bool = True,
             best_lam)
 
 
-def solve(topology, profiles, caps, config: SolverConfig, rng=None,
-          observer=None):
+def solve(topology, profiles, caps, config: SolverConfig, rng, observer=None):
     """Dispatch a solver by config.kind; always returns (Matching, trace)."""
     if config.kind == "pma":
         return run_pma(topology, profiles, caps, config, rng, observer=observer)
@@ -532,10 +504,7 @@ def solve(topology, profiles, caps, config: SolverConfig, rng=None,
         return run_substitutable(topology, profiles, caps, config, rng,
                                  observer=observer)
     if config.kind == "exhaustive":
-        m, lam = exhaustive_search(topology, profiles, caps,
-                                   include_empty=config.include_empty,
-                                   max_set_size=config.max_set_size,
-                                   cap=config.strategy_cap)
+        m, lam = exhaustive_search(topology, profiles, caps, cap=config.strategy_cap)
         trace = IterationTrace(lam=np.array([lam]), actor=np.array([-1]),
                                accepted=np.array([True]),
                                convergence_iteration=1, initial_lambda=lam)

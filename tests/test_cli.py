@@ -44,6 +44,13 @@ class TestGen:
         doc = json.loads(out.read_text())
         assert doc["path_loss"]["intercept_db"] == 103.0
 
+    def test_unknown_config_key_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"bogus": 1}))
+        code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "t.json")])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+
     def test_bad_flag_exits_one(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["gen", "--path-loss", "underwater", "--out",
@@ -115,6 +122,14 @@ class TestEnsembleCommand:
 
     def test_unknown_config_exits_one(self, capsys):
         assert main(["ensemble", "--config", "no-such-preset"]) == 1
+
+    def test_removed_solver_setting_exits_one(self, tmp_path, capsys):
+        # the annealing schedule is fixed; an old config that sets it fails
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"solvers": [{"kind": "pma", "stop_window": 50}]}))
+        code = main(["ensemble", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
 
     def test_presets_parse(self):
         from relaymatch.cli import _resolve_config

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import relaymatch as rm
 from relaymatch.errors import ConfigurationError
@@ -59,11 +60,60 @@ class TestConfig:
                   ["config_sha256"] for w in ("1", "2")}
         assert hashes == {small_config(workers=2, replications=2).config_hash()}
 
-    def test_unrecorded_solver_settings_rejected(self):
-        # a solver seed would be ignored: each solver draws from its
-        # replication's stream
-        with pytest.raises(ConfigurationError, match="seed"):
-            small_config(solvers=[rm.SolverConfig(kind="pma", seed=3)])
+    @pytest.mark.parametrize("change,named", [
+        ({"bogus": 1}, "bogus"),
+        ({"solvers": [{"kind": "pma", "seed": 3}]}, "seed"),
+        ({"solvers": [{"kind": "pma", "stop_window": 50}]}, "stop_window"),
+        ({"satisfaction_slope": 2e-6}, "satisfaction_slope"),
+        ({"topology": {"num_sources": 4, "bogus": 1}}, "bogus"),
+        ({"topology": {"path_loss": {"slope": 20.0}}}, "slope"),
+    ], ids=["top-level", "solver-seed", "solver-stop-window",
+            "satisfaction-slope", "topology", "path-loss"])
+    def test_unknown_keys_rejected(self, change, named):
+        doc = {**small_config().to_dict(), **change}
+        with pytest.raises(ConfigurationError, match=f"unknown .*{named}"):
+            rm.ExperimentConfig.from_dict(doc)
+
+    def test_repeated_solver_kind_rejected(self):
+        # one kind names one series; two pma configs would be merged into it
+        with pytest.raises(ConfigurationError, match="repeat"):
+            small_config(solvers=[rm.SolverConfig(kind="pma"),
+                                  rm.SolverConfig(kind="pma", max_iterations=2)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_json_round_trip_is_exact(self, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        pair = st.tuples(finite, finite)
+        path_loss = st.one_of(
+            st.sampled_from(sorted(rm.PATH_LOSS_PRESETS.values(), key=repr)),
+            st.builds(rm.PathLossModel, finite, finite, finite, finite))
+        topology = st.builds(
+            rm.TopologyParams,
+            num_sources=st.integers(1, 30), num_relays=st.integers(1, 10),
+            radios_per_relay=st.integers(1, 4),
+            source_radios=st.one_of(st.none(), st.integers(1, 3),
+                                    st.tuples(st.integers(1, 3), st.integers(1, 3))),
+            area_side_m=finite, bandwidth_hz=finite,
+            rate_requirement_bps=pair, source_annulus=pair, path_loss=path_loss)
+        kinds = data.draw(st.lists(st.sampled_from(rm.solvers.SOLVER_KINDS),
+                                   min_size=1, unique=True))
+        solvers = [rm.SolverConfig(kind=k,
+                                   max_iterations=data.draw(st.integers(1, 10 ** 4)),
+                                   strategy_cap=data.draw(st.integers(1, 10 ** 9)),
+                                   radio_quota=data.draw(st.integers(1, 5)))
+                   for k in kinds]
+        config = rm.ExperimentConfig(
+            topology=data.draw(topology), solvers=solvers,
+            replications=data.draw(st.integers(1, 1000)),
+            master_seed=data.draw(st.integers(0, 2 ** 63)),
+            metrics=tuple(data.draw(st.lists(st.sampled_from(["runs", "cdf", "trace"]),
+                                             unique=True))),
+            sweep_num_sources=data.draw(st.one_of(
+                st.none(), st.lists(st.integers(1, 30), min_size=1))))
+        restored = rm.ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+        assert restored == config
+        assert restored.config_hash() == config.config_hash()
 
 
 class TestSeedDiscipline:

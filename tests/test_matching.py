@@ -61,6 +61,9 @@ class TestMatchingState:
                 m.with_strategy(1, radios)
             with pytest.raises(ConfigurationError):
                 rm.relay_utility(m, 1, radios, profiles, caps)
+        for source in (-1, 2):
+            with pytest.raises(ConfigurationError, match="source"):
+                m.with_strategy(source, (0,))
 
     def test_views_are_mutual_by_construction(self):
         m = rm.Matching([(0, 1), (1,), ()], num_radios=2)

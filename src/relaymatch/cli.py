@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, EnumerationLimitError
-from .experiments import ExperimentConfig, run_ensemble, run_sweep
-from .matching import (Matching, default_profiles, enumerate_strategies,
-                       global_satisfaction, is_feasible, is_stable,
-                       relay_utility)
+from .experiments import (ExperimentConfig, _resolve_out_dir, run_ensemble,
+                          run_sweep)
+from .matching import (Matching, _state, default_profiles, enumerate_strategies,
+                       global_satisfaction, is_feasible, is_stable)
 from .radio import (PATH_LOSS_PRESETS, TopologyParams, build_capacity_table,
                     build_gain_table, generate_topology, load_topology,
                     save_topology)
@@ -126,11 +126,12 @@ def _cmd_ensemble(args) -> int:
         if not kept:
             raise ConfigurationError(f"config has no solver of kind {args.solver!r}")
         config.solvers = kept
+    out = _resolve_out_dir(config, args.out)
     if config.sweep_num_sources:
-        run_sweep(config, out_dir=args.out)
+        run_sweep(config, out_dir=out)
     else:
-        run_ensemble(config, out_dir=args.out)
-    print(f"ensemble complete; results in {args.out or config.out_dir}")
+        run_ensemble(config, out_dir=out)
+    print(f"ensemble complete; results in {out}")
     return 0
 
 
@@ -148,19 +149,19 @@ def _cmd_verify(args) -> int:
         n, better = result.witness
         print(f"unstable: source {n} improves by switching to radios {list(better)}")
 
-    # potential-identity audit on sampled unilateral deviations
+    # potential-identity audit on sampled unilateral deviations: dU from one
+    # kept kernel state, dLambda from a full rebuild of each deviated matching
     rng = np.random.default_rng(args.seed)
     worst = 0.0
-    base = global_satisfaction(matching, profiles, caps)
+    state = _state(matching, profiles, caps)
     for _ in range(args.samples):
         n = int(rng.integers(topology.num_sources))
         space = enumerate_strategies(topology.num_radios,
                                      topology.sources[n].num_radios)
         cand = space[int(rng.integers(len(space)))]
-        du = (relay_utility(matching, n, cand, profiles, caps)
-              - relay_utility(matching, n, matching.radios_of(n), profiles, caps))
+        du = state.utility(n, cand) - state.utility(n, matching.radios_of(n))
         dlam = global_satisfaction(matching.with_strategy(n, cand),
-                                   profiles, caps) - base
+                                   profiles, caps) - state.lam
         worst = max(worst, abs(du - dlam))
     print(f"potential-identity max deviation over {args.samples} samples: {worst:.3e}")
     return 0 if result.stable or args.allow_unstable else 2

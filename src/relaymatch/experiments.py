@@ -27,6 +27,7 @@ from .radio import (TopologyParams, build_capacity_table, build_gain_table,
 from .solvers import IterationTrace, SolverConfig, solve
 
 OUT_DIR_ENV = "RELAYMATCH_OUT"
+METRICS = ("runs", "cdf", "trace")
 
 
 @dataclass
@@ -48,6 +49,14 @@ class ExperimentConfig:
             raise ConfigurationError("at least one solver is required")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        unknown = [m for m in self.metrics if m not in METRICS]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown metrics {unknown}; choose from {list(METRICS)}")
+        if "trace" in self.metrics and not self.store_traces:
+            raise ConfigurationError(
+                "metric 'trace' needs store_traces: the mean trace is built "
+                "from the stored traces")
         kinds = [s.kind for s in self.solvers]
         if len(set(kinds)) < len(kinds):
             raise ConfigurationError(
@@ -155,15 +164,6 @@ class EnsembleResult:
     def final_lambdas(self, solver: str) -> np.ndarray:
         return np.array([r.final_lambda for r in self.records_for(solver)])
 
-    def mean_final(self, solver: str) -> float:
-        return float(self.final_lambdas(solver).mean())
-
-    def sem_final(self, solver: str) -> float:
-        vals = self.final_lambdas(solver)
-        if len(vals) < 2:
-            return 0.0
-        return float(vals.std(ddof=1) / np.sqrt(len(vals)))
-
     def satisfaction_proportion(self, solver: str) -> float:
         recs = self.records_for(solver)
         return float(np.mean([r.final_lambda / r.num_sources for r in recs]))
@@ -245,26 +245,24 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list:
     deterministic seed root derived from (master_seed, N)."""
     if not config.sweep_num_sources:
         raise ConfigurationError("sweep_num_sources is empty")
-    results = []
-    for n in config.sweep_num_sources:
-        sub = replace(
-            config, topology=replace(config.topology, num_sources=int(n)),
-            master_seed=int(np.random.SeedSequence(
-                (config.master_seed, int(n))).generate_state(1)[0]),
-            sweep_num_sources=None, out_dir=None)
-        results.append((int(n), run_ensemble(sub)))
-
     out_dir = _resolve_out_dir(config, out_dir)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    out = None if out_dir is None else Path(out_dir)
+    results = []
+    for n in map(int, config.sweep_num_sources):
+        sub = replace(
+            config, topology=replace(config.topology, num_sources=n),
+            master_seed=int(np.random.SeedSequence(
+                (config.master_seed, n)).generate_state(1)[0]),
+            sweep_num_sources=None, out_dir=None)
+        results.append((n, run_ensemble(
+            sub, out_dir=None if out is None else out / f"n{n}")))
+
+    if out is not None:
         with open(out / "satisfaction_vs_n.csv", "w") as fh:
             fh.write("num_sources,solver,proportion\n")
             for row in satisfaction_vs_n(results):
                 fh.write(f"{row['num_sources']},{row['solver']},{row['proportion']!r}\n")
         _write_manifest(config, out, extra={"sweep": list(map(int, config.sweep_num_sources))})
-        for n, result in results:
-            write_result(result, out / f"n{n}")
     return results
 
 
@@ -321,7 +319,7 @@ def write_result(result: EnsembleResult, out_dir) -> None:
                 fh.write(f"# non_converged_fraction,"
                          f"{result.non_converged_fraction(solver)!r}\n")
 
-    if "trace" in config.metrics and config.store_traces:
+    if "trace" in config.metrics:
         for solver in result.solver_names:
             trace = result.mean_trace(solver)
             with open(out / f"mean_trace_{solver}.csv", "w") as fh:

@@ -75,8 +75,8 @@ def _canonical(radios: Iterable[int], num_radios: int) -> tuple:
 class Matching:
     """Immutable bipartite assignment between sources and relay radios.
 
-    Stored source-side as sorted radio tuples; the radio-side view and per
-    radio loads are derived, so mutuality holds by construction.
+    Stored source-side as sorted radio tuples; per-radio loads are derived,
+    so mutuality holds by construction.
     """
 
     __slots__ = ("_strategies", "_num_radios")
@@ -84,10 +84,6 @@ class Matching:
     def __init__(self, strategies: Sequence[Iterable[int]], num_radios: int):
         self._num_radios = int(num_radios)
         self._strategies = tuple(_canonical(s, self._num_radios) for s in strategies)
-
-    @classmethod
-    def empty(cls, num_sources: int, num_radios: int) -> "Matching":
-        return cls([()] * num_sources, num_radios)
 
     @property
     def num_sources(self) -> int:
@@ -103,11 +99,6 @@ class Matching:
 
     def radios_of(self, source: int) -> tuple:
         return self._strategies[source]
-
-    def sources_of(self, radio: int) -> tuple:
-        if not 0 <= radio < self._num_radios:
-            raise ConfigurationError(f"unknown radio id {radio}")
-        return tuple(n for n, s in enumerate(self._strategies) if radio in s)
 
     def loads(self) -> np.ndarray:
         loads = np.zeros(self._num_radios, dtype=np.int64)
@@ -334,9 +325,6 @@ def count_strategies(num_radios: int, quota: int, include_empty: bool = True,
 class StabilityResult:
     stable: bool
     witness: Optional[tuple] = None   # (source, better strategy) when unstable
-
-    def __bool__(self):
-        return self.stable
 
 
 def is_stable(m: Matching, topology, profiles: Sequence[SatisfactionProfile],

@@ -154,10 +154,6 @@ class Topology:
     def quotas(self) -> tuple:
         return tuple(s.num_radios for s in self.sources)
 
-    @property
-    def required_rates(self) -> tuple:
-        return tuple(s.required_rate_bps for s in self.sources)
-
 
 @dataclass(frozen=True)
 class TopologyParams:

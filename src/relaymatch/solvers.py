@@ -59,24 +59,44 @@ def beta(activations: int) -> float:
     return min(activations / ANNEAL_SCALE, BETA_MAX)
 
 
-@dataclass
 class IterationTrace:
     """Per-activation record of one solver run.
 
-    One entry per acting source; `iteration` holds the 1-based iteration
-    index of each entry (several sources act within one iteration).
-    initial_lambda is the value of the random initial state.
+    A solver starts the record with IterationTrace(initial_lambda, observer),
+    calls record() once per acting source and close() when it stops.
+    `iteration` holds the 1-based iteration index of each entry (several
+    sources act within one PMA iteration). initial_lambda is the value of
+    the initial state.
     """
-    lam: np.ndarray
-    actor: np.ndarray
-    accepted: np.ndarray
-    convergence_iteration: Optional[int]
-    initial_lambda: float
-    iteration: Optional[np.ndarray] = None
 
-    def __post_init__(self):
-        if self.iteration is None:
-            self.iteration = np.arange(1, len(self.lam) + 1)
+    def __init__(self, initial_lambda: float, observer=None):
+        self.initial_lambda = initial_lambda
+        self.convergence_iteration = None
+        self.iteration, self.actor, self.accepted, self.lam = [], [], [], []
+        self._observer = observer
+
+    def record(self, iteration, actor, accepted, lam, strategies, **event) -> None:
+        """Log one activation and pass it, with the solver's extra event
+        fields, to the observer if one is attached."""
+        self.iteration.append(iteration)
+        self.actor.append(actor)
+        self.accepted.append(accepted)
+        self.lam.append(lam)
+        if self._observer is not None:
+            self._observer({"iteration": iteration, "actor": actor,
+                            "accepted": accepted, "lambda": lam,
+                            "strategies": tuple(strategies), **event})
+
+    def close(self, convergence_iteration: Optional[int]) -> "IterationTrace":
+        """End the record: the columns become arrays and the observer is
+        released."""
+        self.iteration = np.array(self.iteration, dtype=np.int64)
+        self.actor = np.array(self.actor, dtype=np.int64)
+        self.accepted = np.array(self.accepted, dtype=bool)
+        self.lam = np.array(self.lam, dtype=np.float64)
+        self.convergence_iteration = convergence_iteration
+        self._observer = None
+        return self
 
     def __len__(self):
         return len(self.lam)
@@ -84,9 +104,6 @@ class IterationTrace:
     @property
     def num_iterations(self) -> int:
         return int(self.iteration[-1]) if len(self.iteration) else 0
-
-    def final_lambda(self) -> float:
-        return float(self.lam[-1]) if len(self.lam) else self.initial_lambda
 
     def lambda_per_iteration(self) -> np.ndarray:
         """Global satisfaction at the end of each iteration."""
@@ -215,11 +232,10 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng,
     strategies, loads = state.strategies, state.loads
 
     lam = state.lam
-    initial_lambda = lam
+    trace = IterationTrace(lam, observer)
     best_lam = lam
     best_strategies = list(strategies)
     last_improve = 0
-    lam_hist, actor_hist, acc_hist, iter_hist = [], [], [], []
     converged = None
     activations = 0
 
@@ -246,24 +262,13 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng,
                 if lam > best_lam + SATISFACTION_TOL:
                     best_lam = lam
                     best_strategies = list(strategies)
-            iter_hist.append(k)
-            lam_hist.append(lam)
-            actor_hist.append(n)
-            acc_hist.append(accepted)
-            if observer is not None:
-                observer({"iteration": k, "actor": n, "candidate": candidate,
-                          "u_old": u_old, "u_new": u_new, "accepted": accepted,
-                          "lambda": lam, "strategies": tuple(strategies)})
+            trace.record(k, n, accepted, lam, strategies, candidate=candidate,
+                         u_old=u_old, u_new=u_new)
         if k - last_improve >= STOP_WINDOW:
             converged = last_improve
             break
 
-    trace = IterationTrace(lam=np.array(lam_hist), actor=np.array(actor_hist),
-                           accepted=np.array(acc_hist, dtype=bool),
-                           convergence_iteration=converged,
-                           initial_lambda=initial_lambda,
-                           iteration=np.array(iter_hist))
-    return Matching(best_strategies, n_radio), trace
+    return Matching(best_strategies, n_radio), trace.close(converged)
 
 
 def run_many_to_one(topology, profiles, caps, config: SolverConfig, rng,
@@ -291,8 +296,7 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
     strategies = state.strategies
 
     lam = state.lam
-    initial_lambda = lam
-    lam_hist, actor_hist, acc_hist = [], [], []
+    trace = IterationTrace(lam, observer)
     last_improve = 0
     converged = None
     iteration = 0
@@ -315,22 +319,13 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
                 lam = state.lam
                 changed = True
                 last_improve = iteration
-            lam_hist.append(lam)
-            actor_hist.append(n)
-            acc_hist.append(accepted)
-            if observer is not None:
-                observer({"iteration": iteration, "actor": n,
-                          "candidate": best_set, "accepted": accepted,
-                          "lambda": lam, "strategies": tuple(strategies)})
+            trace.record(iteration, n, accepted, lam, strategies,
+                         candidate=best_set)
         if not changed:
             converged = last_improve
             break
 
-    trace = IterationTrace(lam=np.array(lam_hist), actor=np.array(actor_hist),
-                           accepted=np.array(acc_hist, dtype=bool),
-                           convergence_iteration=converged,
-                           initial_lambda=initial_lambda)
-    return Matching(strategies, n_radio), trace
+    return Matching(strategies, n_radio), trace.close(converged)
 
 
 def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
@@ -354,9 +349,7 @@ def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
     state = _MatchingState([()] * n_src, caps_rows, profiles, n_radio)
     strategies = state.strategies
 
-    lam = state.lam
-    initial_lambda = lam
-    lam_hist, actor_hist, acc_hist = [], [], []
+    trace = IterationTrace(state.lam, observer)
     queue = deque(range(n_src))
     iteration = 0
 
@@ -380,21 +373,11 @@ def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
             if evicted == n:
                 accepted = False
         iteration += 1
-        lam = state.lam
-        lam_hist.append(lam)
-        actor_hist.append(n)
-        acc_hist.append(accepted)
-        if observer is not None:
-            observer({"iteration": iteration, "actor": n, "accepted": accepted,
-                      "lambda": lam, "strategies": tuple(strategies)})
+        trace.record(iteration, n, accepted, state.lam, strategies)
 
     truncated = any(cursor[k] < n_radio for k in queue)
-    trace = IterationTrace(lam=np.array(lam_hist), actor=np.array(actor_hist),
-                           accepted=np.array(acc_hist, dtype=bool),
-                           convergence_iteration=(iteration if iteration and not truncated
-                                                  else None),
-                           initial_lambda=initial_lambda)
-    return Matching(strategies, n_radio), trace
+    return (Matching(strategies, n_radio),
+            trace.close(iteration if iteration and not truncated else None))
 
 
 def exhaustive_search(topology, profiles, caps, include_empty: bool = True,
@@ -505,8 +488,7 @@ def solve(topology, profiles, caps, config: SolverConfig, rng, observer=None):
                                  observer=observer)
     if config.kind == "exhaustive":
         m, lam = exhaustive_search(topology, profiles, caps, cap=config.strategy_cap)
-        trace = IterationTrace(lam=np.array([lam]), actor=np.array([-1]),
-                               accepted=np.array([True]),
-                               convergence_iteration=1, initial_lambda=lam)
-        return m, trace
+        trace = IterationTrace(lam, observer)
+        trace.record(1, -1, True, lam, m.strategies)
+        return m, trace.close(1)
     raise ConfigurationError(f"unknown solver kind {config.kind!r}")

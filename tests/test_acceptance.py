@@ -57,7 +57,8 @@ SMALL_PARAMS = rm.TopologyParams(num_sources=4, num_relays=3,
 @pytest.fixture(scope="module")
 def ordering_ensembles():
     """One 600-replication ensemble (200 per system size) shared by the
-    ordering and satisfaction-level criteria."""
+    ordering and satisfaction-level criteria. Output does not depend on the
+    worker count (test_experiments pins that), so two workers only save time."""
     results = {}
     for n in (8, 13, 16):
         config = rm.ExperimentConfig(
@@ -66,7 +67,8 @@ def ordering_ensembles():
             replications=200,
             master_seed=2026 + n,
             metrics=("runs",),
-            store_traces=False)
+            store_traces=False,
+            workers=2)
         results[n] = rm.run_ensemble(config)
     return results
 

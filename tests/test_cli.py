@@ -6,6 +6,7 @@ import pytest
 
 import relaymatch as rm
 from relaymatch.cli import main
+from relaymatch.matching import _MatchingState
 
 
 def make_topology_file(tmp_path, name="topo.json", **params):
@@ -131,6 +132,28 @@ class TestEnsembleCommand:
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_prints_directory_written(self, tmp_path, capsys, monkeypatch):
+        # with no --out the results go to RELAYMATCH_OUT, and the message says so
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "topology": {"num_sources": 2, "num_relays": 2},
+            "solvers": [{"kind": "pma"}], "metrics": ["runs"]}))
+        env_out = tmp_path / "env_out"
+        monkeypatch.setenv("RELAYMATCH_OUT", str(env_out))
+        assert main(["ensemble", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == f"ensemble complete; results in {env_out}\n"
+        assert (env_out / "runs.csv").exists()
+
+    def test_unknown_metric_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"solvers": [{"kind": "pma"}],
+                                    "metrics": ["runs", "cdfs"]}))
+        code = main(["ensemble", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "cdfs" in err
+        assert not (tmp_path / "r").exists()
+
     def test_presets_parse(self):
         from relaymatch.cli import _resolve_config
         for name in ("fig2", "fig3", "fig4"):
@@ -173,6 +196,27 @@ class TestVerify:
         capsys.readouterr()
         assert main(args + ["--allow-unstable"]) == 0
         assert "unstable" in capsys.readouterr().out
+
+    def test_audit_keeps_one_kernel_state(self, tmp_path, capsys, monkeypatch):
+        # one state for is_stable, one for the audit's dU, and one full
+        # rebuild per sample for dLambda
+        topo_path = make_topology_file(tmp_path)
+        matching_path = tmp_path / "matching.json"
+        assert main(["run", "--topology", str(topo_path), "--seed", "2",
+                     "--out", str(matching_path)]) == 0
+        built = []
+        init = _MatchingState.__init__
+
+        def counting_init(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(_MatchingState, "__init__", counting_init)
+        assert main(["verify", "--topology", str(topo_path), "--matching",
+                     str(matching_path), "--samples", "25",
+                     "--allow-unstable"]) == 0
+        assert "over 25 samples" in capsys.readouterr().out
+        assert len(built) <= 25 + 2
 
     def test_infeasible_matching_exits_two(self, tmp_path, capsys):
         topo_path = make_topology_file(tmp_path, name="t3.json", num_sources=3,

@@ -74,6 +74,21 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=f"unknown .*{named}"):
             rm.ExperimentConfig.from_dict(doc)
 
+    def test_unknown_metric_rejected(self):
+        # "cdfs" used to be accepted and write nothing
+        with pytest.raises(ConfigurationError, match="cdfs"):
+            small_config(metrics=("runs", "cdfs"))
+        doc = {**small_config().to_dict(), "metrics": ["trace", "runs", "mean"]}
+        with pytest.raises(ConfigurationError, match="mean"):
+            rm.ExperimentConfig.from_dict(doc)
+
+    def test_trace_metric_requires_stored_traces(self):
+        # the mean trace is built from stored traces; without them no
+        # mean_trace_*.csv used to be written, silently
+        with pytest.raises(ConfigurationError, match="store_traces"):
+            small_config(store_traces=False)
+        small_config(store_traces=False, metrics=("runs", "cdf"))
+
     def test_repeated_solver_kind_rejected(self):
         # one kind names one series; two pma configs would be merged into it
         with pytest.raises(ConfigurationError, match="repeat"):
@@ -156,15 +171,18 @@ class TestEnsemble:
 
     def test_aggregates(self):
         result = run_ensemble(small_config())
-        vals = result.final_lambdas("pma")
-        assert result.mean_final("pma") == pytest.approx(vals.mean())
-        assert result.sem_final("pma") == pytest.approx(
-            vals.std(ddof=1) / np.sqrt(len(vals)))
+        recs = result.records_for("pma")
+        assert len(recs) == 4
+        np.testing.assert_array_equal(result.final_lambdas("pma"),
+                                      [r.final_lambda for r in recs])
+        assert result.satisfaction_proportion("pma") == pytest.approx(
+            np.mean([r.final_lambda / r.num_sources for r in recs]))
         assert 0.0 <= result.satisfaction_proportion("pma") <= 1.0
         assert 0.0 <= result.non_converged_fraction("pma") <= 1.0
 
     def test_mean_trace_requires_stored_traces(self):
-        result = run_ensemble(small_config(store_traces=False))
+        result = run_ensemble(small_config(store_traces=False,
+                                           metrics=("runs", "cdf")))
         with pytest.raises(ConfigurationError):
             result.mean_trace("pma")
 
@@ -263,6 +281,20 @@ class TestSweep:
         rows = rm.satisfaction_vs_n(results)
         assert [r["num_sources"] for r in rows] == [2, 3]
         assert all(0.0 <= r["proportion"] <= 1.0 for r in rows)
+
+    def test_env_out_dir_gets_only_the_sweep_layout(self, tmp_path, monkeypatch):
+        # each size writes under n<N>/ only, never at the top of the directory
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        run_sweep(small_config(sweep_num_sources=[2, 3], replications=2))
+        per_size = ["runs.csv", "manifest.json", "cdf_pma.csv",
+                    "cdf_substitutable.csv", "mean_trace_pma.csv",
+                    "mean_trace_substitutable.csv"]
+        expected = {"manifest.json", "satisfaction_vs_n.csv"} | {
+            f"n{n}/{name}" for n in (2, 3) for name in per_size}
+        written = {p.relative_to(tmp_path).as_posix()
+                   for p in tmp_path.rglob("*") if p.is_file()}
+        assert written == expected
+        assert len(written) == 14
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigurationError):

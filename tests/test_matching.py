@@ -68,8 +68,9 @@ class TestMatchingState:
     def test_views_are_mutual_by_construction(self):
         m = rm.Matching([(0, 1), (1,), ()], num_radios=2)
         assert m.radios_of(0) == (0, 1)
-        assert m.sources_of(1) == (0, 1)
-        assert m.sources_of(0) == (0,)
+        # the radio-side view is derived from the source-side tuples
+        assert [n for n in range(3) if 1 in m.radios_of(n)] == [0, 1]
+        assert [n for n in range(3) if 0 in m.radios_of(n)] == [0]
         assert list(m.loads()) == [1, 2]
 
     def test_with_strategy_returns_new_object(self):
@@ -114,7 +115,7 @@ class TestRates:
 class TestGlobalSatisfaction:
     def test_empty_matching_near_zero(self):
         topo, profiles, caps = make_instance(3)
-        m = rm.Matching.empty(topo.num_sources, topo.num_radios)
+        m = rm.Matching([()] * topo.num_sources, topo.num_radios)
         assert rm.global_satisfaction(m, profiles, caps) < 1e-2
 
     def test_equals_hand_summed_satisfactions(self):
@@ -135,7 +136,7 @@ class TestGlobalSatisfaction:
 class TestRelayUtility:
     def test_isolated_source_utility_is_own_satisfaction(self):
         topo, profiles, caps = make_instance(5)
-        m = rm.Matching.empty(topo.num_sources, topo.num_radios)
+        m = rm.Matching([()] * topo.num_sources, topo.num_radios)
         u = rm.relay_utility(m, 0, (0,), profiles, caps)
         assert u == pytest.approx(profiles[0].evaluate(caps[0, 0]))
 
@@ -151,13 +152,13 @@ class TestRelayUtility:
 
     def test_quota_violation_raises(self):
         topo, profiles, caps = make_instance(5)
-        m = rm.Matching.empty(topo.num_sources, topo.num_radios)
+        m = rm.Matching([()] * topo.num_sources, topo.num_radios)
         with pytest.raises(ConfigurationError):
             rm.relay_utility(m, 0, (0, 1), profiles, caps, quota=1)
 
     def test_unknown_source_raises(self):
         topo, profiles, caps = make_instance(5)
-        m = rm.Matching.empty(topo.num_sources, topo.num_radios)
+        m = rm.Matching([()] * topo.num_sources, topo.num_radios)
         for source in (-1, topo.num_sources):
             with pytest.raises(ConfigurationError):
                 rm.relay_utility(m, source, (0,), profiles, caps)
@@ -198,13 +199,13 @@ class TestFeasibility:
 
     def test_empty_matching_feasible(self):
         topo, _, _ = make_instance(5)
-        assert rm.is_feasible(rm.Matching.empty(topo.num_sources,
-                                                topo.num_radios), topo)
+        assert rm.is_feasible(rm.Matching([()] * topo.num_sources,
+                                          topo.num_radios), topo)
 
     def test_size_mismatch(self):
         topo, _, _ = make_instance(5)
-        assert not rm.is_feasible(rm.Matching.empty(topo.num_sources + 1,
-                                                    topo.num_radios), topo)
+        assert not rm.is_feasible(rm.Matching([()] * (topo.num_sources + 1),
+                                              topo.num_radios), topo)
 
 
 class TestStrategyEnumeration:
@@ -242,7 +243,7 @@ class TestStability:
     def test_enumeration_cap_raises(self):
         topo, profiles, caps = make_instance(5, num_sources=13, num_relays=5,
                                              radios_per_relay=2, source_radios=3)
-        m = rm.Matching.empty(topo.num_sources, topo.num_radios)
+        m = rm.Matching([()] * topo.num_sources, topo.num_radios)
         with pytest.raises(EnumerationLimitError):
             rm.is_stable(m, topo, profiles, caps, max_strategies=100)
 

@@ -117,7 +117,7 @@ class TestTopologyGeneration:
         assert len(set(channels)) == len(channels)
         assert all(1 <= q <= 3 for q in topo.quotas)
         lo, hi = params.rate_requirement_bps
-        assert all(lo <= r <= hi for r in topo.required_rates)
+        assert all(lo <= s.required_rate_bps <= hi for s in topo.sources)
 
     def test_placement_geometry(self):
         params = rm.TopologyParams(num_sources=20, num_relays=6)

@@ -162,34 +162,42 @@ class TestMatchingState:
                 lam - _reference_global_satisfaction(before, profiles, caps),
                 abs=1e-10)
             assert state.loads == list(m.loads())
-            assert state.occupants == [list(m.sources_of(l))
-                                       for l in range(topo.num_radios)]
+            assert state.occupants == [
+                [k for k, strat in enumerate(m.strategies) if l in strat]
+                for l in range(topo.num_radios)]
 
 
 class TestIterationTrace:
     def test_default_iteration_index(self):
-        tr = IterationTrace(lam=np.array([1.0, 2.0]), actor=np.array([0, 1]),
-                            accepted=np.array([True, False]),
-                            convergence_iteration=2, initial_lambda=0.5)
+        # each recorded activation keeps its iteration; close() types the columns
+        tr = IterationTrace(0.5)
+        tr.record(1, 0, True, 1.0, [(0,), ()])
+        tr.record(2, 1, False, 2.0, [(0,), ()])
+        assert tr.close(2) is tr
         assert list(tr.iteration) == [1, 2]
-        assert tr.num_iterations == 2
-        assert tr.final_lambda() == 2.0
+        assert [a.dtype for a in (tr.iteration, tr.actor, tr.accepted, tr.lam)] == [
+            np.int64, np.int64, bool, np.float64]
+        assert tr.num_iterations == 2 and len(tr) == 2
+        assert tr.convergence_iteration == 2
+        assert tr.lam[-1] == 2.0 and tr.initial_lambda == 0.5
 
     def test_per_iteration_series_takes_last_value(self):
-        tr = IterationTrace(lam=np.array([1.0, 1.5, 2.0]),
-                            actor=np.array([0, 1, 0]),
-                            accepted=np.array([True, True, True]),
-                            convergence_iteration=None, initial_lambda=0.0,
-                            iteration=np.array([1, 1, 2]))
+        tr = IterationTrace(0.0)
+        for k, actor, lam in ((1, 0, 1.0), (1, 1, 1.5), (2, 0, 2.0)):
+            tr.record(k, actor, True, lam, [(), ()])
+        tr.close(None)
         assert list(tr.lambda_per_iteration()) == [1.5, 2.0]
 
     def test_csv_format(self):
-        tr = IterationTrace(lam=np.array([1.25]), actor=np.array([3]),
-                            accepted=np.array([True]),
-                            convergence_iteration=1, initial_lambda=1.0)
+        events = []
+        tr = IterationTrace(1.0, observer=events.append)
+        tr.record(1, 3, True, 1.25, [(0,)], candidate=(0,))
         buf = io.StringIO()
-        tr.write_csv(buf)
+        tr.close(1).write_csv(buf)
         assert buf.getvalue() == "iteration,lambda,actor,accepted\n1,1.25,3,1\n"
+        assert events == [{"iteration": 1, "actor": 3, "accepted": True,
+                           "lambda": 1.25, "strategies": ((0,),),
+                           "candidate": (0,)}]
 
 
 class TestPma:
@@ -297,6 +305,46 @@ def test_pinned_run_digest(kind, seed):
     assert _run_digest(m, trace) == PINNED_DIGESTS[kind, seed]
 
 
+# sha256 of IterationTrace.write_csv output at seed 1 on the pinned-digest
+# instance; unlike PINNED_DIGESTS these also cover the iteration column
+PINNED_CSV_DIGESTS = {
+    "pma": "1c45f45d6763ac1758270d5d7ef56cde3245bf74d09e8ea7200c4bf1a359fef4",
+    "many_to_one": "e07c23888dd7bad49d85841c5fe650cb194fd8bff7e78c0d2a0c1e2ac589cedf",
+    "best_response": "f9cbabd917c8b733ead289f9f9556ab43c9ec02c47e6f91f411b52f54df653ce",
+    "substitutable": "32cef1468bd1bfe4c1c769d0daf6ee6f95a6d720692dc7aaa61e4da3c9a10fea",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_CSV_DIGESTS))
+def test_pinned_trace_csv_digest(kind):
+    topo, profiles, caps = make_instance(2026, num_sources=8, num_relays=5,
+                                         radios_per_relay=2, source_radios=(2, 3))
+    _, trace = rm.solve(topo, profiles, caps, rm.SolverConfig(kind=kind),
+                        np.random.default_rng(1))
+    buf = io.StringIO()
+    trace.write_csv(buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+        PINNED_CSV_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", solvers.SOLVER_KINDS)
+def test_observer_events_match_trace_columns(kind, small_instance):
+    """Every solver reports each trace entry to the observer exactly once,
+    with the same iteration, actor, acceptance and lambda."""
+    topo, profiles, caps = small_instance
+    events = []
+    m, trace = rm.solve(topo, profiles, caps, rm.SolverConfig(kind=kind),
+                        np.random.default_rng(3), observer=events.append)
+    assert len(events) == len(trace) > 0
+    assert [e["iteration"] for e in events] == trace.iteration.tolist()
+    assert [e["actor"] for e in events] == trace.actor.tolist()
+    assert [e["accepted"] for e in events] == trace.accepted.tolist()
+    assert [e["lambda"] for e in events] == trace.lam.tolist()
+    if kind in ("best_response", "substitutable", "exhaustive"):
+        # these return the state they end in
+        assert events[-1]["strategies"] == m.strategies
+
+
 class TestManyToOne:
     def test_all_strategies_at_most_one_radio(self, mid_instance):
         topo, profiles, caps = mid_instance
@@ -345,7 +393,7 @@ class TestSubstitutable:
                                              source_radios=1)
         cfg = rm.SolverConfig(kind="substitutable", radio_quota=1)
         m, _ = rm.run_substitutable(topo, profiles, caps, cfg)
-        holders = m.sources_of(0)
+        holders = [n for n, strat in enumerate(m.strategies) if 0 in strat]
         assert len(holders) == 1
         kept = holders[0]
         other = 1 - kept
@@ -403,7 +451,7 @@ class TestExhaustive:
                                  max_set_size=0)
         # the empty set alone is a valid, if trivial, strategy space
         m, _ = rm.exhaustive_search(topo, profiles, caps, max_set_size=0)
-        assert m == rm.Matching.empty(topo.num_sources, topo.num_radios)
+        assert m == rm.Matching([()] * topo.num_sources, topo.num_radios)
         # a topology file may give a source no radio at all
         idle = dataclasses.replace(topo, sources=(
             dataclasses.replace(topo.sources[0], num_radios=0), *topo.sources[1:]))
@@ -547,5 +595,7 @@ class TestSolveDispatcher:
         m, tr = rm.solve(topo, profiles, caps, rm.SolverConfig(kind="exhaustive"),
                          np.random.default_rng(0))
         assert tr.convergence_iteration == 1
-        assert tr.final_lambda() == pytest.approx(
+        assert list(tr.iteration) == [1] and list(tr.actor) == [-1]
+        assert list(tr.accepted) == [True]
+        assert tr.lam[-1] == tr.initial_lambda == pytest.approx(
             rm.global_satisfaction(m, profiles, caps))

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, EnumerationLimitError
-from .experiments import (ExperimentConfig, _resolve_out_dir, run_ensemble,
-                          run_sweep)
+from .experiments import (OUT_DIR_ENV, ExperimentConfig, _resolve_out_dir,
+                          run_ensemble, run_sweep)
 from .matching import (Matching, _state, default_profiles, enumerate_strategies,
                        global_satisfaction, is_feasible, is_stable)
 from .radio import (PATH_LOSS_PRESETS, TopologyParams, build_capacity_table,
@@ -127,6 +127,11 @@ def _cmd_ensemble(args) -> int:
             raise ConfigurationError(f"config has no solver of kind {args.solver!r}")
         config.solvers = kept
     out = _resolve_out_dir(config, args.out)
+    if out is None:
+        # run_ensemble keeps results in memory without one; here they would be lost
+        raise ConfigurationError(
+            f"no output directory: pass --out, set {OUT_DIR_ENV} or give out_dir "
+            "in the config")
     if config.sweep_num_sources:
         run_sweep(config, out_dir=out)
     else:

@@ -26,14 +26,6 @@ from .errors import ConfigurationError, EnumerationLimitError
 SATISFACTION_TOL = 1e-10
 
 
-def _sigmoid(x: float) -> float:
-    # overflow-safe logistic
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 @dataclass(frozen=True)
 class SatisfactionProfile:
     """Sigmoid rate-satisfaction: 1 / (1 + exp(-(slope*(u - required) + offset))).
@@ -56,8 +48,12 @@ class SatisfactionProfile:
             raise ConfigurationError("satisfaction offset must exceed 7")
 
     def evaluate(self, rate_bps: float) -> float:
-        return _sigmoid(self.slope_per_bps * (rate_bps - self.required_rate_bps)
-                        + self.offset)
+        x = self.slope_per_bps * (rate_bps - self.required_rate_bps) + self.offset
+        # overflow-safe logistic, inline: this runs for every utility term
+        if x >= 0:
+            return 1.0 / (1.0 + math.exp(-x))
+        e = math.exp(x)
+        return e / (1.0 + e)
 
 
 def default_profiles(topology) -> tuple:
@@ -157,7 +153,7 @@ class _MatchingState:
     """
 
     __slots__ = ("caps", "profiles", "strategies", "loads", "occupants",
-                 "rates", "sat", "lam", "_mover", "_loads0", "_absent")
+                 "rates", "sat", "lam", "_mover", "_loads0", "_absent", "_current")
 
     def __init__(self, strategies, caps_rows, profiles, num_radios):
         self.caps = caps_rows
@@ -194,24 +190,40 @@ class _MatchingState:
         self.lam = lam
 
     def _remove(self, n):
-        """Set up utility() for mover n: radio loads with n removed, and
+        """Set up utility() for mover n: radio loads with n removed,
         (rate, satisfaction) as if n held no radio of every source sharing
-        a radio with n."""
+        a radio with n, and the utility of n's current strategy.
+
+        That utility is utility()'s arithmetic for candidate == current,
+        in the same order: the own term is sat[n], since loads0[l] + 1 is
+        loads[l], and the neighbour drops are summed in the same pass that
+        finds the neighbours."""
         cur = self.strategies[n]
         loads0 = self.loads.copy()
         for l in cur:
             loads0[l] -= 1
-        caps = self.caps
-        absent = {}
+        caps, profiles = self.caps, self.profiles
+        absent, drops = {}, {}
         for l in cur:
+            a = loads0[l]
+            if not a:
+                continue
+            shrink = 1.0 / a - 1.0 / (a + 1)
             for k in self.occupants[l]:
-                if k != n and k not in absent:
-                    rate = 0.0
-                    row = caps[k]
-                    for m in self.strategies[k]:
-                        rate += row[m] / loads0[m]
-                    absent[k] = (rate, self.profiles[k].evaluate(rate))
+                if k != n:
+                    if k not in absent:
+                        rate = 0.0
+                        row = caps[k]
+                        for m in self.strategies[k]:
+                            rate += row[m] / loads0[m]
+                        absent[k] = (rate, profiles[k].evaluate(rate))
+                    drops[k] = drops.get(k, 0.0) + caps[k][l] * shrink
+        value = self.sat[n]
+        for k, drop in drops.items():
+            base_rate, base_f = absent[k]
+            value += profiles[k].evaluate(base_rate - drop) - base_f
         self._mover, self._loads0, self._absent = n, loads0, absent
+        self._current = value
 
     def utility(self, n, candidate) -> float:
         """Relay acceptance utility of `candidate` for source n: its own
@@ -220,6 +232,8 @@ class _MatchingState:
         Differences between two candidates equal the change of lam."""
         if self._mover != n:
             self._remove(n)
+        if candidate == self.strategies[n]:
+            return self._current
         loads0, caps, occupants = self._loads0, self.caps, self.occupants
         row = caps[n]
         rate = 0.0

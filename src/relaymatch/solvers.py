@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._draws import Draws
 from .errors import ConfigurationError, EnumerationLimitError
 from .matching import (SATISFACTION_TOL, Matching, _MatchingState,
                        count_strategies, enumerate_strategies)
@@ -75,9 +76,11 @@ class IterationTrace:
         self.iteration, self.actor, self.accepted, self.lam = [], [], [], []
         self._observer = observer
 
-    def record(self, iteration, actor, accepted, lam, strategies, **event) -> None:
+    def record(self, iteration, actor, accepted, lam, strategies,
+               event: Optional[dict] = None) -> None:
         """Log one activation and pass it, with the solver's extra event
-        fields, to the observer if one is attached."""
+        fields, to the observer if one is attached. `event` is read only
+        then, so a solver builds it only when it has an observer."""
         self.iteration.append(iteration)
         self.actor.append(actor)
         self.accepted.append(accepted)
@@ -85,7 +88,7 @@ class IterationTrace:
         if self._observer is not None:
             self._observer({"iteration": iteration, "actor": actor,
                             "accepted": accepted, "lambda": lam,
-                            "strategies": tuple(strategies), **event})
+                            "strategies": tuple(strategies), **(event or {})})
 
     def close(self, convergence_iteration: Optional[int]) -> "IterationTrace":
         """End the record: the columns become arrays and the observer is
@@ -165,8 +168,10 @@ def pma_propose(attractiveness: Sequence[float], quota: int, rng,
 
     Successive sampling as in numpy's Generator.choice(p=..., replace=False),
     with the same draws from rng, so both give the same set and leave rng in
-    the same state. Raises ValueError, as numpy does, when fewer than `size`
-    radios keep a nonzero probability after normalisation.
+    the same state. rng is a Generator or a Draws on one; it is asked only
+    for integers(1, quota + 1) and random(k). Raises ValueError, as numpy
+    does, when fewer than `size` radios keep a nonzero probability after
+    normalisation.
     """
     w = [float(x) for x in attractiveness]
     idx = [i for i, x in enumerate(w) if x > 0]
@@ -176,7 +181,7 @@ def pma_propose(attractiveness: Sequence[float], quota: int, rng,
     if size is None:
         size = int(rng.integers(1, quota + 1))
     size = min(size, len(idx))
-    positive = [w[i] for i in idx]
+    positive = w if len(idx) == len(w) else [w[i] for i in idx]
     # The normaliser is summed in numpy's order so p is bit-identical to
     # w[idx] / w[idx].sum(), and so is every draw it decides.
     total = _numpy_sum(positive)
@@ -185,7 +190,7 @@ def pma_propose(attractiveness: Sequence[float], quota: int, rng,
         raise ValueError("fewer nonzero probabilities than the sample size")
     found = []
     while len(found) < size:
-        draws = rng.random(size - len(found)).tolist()
+        draws = rng.random(size - len(found))
         for j in found:
             p[j] = 0.0
         cdf = list(itertools.accumulate(p))
@@ -239,34 +244,38 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng,
     converged = None
     activations = 0
 
-    for k in range(1, config.max_iterations + 1):
-        for n in map(int, rng.permutation(n_src)):
-            activations += 1
-            current = strategies[n]
-            row = caps_rows[n]
-            # a radio's share if n joined it; n's own radios keep theirs
-            weights = [c / (a + 1) for c, a in zip(row, loads)]
-            for l in current:
-                weights[l] = row[l] / loads[l]
-            size = int(rng.integers(0, quotas[n] + 1))
-            candidate = () if size == 0 else pma_propose(weights, quotas[n], rng,
-                                                         size=size)
-            u_old = state.utility(n, current)
-            u_new = state.utility(n, candidate)
-            accepted = bool(rng.random() < pma_accept(u_new, u_old, beta(activations)))
-            if accepted and candidate != current:
-                state.move(n, candidate)
-                lam = state.lam
-                if lam > best_lam + IMPROVEMENT_TOL:
-                    last_improve = k
-                if lam > best_lam + SATISFACTION_TOL:
-                    best_lam = lam
-                    best_strategies = list(strategies)
-            trace.record(k, n, accepted, lam, strategies, candidate=candidate,
-                         u_old=u_old, u_new=u_new)
-        if k - last_improve >= STOP_WINDOW:
-            converged = last_improve
-            break
+    # the walk's scalar draws come from the mirror; rng ends where the same
+    # numpy calls would have left it
+    with Draws(rng) as draws:
+        for k in range(1, config.max_iterations + 1):
+            for n in draws.permutation(n_src):
+                activations += 1
+                current = strategies[n]
+                row = caps_rows[n]
+                # a radio's share if n joined it; n's own radios keep theirs
+                weights = [c / (a + 1) for c, a in zip(row, loads)]
+                for l in current:
+                    weights[l] = row[l] / loads[l]
+                size = draws.integers(0, quotas[n] + 1)
+                candidate = () if size == 0 else pma_propose(weights, quotas[n],
+                                                             draws, size=size)
+                u_old = state.utility(n, current)
+                u_new = state.utility(n, candidate)
+                accepted = draws.random() < pma_accept(u_new, u_old, beta(activations))
+                if accepted and candidate != current:
+                    state.move(n, candidate)
+                    lam = state.lam
+                    if lam > best_lam + IMPROVEMENT_TOL:
+                        last_improve = k
+                    if lam > best_lam + SATISFACTION_TOL:
+                        best_lam = lam
+                        best_strategies = list(strategies)
+                event = None if observer is None else {
+                    "candidate": candidate, "u_old": u_old, "u_new": u_new}
+                trace.record(k, n, accepted, lam, strategies, event)
+            if k - last_improve >= STOP_WINDOW:
+                converged = last_improve
+                break
 
     return Matching(best_strategies, n_radio), trace.close(converged)
 
@@ -320,7 +329,7 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
                 changed = True
                 last_improve = iteration
             trace.record(iteration, n, accepted, lam, strategies,
-                         candidate=best_set)
+                         {"candidate": best_set})
         if not changed:
             converged = last_improve
             break

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import relaymatch as rm
+from relaymatch import experiments
 from relaymatch.cli import main
 from relaymatch.matching import _MatchingState
 
@@ -143,6 +144,23 @@ class TestEnsembleCommand:
         assert main(["ensemble", "--config", str(path)]) == 0
         assert capsys.readouterr().out == f"ensemble complete; results in {env_out}\n"
         assert (env_out / "runs.csv").exists()
+
+    def test_no_output_directory_exits_one_before_running(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # no --out, no RELAYMATCH_OUT, no out_dir: the results would be lost
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "topology": {"num_sources": 2, "num_relays": 2},
+            "solvers": [{"kind": "pma"}], "metrics": ["runs"]}))
+        monkeypatch.delenv("RELAYMATCH_OUT", raising=False)
+        ran = []
+        monkeypatch.setattr(experiments, "solve", lambda *a, **k: ran.append(a))
+        assert main(["ensemble", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert "no output directory" in captured.err
+        assert captured.out == "" and ran == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
 
     def test_unknown_metric_exits_one(self, tmp_path, capsys):
         path = tmp_path / "exp.json"

@@ -191,7 +191,7 @@ class TestIterationTrace:
     def test_csv_format(self):
         events = []
         tr = IterationTrace(1.0, observer=events.append)
-        tr.record(1, 3, True, 1.25, [(0,)], candidate=(0,))
+        tr.record(1, 3, True, 1.25, [(0,)], {"candidate": (0,)})
         buf = io.StringIO()
         tr.close(1).write_csv(buf)
         assert buf.getvalue() == "iteration,lambda,actor,accepted\n1,1.25,3,1\n"
@@ -325,6 +325,45 @@ def test_pinned_trace_csv_digest(kind):
     trace.write_csv(buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
         PINNED_CSV_DIGESTS[kind]
+
+
+class _StopRun(Exception):
+    pass
+
+
+# sha256 of rng.bit_generator.state after solve at seed 1 on the
+# pinned-digest instance, recorded while every draw went through numpy's
+# Generator calls; "pma, observer raises" stops the run at its 50th event
+PINNED_GENERATOR_END_STATES = {
+    "pma": "943f3e5e46deaaddf9150c3eed70a3e6d8bc73c50bb26de29c663a084664c87e",
+    "many_to_one": "399e230def2f30507c22f07defc722defaf53c87f69cbe17a5266858f3ae2246",
+    "best_response": "e6000fca49d62b86bebe8c5283189d024dc6cd5eb4700737707e368459ad7407",
+    "substitutable": "b9645886707002752a06918073f34884490f2bc380253be96f39f725cd1e22c2",
+    "pma, observer raises":
+        "df4072cf7f601247839e226636ddea4891fec5562d7418ce39329d41ae06e22d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_GENERATOR_END_STATES))
+def test_pinned_generator_end_state(case):
+    topo, profiles, caps = make_instance(2026, num_sources=8, num_relays=5,
+                                         radios_per_relay=2, source_radios=(2, 3))
+    rng = np.random.default_rng(1)
+    if case == "pma, observer raises":
+        events = []
+
+        def observer(event):
+            events.append(event)
+            if len(events) == 50:
+                raise _StopRun
+
+        with pytest.raises(_StopRun):
+            rm.solve(topo, profiles, caps, rm.SolverConfig(kind="pma"), rng,
+                     observer=observer)
+    else:
+        rm.solve(topo, profiles, caps, rm.SolverConfig(kind=case), rng)
+    digest = hashlib.sha256(repr(rng.bit_generator.state).encode()).hexdigest()
+    assert digest == PINNED_GENERATOR_END_STATES[case]
 
 
 @pytest.mark.parametrize("kind", solvers.SOLVER_KINDS)

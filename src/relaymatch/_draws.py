@@ -34,8 +34,9 @@ class Draws:
     Generator, value- and state-identical to calling the Generator itself.
 
     Use as a context manager; the Generator must not be drawn from directly
-    until the block ends, and then is exactly where the same calls on it
-    would have left it, also when the block raises.
+    inside the block, and after it is exactly where the same calls on it
+    would have left it, also when the block raises. Construction only
+    checks the bit generator, so a rejected Generator is left untouched.
     """
 
     __slots__ = ("_bitgen", "_start", "_words", "_fetched", "_has32", "_u32")
@@ -46,13 +47,13 @@ class Draws:
             raise ConfigurationError(
                 f"solvers draw from a PCG64 Generator, not {type(bitgen).__name__}")
         self._bitgen = bitgen
-        self._start = bitgen.state
+
+    def __enter__(self) -> "Draws":
+        self._start = self._bitgen.state
         self._words = []      # unread raw words, next one last
         self._fetched = 0
         self._has32 = self._start["has_uint32"]
         self._u32 = self._start["uinteger"]
-
-    def __enter__(self) -> "Draws":
         return self
 
     def __exit__(self, *exc) -> None:

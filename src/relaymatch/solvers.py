@@ -232,6 +232,7 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng,
     quotas = [min(s.num_radios, quota_override) if quota_override else s.num_radios
               for s in topology.sources]
     caps_rows = caps.tolist()
+    draws = Draws(rng)        # rejects a non-PCG64 rng before any draw
     state = _MatchingState(_random_initial(quotas, n_radio, rng), caps_rows,
                            profiles, n_radio)
     strategies, loads = state.strategies, state.loads
@@ -246,7 +247,7 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng,
 
     # the walk's scalar draws come from the mirror; rng ends where the same
     # numpy calls would have left it
-    with Draws(rng) as draws:
+    with draws:
         for k in range(1, config.max_iterations + 1):
             for n in draws.permutation(n_src):
                 activations += 1

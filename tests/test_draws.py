@@ -58,6 +58,8 @@ def test_other_bit_generators_rejected(bitgen):
 @pytest.mark.parametrize("kind", ["pma", "many_to_one"])
 def test_walk_solvers_reject_other_bit_generators(kind, small_instance):
     topo, profiles, caps = small_instance
+    rng = np.random.Generator(np.random.MT19937(3))
+    state = rng.bit_generator.state
     with pytest.raises(ConfigurationError, match="PCG64"):
-        rm.solve(topo, profiles, caps, rm.SolverConfig(kind=kind),
-                 np.random.Generator(np.random.MT19937(3)))
+        rm.solve(topo, profiles, caps, rm.SolverConfig(kind=kind), rng)
+    np.testing.assert_equal(rng.bit_generator.state, state)

@@ -21,7 +21,8 @@ from .matching import (Matching, _state, default_profiles, enumerate_strategies,
 from .radio import (PATH_LOSS_PRESETS, TopologyParams, build_capacity_table,
                     build_gain_table, generate_topology, load_topology,
                     save_topology)
-from .solvers import SOLVER_KINDS, SolverConfig, exhaustive_search, solve
+from .solvers import (ENUMERATION_CAP, SOLVER_KINDS, SolverConfig,
+                      exhaustive_search, solve)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -227,7 +228,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exhaustive search for the global optimum")
     p.add_argument("--topology", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--cap", type=int, default=10 ** 8)
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.add_argument("--nonempty", action="store_true",
                    help="exclude the empty strategy from enumeration")
     p.add_argument("--max-set-size", type=int, default=None)

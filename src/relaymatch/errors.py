@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 
 class ConfigurationError(ValueError):
@@ -12,9 +12,14 @@ class EnumerationLimitError(RuntimeError):
 
 
 def from_fields(cls, doc: dict):
-    """cls(**doc) for a dataclass cls; keys that are not its fields raise
-    ConfigurationError naming them, not a bare TypeError."""
+    """cls(**doc) for a dataclass cls; keys that are not its fields, and
+    fields without a default that doc lacks, raise ConfigurationError naming
+    them, not a bare TypeError."""
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigurationError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigurationError(f"missing {cls.__name__} keys: {', '.join(missing)}")
     return cls(**doc)

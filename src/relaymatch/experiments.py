@@ -219,7 +219,9 @@ def satisfaction_vs_n(results: Sequence) -> list:
 
 def run_ensemble(config: ExperimentConfig, out_dir=None) -> EnsembleResult:
     """Run every configured solver on every replication's topology (shared
-    within a replication) and optionally persist CSVs plus a manifest."""
+    within a replication) and optionally persist CSVs plus a manifest. The
+    topology parameters are validated before any replication runs."""
+    config.topology.validate()
     seeds = list(_replication_seeds(config.master_seed, config.replications,
                                     len(config.solvers)))
     if config.workers > 1:
@@ -242,27 +244,30 @@ def run_ensemble(config: ExperimentConfig, out_dir=None) -> EnsembleResult:
 
 def run_sweep(config: ExperimentConfig, out_dir=None) -> list:
     """Run one ensemble per entry of sweep_num_sources; each N gets its own
-    deterministic seed root derived from (master_seed, N)."""
+    deterministic seed root derived from (master_seed, N). Every size's
+    topology parameters are validated before the first replication runs."""
     if not config.sweep_num_sources:
         raise ConfigurationError("sweep_num_sources is empty")
     out_dir = _resolve_out_dir(config, out_dir)
     out = None if out_dir is None else Path(out_dir)
-    results = []
-    for n in map(int, config.sweep_num_sources):
-        sub = replace(
-            config, topology=replace(config.topology, num_sources=n),
-            master_seed=int(np.random.SeedSequence(
-                (config.master_seed, n)).generate_state(1)[0]),
-            sweep_num_sources=None, out_dir=None)
-        results.append((n, run_ensemble(
-            sub, out_dir=None if out is None else out / f"n{n}")))
+    subs = [(n, replace(
+        config, topology=replace(config.topology, num_sources=n),
+        master_seed=int(np.random.SeedSequence(
+            (config.master_seed, n)).generate_state(1)[0]),
+        sweep_num_sources=None, out_dir=None))
+        for n in map(int, config.sweep_num_sources)]
+    for _, sub in subs:
+        sub.topology.validate()
+    results = [(n, run_ensemble(sub, out_dir=None if out is None else out / f"n{n}"))
+               for n, sub in subs]
 
     if out is not None:
         with open(out / "satisfaction_vs_n.csv", "w") as fh:
             fh.write("num_sources,solver,proportion\n")
             for row in satisfaction_vs_n(results):
                 fh.write(f"{row['num_sources']},{row['solver']},{row['proportion']!r}\n")
-        _write_manifest(config, out, extra={"sweep": list(map(int, config.sweep_num_sources))})
+        _write_manifest(config, out, sweep=[n for n, _ in subs],
+                        master_seeds={str(n): sub.master_seed for n, sub in subs})
     return results
 
 
@@ -275,18 +280,13 @@ def _resolve_out_dir(config: ExperimentConfig, out_dir):
     return config.out_dir
 
 
-def _write_manifest(config: ExperimentConfig, out: Path, extra=None) -> None:
-    seeds = [s for s, _ in _replication_seeds(config.master_seed,
-                                              config.replications,
-                                              len(config.solvers))]
+def _write_manifest(config: ExperimentConfig, out: Path, **extra) -> None:
     manifest = {
         "config": config._recorded(),
         "config_sha256": config.config_hash(),
         "version": __version__,
-        "topology_seeds": seeds,
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -327,4 +327,7 @@ def write_result(result: EnsembleResult, out_dir) -> None:
                 for k, lam in enumerate(trace, start=1):
                     fh.write(f"{k},{float(lam)!r}\n")
 
-    _write_manifest(config, out)
+    seeds = [s for s, _ in _replication_seeds(config.master_seed,
+                                              config.replications,
+                                              len(config.solvers))]
+    _write_manifest(config, out, topology_seeds=seeds)

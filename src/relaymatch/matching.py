@@ -25,6 +25,9 @@ from .errors import ConfigurationError, EnumerationLimitError
 #: absolute tolerance for equality of satisfaction-scale quantities
 SATISFACTION_TOL = 1e-10
 
+#: most candidate strategies is_stable scores before refusing the check
+STABILITY_CAP = 200_000
+
 
 @dataclass(frozen=True)
 class SatisfactionProfile:
@@ -143,6 +146,14 @@ def sv_rate(m: Matching, source: int, caps: np.ndarray) -> float:
     return float(sum(row[l] / loads[l] for l in m.radios_of(source)))
 
 
+def _rate(row, radios, loads) -> float:
+    """Sum of the equal time shares row[l] / loads[l], added in radio order."""
+    rate = 0.0
+    for l in radios:
+        rate += row[l] / loads[l]
+    return rate
+
+
 class _MatchingState:
     """One matching under unilateral moves: strategies, radio loads,
     per-radio occupants (sorted by source id), and per-source rate and
@@ -173,11 +184,7 @@ class _MatchingState:
         self._mover = None
 
     def _refresh(self, n):
-        rate = 0.0
-        row = self.caps[n]
-        loads = self.loads
-        for l in self.strategies[n]:
-            rate += row[l] / loads[l]
+        rate = _rate(self.caps[n], self.strategies[n], self.loads)
         self.rates[n] = rate
         self.sat[n] = self.profiles[n].evaluate(rate)
 
@@ -212,10 +219,7 @@ class _MatchingState:
             for k in self.occupants[l]:
                 if k != n:
                     if k not in absent:
-                        rate = 0.0
-                        row = caps[k]
-                        for m in self.strategies[k]:
-                            rate += row[m] / loads0[m]
+                        rate = _rate(caps[k], self.strategies[k], loads0)
                         absent[k] = (rate, profiles[k].evaluate(rate))
                     drops[k] = drops.get(k, 0.0) + caps[k][l] * shrink
         value = self.sat[n]
@@ -285,8 +289,7 @@ def global_satisfaction(m: Matching, profiles: Sequence[SatisfactionProfile],
 
 
 def relay_utility(m: Matching, source: int, radios: Iterable[int],
-                  profiles: Sequence[SatisfactionProfile], caps: np.ndarray,
-                  quota: Optional[int] = None) -> float:
+                  profiles: Sequence[SatisfactionProfile], caps: np.ndarray) -> float:
     """Relay-side acceptance utility of a candidate strategy for one source.
 
     Own satisfaction plus the externality it imposes: for every source
@@ -296,21 +299,16 @@ def relay_utility(m: Matching, source: int, radios: Iterable[int],
     """
     if not 0 <= source < m.num_sources:
         raise ConfigurationError(f"unknown source id {source}")
-    radios = _canonical(radios, m.num_radios)
-    if quota is not None and len(radios) > quota:
-        raise ConfigurationError(
-            f"strategy of size {len(radios)} violates quota {quota}")
-    return _state(m, profiles, caps).utility(source, radios)
+    return _state(m, profiles, caps).utility(source, _canonical(radios, m.num_radios))
 
 
 def is_feasible(m: Matching, topology) -> bool:
-    """All matching invariants: quotas respected, ids in range, sizes agree."""
+    """All matching invariants: sizes agree and quotas are respected. Radio
+    ids are in range by construction of Matching."""
     if m.num_sources != topology.num_sources or m.num_radios != topology.num_radios:
         return False
     for n, s in enumerate(m.strategies):
         if len(s) > topology.sources[n].num_radios:
-            return False
-        if s and (s[0] < 0 or s[-1] >= topology.num_radios):
             return False
     return True
 
@@ -342,26 +340,26 @@ class StabilityResult:
 
 
 def is_stable(m: Matching, topology, profiles: Sequence[SatisfactionProfile],
-              caps: np.ndarray, tol: float = SATISFACTION_TOL,
-              max_strategies: int = 200_000) -> StabilityResult:
+              caps: np.ndarray) -> StabilityResult:
     """No unilateral strategy change can strictly raise global satisfaction.
 
     Enumerates each source's full strategy space (subsets up to its quota,
-    empty set included); raises EnumerationLimitError beyond the cap rather
-    than silently truncating. By the potential identity a candidate raises
-    global satisfaction by its relay-utility gain over the current
-    strategy, so one state scores every candidate; the witness is the first candidate whose gain
-    exceeds tol, best response's own stopping rule.
+    empty set included); raises EnumerationLimitError beyond STABILITY_CAP
+    candidates rather than silently truncating. By the potential identity a
+    candidate raises global satisfaction by its relay-utility gain over the
+    current strategy, so one state scores every candidate; the witness is
+    the first candidate whose gain exceeds SATISFACTION_TOL, best response's
+    own stopping rule.
     """
     total = sum(count_strategies(topology.num_radios, s.num_radios)
                 for s in topology.sources)
-    if total > max_strategies:
+    if total > STABILITY_CAP:
         raise EnumerationLimitError(
-            f"stability check needs {total} strategy evaluations, cap is {max_strategies}")
+            f"stability check needs {total} strategy evaluations, cap is {STABILITY_CAP}")
     state = _state(m, profiles, caps)
     for n, src in enumerate(topology.sources):
         u_current = state.utility(n, m.radios_of(n))
         for cand in enumerate_strategies(topology.num_radios, src.num_radios):
-            if state.utility(n, cand) > u_current + tol:
+            if state.utility(n, cand) > u_current + SATISFACTION_TOL:
                 return StabilityResult(stable=False, witness=(n, cand))
     return StabilityResult(stable=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -272,10 +272,11 @@ class LinkGainTable:
             raise ConfigurationError("all link gains must be positive")
 
 
-def build_gain_table(topology: Topology, model: PathLossModel | None = None) -> LinkGainTable:
-    """Gains from the node geometry; shadowing (if enabled) is seeded from the
-    topology seed so the table is a pure function of the topology."""
-    model = model or topology.path_loss
+def build_gain_table(topology: Topology) -> LinkGainTable:
+    """Gains from the node geometry under topology.path_loss; shadowing (if
+    enabled) is seeded from the topology seed so the table is a pure
+    function of the topology."""
+    model = topology.path_loss
     n, m = topology.num_sources, len(topology.relays)
     g_sr = np.empty((n, m))
     g_rd = np.empty(m)
@@ -309,57 +310,40 @@ def build_capacity_table(topology: Topology, gains: LinkGainTable | None = None)
 # --- JSON import/export -----------------------------------------------------
 
 def topology_to_dict(topology: Topology, gains: LinkGainTable | None = None) -> dict:
+    """The topology's dataclass fields, nested, plus its gain table."""
     gains = gains or build_gain_table(topology)
-    return {
-        "area_side_m": topology.area_side_m,
-        "destination": list(topology.destination),
-        "seed": topology.seed,
-        "noise_density_dbm_hz": topology.noise_density_dbm_hz,
-        "path_loss": {
-            "intercept_db": topology.path_loss.intercept_db,
-            "slope_db": topology.path_loss.slope_db,
-            "shadowing_sigma_db": topology.path_loss.shadowing_sigma_db,
-            "min_distance_m": topology.path_loss.min_distance_m,
-        },
-        "sources": [
-            {"id": s.id, "position": list(s.position),
-             "tx_power_dbm": s.tx_power_dbm, "num_radios": s.num_radios,
-             "required_rate_bps": s.required_rate_bps}
-            for s in topology.sources
-        ],
-        "relays": [
-            {"id": r.id, "position": list(r.position),
-             "tx_power_dbm": r.tx_power_dbm,
-             "radios": [{"id": c.id, "channel": c.channel,
-                         "bandwidth_hz": c.bandwidth_hz} for c in r.radios]}
-            for r in topology.relays
-        ],
-        "gains": {
-            "source_to_relay": gains.source_to_relay.tolist(),
-            "relay_to_destination": gains.relay_to_destination.tolist(),
-        },
-    }
+    return {**asdict(topology),
+            "gains": {"source_to_relay": gains.source_to_relay.tolist(),
+                      "relay_to_destination": gains.relay_to_destination.tolist()}}
+
+
+def _from_json(cls, doc: dict, **convert):
+    """cls from one JSON object through from_fields, with each key named in
+    convert, where present, mapped by its converter first."""
+    return from_fields(cls, {k: convert[k](v) if k in convert else v
+                             for k, v in doc.items()})
 
 
 def topology_from_dict(doc: dict) -> tuple:
-    """Returns (Topology, LinkGainTable) replayed bit-exactly from JSON."""
-    pl = PathLossModel(**doc["path_loss"])
-    sources = tuple(SourceNode(id=s["id"], position=tuple(s["position"]),
-                               tx_power_dbm=s["tx_power_dbm"],
-                               num_radios=s["num_radios"],
-                               required_rate_bps=s["required_rate_bps"])
-                    for s in doc["sources"])
-    relays = tuple(RelayNode(id=r["id"], position=tuple(r["position"]),
-                             tx_power_dbm=r["tx_power_dbm"],
-                             radios=tuple(RelayRadio(**c) for c in r["radios"]))
-                   for r in doc["relays"])
-    topo = Topology(area_side_m=doc["area_side_m"],
-                    destination=tuple(doc["destination"]),
-                    sources=sources, relays=relays, seed=doc["seed"],
-                    noise_density_dbm_hz=doc["noise_density_dbm_hz"],
-                    path_loss=pl)
-    gains = LinkGainTable(source_to_relay=np.array(doc["gains"]["source_to_relay"]),
-                          relay_to_destination=np.array(doc["gains"]["relay_to_destination"]))
+    """Returns (Topology, LinkGainTable) replayed bit-exactly from JSON. An
+    unknown or missing key, a quota below 1 or a gain table whose shape does
+    not match the nodes raises ConfigurationError."""
+    doc = dict(doc)
+    gains = _from_json(LinkGainTable, doc.pop("gains", {}),
+                       source_to_relay=np.array, relay_to_destination=np.array)
+    topo = _from_json(
+        Topology, doc, destination=tuple,
+        path_loss=lambda d: _from_json(PathLossModel, d),
+        sources=lambda ss: tuple(_from_json(SourceNode, s, position=tuple) for s in ss),
+        relays=lambda rs: tuple(
+            _from_json(RelayNode, r, position=tuple,
+                       radios=lambda cs: tuple(_from_json(RelayRadio, c) for c in cs))
+            for r in rs))
+    if any(s.num_radios < 1 for s in topo.sources):
+        raise ConfigurationError("every source needs a quota of at least 1")
+    n, m = topo.num_sources, len(topo.relays)
+    if gains.source_to_relay.shape != (n, m) or gains.relay_to_destination.shape != (m,):
+        raise ConfigurationError(f"gain tables do not fit {n} sources and {m} relays")
     return topo, gains
 
 

@@ -39,14 +39,17 @@ ANNEAL_SCALE = 60.0
 # the Boltzmann wandering that finite beta cannot suppress, so it does
 # not count as progress. Exact-identity checks use SATISFACTION_TOL.
 IMPROVEMENT_TOL = 1e-2
+# Most strategies best response enumerates per source, and exhaustive
+# search's default cap on strategy profiles.
+ENUMERATION_CAP = 10 ** 8
+# Sources a radio holds in the substitutable baseline.
+RADIO_QUOTA = 2
 
 
 @dataclass
 class SolverConfig:
     kind: str = "pma"
     max_iterations: int = 1000
-    strategy_cap: int = 10 ** 8      # enumeration guard (oracle, best response)
-    radio_quota: int = 2             # substitutable baseline only
 
     def __post_init__(self):
         if self.kind not in SOLVER_KINDS:
@@ -296,9 +299,9 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
     quotas = [s.num_radios for s in topology.sources]
     for q in quotas:
         count = count_strategies(n_radio, q)
-        if count > config.strategy_cap:
+        if count > ENUMERATION_CAP:
             raise EnumerationLimitError(
-                f"per-source strategy count {count} exceeds cap {config.strategy_cap}")
+                f"per-source strategy count {count} exceeds cap {ENUMERATION_CAP}")
     candidates = {q: enumerate_strategies(n_radio, q) for q in set(quotas)}
 
     state = _MatchingState(_random_initial(quotas, n_radio, rng), caps.tolist(),
@@ -343,7 +346,7 @@ def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
     """Deferred-acceptance baseline with substitutable radios.
 
     Sources propose one radio at a time in preference order (per-pair AF
-    capacity); each radio holds at most config.radio_quota proposers and,
+    capacity); each radio holds at most RADIO_QUOTA proposers and,
     when over quota, evicts the holder whose removal costs it the least
     satisfaction. Runs until proposals are exhausted; a run that
     max_iterations cuts off with proposals still queued has no convergence
@@ -352,7 +355,6 @@ def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
     del rng  # deterministic
     n_src, n_radio = topology.num_sources, topology.num_radios
     caps_rows = caps.tolist()
-    quota = config.radio_quota
     prefs = [sorted(range(n_radio), key=lambda l: (-caps_rows[n][l], l))
              for n in range(n_src)]
     cursor = [0] * n_src
@@ -372,7 +374,7 @@ def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
         state.move(n, (l,))
         accepted = True
         holders = state.occupants[l]
-        if len(holders) > quota:
+        if len(holders) > RADIO_QUOTA:
             # satisfaction of each holder at the post-eviction load
             reduced = len(holders) - 1
             scores = [(profiles[h].evaluate(caps_rows[h][l] / reduced), -h)
@@ -391,7 +393,7 @@ def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
 
 
 def exhaustive_search(topology, profiles, caps, include_empty: bool = True,
-                      max_set_size: Optional[int] = None, cap: int = 10 ** 8):
+                      max_set_size: Optional[int] = None, cap: int = ENUMERATION_CAP):
     """Global optimum over the full Cartesian strategy space.
 
     Each source's candidate sets are enumerated in canonical (size,
@@ -497,7 +499,7 @@ def solve(topology, profiles, caps, config: SolverConfig, rng, observer=None):
         return run_substitutable(topology, profiles, caps, config, rng,
                                  observer=observer)
     if config.kind == "exhaustive":
-        m, lam = exhaustive_search(topology, profiles, caps, cap=config.strategy_cap)
+        m, lam = exhaustive_search(topology, profiles, caps)
         trace = IterationTrace(lam, observer)
         trace.record(1, -1, True, lam, m.strategies)
         return m, trace.close(1)

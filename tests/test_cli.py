@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -35,6 +36,28 @@ class TestGen:
         for out in (a, b):
             assert main(["gen", "--seed", "42", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    # sha256 of `relaymatch gen --seed S --path-loss P` output with the
+    # default topology parameters; pins the file format byte for byte
+    GEN_DIGESTS = {
+        (0, "macro"): "9798abd5261503a69866c72fd8ae69044307a2d2e6e6f3e96c1b92a49f2fde55",
+        (0, "los-2ghz"): "c89c9a656e8687161bf1b33dd45fa40f1344da972147dc64addd1de4486eb943",
+        (0, "air-to-air"): "1fde35dcb400586674621a73d92da29bf7f95b0c5bbf2063fa08b09412e55960",
+        (1, "macro"): "73a5f12a29e6b81b16dabcb6b285b3b21f73a9b73965e31988a422754cb3f125",
+        (1, "los-2ghz"): "5267f1364007f137a4283fc7cbfdb3acba15640455872045456d2a7e150dbe31",
+        (1, "air-to-air"): "9790d30a55cc87b1ad4a9234bef0c654bf835930dd5f888e506ba6ba086dc9b6",
+        (2, "macro"): "4b2158256c540d15e673eda7bba925d6c5afc324c7c7bf5278a7685e48234b22",
+        (2, "los-2ghz"): "9e4ccded14e95579a0096634c5055fb9e4e83a5e0630792c7fa02139f7ca8dbb",
+        (2, "air-to-air"): "2fc2f7d4d18f85e7bb81b8361394f7a9fa99dded637265e0e2fa740ad65d054f",
+    }
+
+    @pytest.mark.parametrize("seed,preset", sorted(GEN_DIGESTS))
+    def test_pinned_output(self, tmp_path, seed, preset):
+        out = tmp_path / "topo.json"
+        assert main(["gen", "--seed", str(seed), "--path-loss", preset,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            self.GEN_DIGESTS[(seed, preset)]
 
     def test_config_file_and_preset_flag(self, tmp_path):
         cfg = tmp_path / "params.json"
@@ -87,6 +110,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert code == 1
         assert "configuration error" in err and flag[0] in err
+
+    @pytest.mark.parametrize("corrupt,named", [
+        (lambda doc: doc["path_loss"].update(slope=20.0),
+         "unknown PathLossModel keys: slope"),
+        (lambda doc: doc.pop("seed"), "missing Topology keys: seed"),
+        (lambda doc: doc["sources"][0].update(num_radios=0), "quota"),
+        (lambda doc: doc["gains"]["source_to_relay"].pop(), "gain tables"),
+    ], ids=["unknown-key", "missing-key", "quota-zero", "gain-shape"])
+    def test_malformed_topology_file_exits_one(self, tmp_path, capsys, corrupt, named):
+        path = make_topology_file(tmp_path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        code = main(["run", "--topology", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "configuration error" in err and named in err
 
     def test_generated_instance_without_file(self, capsys):
         code = main(["run", "--sources", "2", "--relays", "2",
@@ -170,6 +210,19 @@ class TestEnsembleCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and "cdfs" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"topology": {"num_sources": 0}},
+        {"topology": {"num_relays": 2}, "sweep_num_sources": [3, 0]},
+    ], ids=["ensemble", "sweep"])
+    def test_invalid_topology_exits_one_before_writing(self, tmp_path, capsys, doc):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({**doc, "solvers": [{"kind": "substitutable"}],
+                                    "metrics": ["runs"]}))
+        code = main(["ensemble", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_presets_parse(self):

@@ -64,11 +64,14 @@ class TestConfig:
         ({"bogus": 1}, "bogus"),
         ({"solvers": [{"kind": "pma", "seed": 3}]}, "seed"),
         ({"solvers": [{"kind": "pma", "stop_window": 50}]}, "stop_window"),
+        ({"solvers": [{"kind": "substitutable", "radio_quota": 2}]}, "radio_quota"),
+        ({"solvers": [{"kind": "best_response", "strategy_cap": 10 ** 8}]},
+         "strategy_cap"),
         ({"satisfaction_slope": 2e-6}, "satisfaction_slope"),
         ({"topology": {"num_sources": 4, "bogus": 1}}, "bogus"),
         ({"topology": {"path_loss": {"slope": 20.0}}}, "slope"),
-    ], ids=["top-level", "solver-seed", "solver-stop-window",
-            "satisfaction-slope", "topology", "path-loss"])
+    ], ids=["top-level", "solver-seed", "solver-stop-window", "solver-radio-quota",
+            "solver-strategy-cap", "satisfaction-slope", "topology", "path-loss"])
     def test_unknown_keys_rejected(self, change, named):
         doc = {**small_config().to_dict(), **change}
         with pytest.raises(ConfigurationError, match=f"unknown .*{named}"):
@@ -114,9 +117,7 @@ class TestConfig:
         kinds = data.draw(st.lists(st.sampled_from(rm.solvers.SOLVER_KINDS),
                                    min_size=1, unique=True))
         solvers = [rm.SolverConfig(kind=k,
-                                   max_iterations=data.draw(st.integers(1, 10 ** 4)),
-                                   strategy_cap=data.draw(st.integers(1, 10 ** 9)),
-                                   radio_quota=data.draw(st.integers(1, 5)))
+                                   max_iterations=data.draw(st.integers(1, 10 ** 4)))
                    for k in kinds]
         config = rm.ExperimentConfig(
             topology=data.draw(topology), solvers=solvers,
@@ -295,6 +296,24 @@ class TestSweep:
                    for p in tmp_path.rglob("*") if p.is_file()}
         assert written == expected
         assert len(written) == 14
+
+    def test_manifest_seeds_are_the_seeds_run(self, tmp_path):
+        # each size runs from its own master seed, so the top-level manifest
+        # records those and leaves topology seeds to the per-size manifests
+        run_sweep(small_config(sweep_num_sources=[2, 3], replications=2),
+                  out_dir=tmp_path)
+        used = {int(line.split(",")[2])
+                for path in tmp_path.rglob("runs.csv")
+                for line in path.read_text().splitlines()[1:]}
+        manifests = {p.relative_to(tmp_path).as_posix(): json.loads(p.read_text())
+                     for p in tmp_path.rglob("manifest.json")}
+        listed = [s for doc in manifests.values()
+                  for s in doc.get("topology_seeds", [])]
+        assert len(listed) == 4 and set(listed) <= used
+        top = manifests["manifest.json"]
+        for n in (2, 3):
+            assert (top["master_seeds"][str(n)]
+                    == manifests[f"n{n}/manifest.json"]["config"]["master_seed"])
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -150,12 +150,6 @@ class TestRelayUtility:
         assert externality < 0
         assert u == pytest.approx(f_own + externality)
 
-    def test_quota_violation_raises(self):
-        topo, profiles, caps = make_instance(5)
-        m = rm.Matching([()] * topo.num_sources, topo.num_radios)
-        with pytest.raises(ConfigurationError):
-            rm.relay_utility(m, 0, (0, 1), profiles, caps, quota=1)
-
     def test_unknown_source_raises(self):
         topo, profiles, caps = make_instance(5)
         m = rm.Matching([()] * topo.num_sources, topo.num_radios)
@@ -241,11 +235,12 @@ class TestStability:
         assert improved > rm.global_satisfaction(m, profiles, caps)
 
     def test_enumeration_cap_raises(self):
-        topo, profiles, caps = make_instance(5, num_sources=13, num_relays=5,
-                                             radios_per_relay=2, source_radios=3)
+        # 20 sources of quota 3 on 60 radios: 20 * 36 051 = 721 020 candidates
+        topo, profiles, caps = make_instance(5, num_sources=20, num_relays=6,
+                                             radios_per_relay=10, source_radios=3)
         m = rm.Matching([()] * topo.num_sources, topo.num_radios)
-        with pytest.raises(EnumerationLimitError):
-            rm.is_stable(m, topo, profiles, caps, max_strategies=100)
+        with pytest.raises(EnumerationLimitError, match="721020"):
+            rm.is_stable(m, topo, profiles, caps)
 
 
 def _random_matching(seed, num_sources, num_relays, radios_per_relay):

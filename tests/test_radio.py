@@ -1,6 +1,7 @@
 """Unit tests for the radio model: path loss, SNR, AF capacity, topology
 generation and serialization."""
 
+import dataclasses
 import logging
 import math
 
@@ -163,7 +164,7 @@ class TestGainAndCapacityTables:
         topo = rm.generate_topology(params, 11)
         flat = rm.PathLossModel(intercept_db=103.0, slope_db=26.0)
         shadowed = rm.build_gain_table(topo)
-        plain = rm.build_gain_table(topo, flat)
+        plain = rm.build_gain_table(dataclasses.replace(topo, path_loss=flat))
         assert not np.allclose(shadowed.source_to_relay, plain.source_to_relay,
                                rtol=1e-6, atol=0.0)
 

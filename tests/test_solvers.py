@@ -412,32 +412,35 @@ class TestBestResponse:
         deltas = np.diff(lam)[tr.accepted]
         assert (deltas > 0).all()
 
-    def test_strategy_cap_enforced(self, mid_instance):
-        topo, profiles, caps = mid_instance
-        cfg = rm.SolverConfig(kind="best_response", strategy_cap=2)
-        with pytest.raises(EnumerationLimitError):
+    def test_strategy_cap_enforced(self):
+        # quota 3 on 1000 radios: C(1000, 3) alone exceeds ENUMERATION_CAP
+        topo, profiles, caps = make_instance(0, num_sources=1, num_relays=1,
+                                             radios_per_relay=1000, source_radios=3)
+        cfg = rm.SolverConfig(kind="best_response")
+        with pytest.raises(EnumerationLimitError, match="166667501"):
             rm.run_best_response(topo, profiles, caps, cfg, np.random.default_rng(0))
 
 
 class TestSubstitutable:
     def test_feasible_singleton_strategies_within_radio_quota(self, mid_instance):
         topo, profiles, caps = mid_instance
-        cfg = rm.SolverConfig(kind="substitutable", radio_quota=2)
+        cfg = rm.SolverConfig(kind="substitutable")
         m, _ = rm.run_substitutable(topo, profiles, caps, cfg)
         assert all(len(s) <= 1 for s in m.strategies)
-        assert (m.loads() <= 2).all()
+        assert (m.loads() <= rm.solvers.RADIO_QUOTA).all()
 
-    def test_single_slot_keeps_better_proposer(self):
-        topo, profiles, caps = make_instance(31, num_sources=2, num_relays=1,
+    def test_full_radio_keeps_better_proposers(self):
+        # three proposers for the one radio's RADIO_QUOTA = 2 slots
+        topo, profiles, caps = make_instance(31, num_sources=3, num_relays=1,
                                              source_radios=1)
-        cfg = rm.SolverConfig(kind="substitutable", radio_quota=1)
+        cfg = rm.SolverConfig(kind="substitutable")
         m, _ = rm.run_substitutable(topo, profiles, caps, cfg)
         holders = [n for n, strat in enumerate(m.strategies) if 0 in strat]
-        assert len(holders) == 1
-        kept = holders[0]
-        other = 1 - kept
-        assert (profiles[kept].evaluate(caps[kept, 0])
-                >= profiles[other].evaluate(caps[other, 0]))
+        assert len(holders) == 2
+        (evicted,) = set(range(3)) - set(holders)
+        assert all(profiles[k].evaluate(caps[k, 0] / 2)
+                   >= profiles[evicted].evaluate(caps[evicted, 0] / 2)
+                   for k in holders)
 
     def test_deterministic(self, mid_instance):
         topo, profiles, caps = mid_instance
@@ -491,7 +494,7 @@ class TestExhaustive:
         # the empty set alone is a valid, if trivial, strategy space
         m, _ = rm.exhaustive_search(topo, profiles, caps, max_set_size=0)
         assert m == rm.Matching([()] * topo.num_sources, topo.num_radios)
-        # a topology file may give a source no radio at all
+        # a Topology built in code may give a source no radio at all
         idle = dataclasses.replace(topo, sources=(
             dataclasses.replace(topo.sources[0], num_radios=0), *topo.sources[1:]))
         with pytest.raises(ConfigurationError, match="empty strategy space"):

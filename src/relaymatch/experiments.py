@@ -65,6 +65,9 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         doc = asdict(self)
         doc["metrics"] = list(self.metrics)
+        for s in doc["solvers"]:
+            if s["kind"] == "exhaustive":
+                del s["max_iterations"]     # the oracle runs no iterations
         return doc
 
     def _recorded(self) -> dict:
@@ -78,8 +81,13 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = dict(doc)
         doc["topology"] = TopologyParams.from_dict(doc.get("topology", {}))
+        solvers = doc.get("solvers", [])
+        if any(isinstance(s, dict) and s.get("kind") == "exhaustive"
+               and "max_iterations" in s for s in solvers):
+            raise ConfigurationError(
+                "the exhaustive solver runs no iterations; drop its max_iterations")
         doc["solvers"] = [from_fields(SolverConfig, s) if isinstance(s, dict) else s
-                          for s in doc.get("solvers", [])]
+                          for s in solvers]
         if "metrics" in doc:
             doc["metrics"] = tuple(doc["metrics"])
         return from_fields(cls, doc)

@@ -160,11 +160,11 @@ class _MatchingState:
     satisfaction, with global satisfaction `lam`.
 
     A move updates only the sources on the radios it touches, then re-adds
-    lam over all sources.
+    lam over all sources; it also retires every source's mover baseline.
     """
 
     __slots__ = ("caps", "profiles", "strategies", "loads", "occupants",
-                 "rates", "sat", "lam", "_mover", "_loads0", "_absent", "_current")
+                 "rates", "sat", "lam", "_moves", "_baselines")
 
     def __init__(self, strategies, caps_rows, profiles, num_radios):
         self.caps = caps_rows
@@ -181,7 +181,8 @@ class _MatchingState:
         for n in range(len(self.strategies)):
             self._refresh(n)
         self._sum()
-        self._mover = None
+        self._moves = 0
+        self._baselines = [None] * len(self.strategies)
 
     def _refresh(self, n):
         rate = _rate(self.caps[n], self.strategies[n], self.loads)
@@ -197,14 +198,19 @@ class _MatchingState:
         self.lam = lam
 
     def _remove(self, n):
-        """Set up utility() for mover n: radio loads with n removed,
-        (rate, satisfaction) as if n held no radio of every source sharing
-        a radio with n, and the utility of n's current strategy.
+        """Mover n's baseline, [moves, loads0, absent, current, share]:
+        radio loads with n removed, (rate, satisfaction) as if n held no
+        radio of every source sharing a radio with n, the utility of n's
+        current strategy, and the share vector once share(n) has built it.
+        It is kept per source and reused until the next move.
 
         That utility is utility()'s arithmetic for candidate == current,
         in the same order: the own term is sat[n], since loads0[l] + 1 is
         loads[l], and the neighbour drops are summed in the same pass that
         finds the neighbours."""
+        base = self._baselines[n]
+        if base is not None and base[0] == self._moves:
+            return base
         cur = self.strategies[n]
         loads0 = self.loads.copy()
         for l in cur:
@@ -226,19 +232,30 @@ class _MatchingState:
         for k, drop in drops.items():
             base_rate, base_f = absent[k]
             value += profiles[k].evaluate(base_rate - drop) - base_f
-        self._mover, self._loads0, self._absent = n, loads0, absent
-        self._current = value
+        base = self._baselines[n] = [self._moves, loads0, absent, value, None]
+        return base
+
+    def share(self, n) -> list:
+        """Per radio, the time share caps[n][l] / (loads0[l] + 1) that n gets
+        there, or keeps on a radio it holds. Built on the first request after
+        a move; callers must not change the list."""
+        base = self._remove(n)
+        if base[4] is None:
+            base[4] = [c / (a + 1) for c, a in zip(self.caps[n], base[1])]
+        return base[4]
 
     def utility(self, n, candidate) -> float:
         """Relay acceptance utility of `candidate` for source n: its own
         satisfaction plus, for every source sharing a radio of the
         candidate, the satisfaction change versus n holding no radio.
         Differences between two candidates equal the change of lam."""
-        if self._mover != n:
-            self._remove(n)
+        base = self._baselines[n]
+        if base is None or base[0] != self._moves:    # _remove's test, inlined
+            base = self._remove(n)
+        _, loads0, absent, current, _ = base
         if candidate == self.strategies[n]:
-            return self._current
-        loads0, caps, occupants = self._loads0, self.caps, self.occupants
+            return current
+        caps, occupants = self.caps, self.occupants
         row = caps[n]
         rate = 0.0
         for l in candidate:
@@ -252,7 +269,7 @@ class _MatchingState:
                 for k in occupants[l]:
                     if k != n:
                         drops[k] = drops.get(k, 0.0) + caps[k][l] * shrink
-        absent, rates, sat, profiles = self._absent, self.rates, self.sat, self.profiles
+        rates, sat, profiles = self.rates, self.sat, self.profiles
         for k, drop in drops.items():
             base_rate, base_f = absent.get(k) or (rates[k], sat[k])
             value += profiles[k].evaluate(base_rate - drop) - base_f
@@ -275,7 +292,7 @@ class _MatchingState:
         for k in touched:
             self._refresh(k)
         self._sum()
-        self._mover = None
+        self._moves += 1
 
 
 def _state(m: Matching, profiles, caps: np.ndarray) -> _MatchingState:

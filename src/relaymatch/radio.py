@@ -320,8 +320,17 @@ def topology_to_dict(topology: Topology, gains: LinkGainTable | None = None) -> 
 def _from_json(cls, doc: dict, **convert):
     """cls from one JSON object through from_fields, with each key named in
     convert, where present, mapped by its converter first."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"a {cls.__name__} must be a JSON object, not {doc!r}")
     return from_fields(cls, {k: convert[k](v) if k in convert else v
                              for k, v in doc.items()})
+
+
+def _gain_array(rows) -> np.ndarray:
+    try:
+        return np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"gain tables are not numeric arrays: {exc}") from exc
 
 
 def topology_from_dict(doc: dict) -> tuple:
@@ -330,7 +339,7 @@ def topology_from_dict(doc: dict) -> tuple:
     not match the nodes raises ConfigurationError."""
     doc = dict(doc)
     gains = _from_json(LinkGainTable, doc.pop("gains", {}),
-                       source_to_relay=np.array, relay_to_destination=np.array)
+                       source_to_relay=_gain_array, relay_to_destination=_gain_array)
     topo = _from_json(
         Topology, doc, destination=tuple,
         path_loss=lambda d: _from_json(PathLossModel, d),

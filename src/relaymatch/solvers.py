@@ -163,8 +163,32 @@ def _numpy_sum(xs) -> float:
     return _numpy_sum(xs[:half]) + _numpy_sum(xs[half:])
 
 
+def proposal_table(attractiveness: Sequence[float]) -> tuple:
+    """pma_propose's preparation that depends only on the weights: the
+    indices of the positive weights, their probabilities p, how many of
+    those are nonzero (0 if the normaliser overflows) and the first draw's
+    cdf (None when nothing can be drawn)."""
+    w = [float(x) for x in attractiveness]
+    idx = [i for i, x in enumerate(w) if x > 0]
+    if not idx:
+        return idx, [], 0, None
+    positive = w if len(idx) == len(w) else [w[i] for i in idx]
+    # The normaliser is summed in numpy's order so p is bit-identical to
+    # w[idx] / w[idx].sum(), and so is every draw it decides.
+    total = _numpy_sum(positive)
+    p = [x / total for x in positive]
+    nonzero = len(p) - p.count(0.0) if math.isfinite(total) else 0
+    return idx, p, nonzero, _cdf(p) if nonzero else None
+
+
+def _cdf(p) -> list:
+    cdf = list(itertools.accumulate(p))
+    last = cdf[-1]
+    return [c / last for c in cdf]
+
+
 def pma_propose(attractiveness: Sequence[float], quota: int, rng,
-                size: Optional[int] = None) -> tuple:
+                size: Optional[int] = None, table: Optional[tuple] = None) -> tuple:
     """Sample a candidate radio set: size uniform in {1..quota} unless given,
     radios drawn without replacement with probability proportional to
     attractiveness.
@@ -174,31 +198,26 @@ def pma_propose(attractiveness: Sequence[float], quota: int, rng,
     the same state. rng is a Generator or a Draws on one; it is asked only
     for integers(1, quota + 1) and random(k). Raises ValueError, as numpy
     does, when fewer than `size` radios keep a nonzero probability after
-    normalisation.
+    normalisation. A caller that proposes from the same weights again may
+    pass their proposal_table(attractiveness) as `table`.
     """
-    w = [float(x) for x in attractiveness]
-    idx = [i for i, x in enumerate(w) if x > 0]
+    idx, p, nonzero, cdf = table or proposal_table(attractiveness)
     if not idx:
         log.info("all relay radios unattractive; proposing the empty set")
         return ()
     if size is None:
         size = int(rng.integers(1, quota + 1))
     size = min(size, len(idx))
-    positive = w if len(idx) == len(w) else [w[i] for i in idx]
-    # The normaliser is summed in numpy's order so p is bit-identical to
-    # w[idx] / w[idx].sum(), and so is every draw it decides.
-    total = _numpy_sum(positive)
-    p = [x / total for x in positive]
-    if not math.isfinite(total) or len(p) - p.count(0.0) < size:
+    if nonzero < size:
         raise ValueError("fewer nonzero probabilities than the sample size")
     found = []
     while len(found) < size:
         draws = rng.random(size - len(found))
-        for j in found:
-            p[j] = 0.0
-        cdf = list(itertools.accumulate(p))
-        last = cdf[-1]
-        cdf = [c / last for c in cdf]
+        if found:
+            p = p.copy()
+            for j in found:
+                p[j] = 0.0
+            cdf = _cdf(p)
         for x in draws:
             # a found radio has p == 0 and an empty cdf step, so it is never
             # drawn again; each round adds at least one radio
@@ -234,11 +253,11 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng,
     n_src, n_radio = topology.num_sources, topology.num_radios
     quotas = [min(s.num_radios, quota_override) if quota_override else s.num_radios
               for s in topology.sources]
-    caps_rows = caps.tolist()
     draws = Draws(rng)        # rejects a non-PCG64 rng before any draw
-    state = _MatchingState(_random_initial(quotas, n_radio, rng), caps_rows,
+    state = _MatchingState(_random_initial(quotas, n_radio, rng), caps.tolist(),
                            profiles, n_radio)
-    strategies, loads = state.strategies, state.loads
+    strategies = state.strategies
+    shares, tables = [None] * n_src, [None] * n_src
 
     lam = state.lam
     trace = IterationTrace(lam, observer)
@@ -255,14 +274,17 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng,
             for n in draws.permutation(n_src):
                 activations += 1
                 current = strategies[n]
-                row = caps_rows[n]
-                # a radio's share if n joined it; n's own radios keep theirs
-                weights = [c / (a + 1) for c, a in zip(row, loads)]
-                for l in current:
-                    weights[l] = row[l] / loads[l]
                 size = draws.integers(0, quotas[n] + 1)
-                candidate = () if size == 0 else pma_propose(weights, quotas[n],
-                                                             draws, size=size)
+                if size == 0:
+                    candidate = ()
+                else:
+                    # a radio's share if n joined it; n's own radios keep theirs.
+                    # The list is the same object until a move, and so is its table
+                    weights = state.share(n)
+                    if shares[n] is not weights:
+                        shares[n], tables[n] = weights, proposal_table(weights)
+                    candidate = pma_propose(weights, quotas[n], draws, size=size,
+                                            table=tables[n])
                 u_old = state.utility(n, current)
                 u_new = state.utility(n, candidate)
                 accepted = draws.random() < pma_accept(u_new, u_old, beta(activations))

@@ -117,7 +117,10 @@ class TestRun:
         (lambda doc: doc.pop("seed"), "missing Topology keys: seed"),
         (lambda doc: doc["sources"][0].update(num_radios=0), "quota"),
         (lambda doc: doc["gains"]["source_to_relay"].pop(), "gain tables"),
-    ], ids=["unknown-key", "missing-key", "quota-zero", "gain-shape"])
+        (lambda doc: doc["gains"]["source_to_relay"][0].pop(), "gain tables"),
+        (lambda doc: doc["sources"].__setitem__(0, 5), "SourceNode"),
+    ], ids=["unknown-key", "missing-key", "quota-zero", "gain-shape", "ragged-gain-row",
+            "node-not-object"])
     def test_malformed_topology_file_exits_one(self, tmp_path, capsys, corrupt, named):
         path = make_topology_file(tmp_path)
         doc = json.loads(path.read_text())
@@ -172,6 +175,16 @@ class TestEnsembleCommand:
         code = main(["ensemble", "--config", str(path), "--out", str(tmp_path / "r")])
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_exhaustive_max_iterations_exits_one(self, tmp_path, capsys):
+        # the oracle runs no iterations; a config that sets them fails
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "topology": {"num_sources": 2, "num_relays": 2}, "metrics": ["runs"],
+            "solvers": [{"kind": "exhaustive", "max_iterations": 1}]}))
+        code = main(["ensemble", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "max_iterations" in capsys.readouterr().err
 
     def test_prints_directory_written(self, tmp_path, capsys, monkeypatch):
         # with no --out the results go to RELAYMATCH_OUT, and the message says so

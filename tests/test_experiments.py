@@ -60,6 +60,24 @@ class TestConfig:
                   ["config_sha256"] for w in ("1", "2")}
         assert hashes == {small_config(workers=2, replications=2).config_hash()}
 
+    def test_hash_ignores_exhaustive_max_iterations(self):
+        # the oracle runs no iterations, so the setting cannot change results
+        hashes = {small_config(solvers=[rm.SolverConfig(kind="exhaustive",
+                                                        max_iterations=k)]
+                               ).config_hash() for k in (1, 1000)}
+        assert len(hashes) == 1
+        # a config without an exhaustive solver keeps its earlier digest
+        assert small_config().config_hash() == (
+            "7043a0e454cc6696ee19c2221b8ad82a9ed9c5f7c129ab9291e2da4c7bff4290")
+
+    def test_exhaustive_max_iterations_rejected(self):
+        doc = {**small_config().to_dict(),
+               "solvers": [{"kind": "exhaustive", "max_iterations": 1000}]}
+        with pytest.raises(ConfigurationError, match="max_iterations"):
+            rm.ExperimentConfig.from_dict(doc)
+        config = small_config(solvers=[rm.SolverConfig(kind="exhaustive")])
+        assert rm.ExperimentConfig.from_dict(config.to_dict()) == config
+
     @pytest.mark.parametrize("change,named", [
         ({"bogus": 1}, "bogus"),
         ({"solvers": [{"kind": "pma", "seed": 3}]}, "seed"),
@@ -116,7 +134,9 @@ class TestConfig:
             rate_requirement_bps=pair, source_annulus=pair, path_loss=path_loss)
         kinds = data.draw(st.lists(st.sampled_from(rm.solvers.SOLVER_KINDS),
                                    min_size=1, unique=True))
-        solvers = [rm.SolverConfig(kind=k,
+        # the exhaustive solver reads no max_iterations and its file form has none
+        solvers = [rm.SolverConfig(kind=k) if k == "exhaustive" else
+                   rm.SolverConfig(kind=k,
                                    max_iterations=data.draw(st.integers(1, 10 ** 4)))
                    for k in kinds]
         config = rm.ExperimentConfig(

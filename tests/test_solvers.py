@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import relaymatch as rm
 from relaymatch import solvers
+from relaymatch._draws import Draws
 from relaymatch.errors import ConfigurationError, EnumerationLimitError
 from relaymatch.matching import (_MatchingState, count_strategies,
                                  enumerate_strategies)
@@ -113,6 +114,43 @@ class TestProposalRule:
         assert ours.random() == ref.random()
         assert rm.pma_propose(weights, quota=2, rng=ours, size=1) == (1,)
 
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.one_of(st.just(0.0),
+                                      st.floats(min_value=1e-3, max_value=1e9)),
+                            min_size=1, max_size=12),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           mirror=st.booleans())
+    def test_table_stands_in_for_raw_weights(self, weights, seed, mirror):
+        # run_pma proposes from a cached table: the same set, the same draws
+        table = solvers.proposal_table(weights)
+        for size in (None, 1, 2, 3):
+            outcomes = []
+            for given_table in (None, table):
+                gen = np.random.default_rng(seed)
+                if mirror:
+                    with Draws(gen) as draws:
+                        got = rm.pma_propose(weights, 3, draws, size=size,
+                                             table=given_table)
+                else:
+                    got = rm.pma_propose(weights, 3, gen, size=size, table=given_table)
+                outcomes.append((got, gen.bit_generator.state))
+            assert outcomes[0] == outcomes[1]
+        assert table == solvers.proposal_table(weights)   # left unchanged
+
+    def test_table_raises_like_raw_weights(self):
+        weights = [5e-324, 1e10]      # one probability underflows to zero
+        table = solvers.proposal_table(weights)
+        states = []
+        for given_table in (None, table):
+            gen = np.random.default_rng(8)
+            with pytest.raises(ValueError):
+                rm.pma_propose(weights, quota=2, rng=gen, size=2, table=given_table)
+            assert rm.pma_propose(weights, 2, gen, size=1, table=given_table) == (1,)
+            states.append(gen.bit_generator.state)
+        assert states[0] == states[1]
+        assert rm.pma_propose([0.0, 0.0], 2, gen, size=1,
+                              table=solvers.proposal_table([0.0, 0.0])) == ()
+
 
 def _numpy_propose(weights, size, rng):
     """Reference proposal: numpy's weighted sampling without replacement."""
@@ -165,6 +203,29 @@ class TestMatchingState:
             assert state.occupants == [
                 [k for k, strat in enumerate(m.strategies) if l in strat]
                 for l in range(topo.num_radios)]
+
+    def test_cached_baseline_matches_fresh_state(self, mid_instance):
+        # utility() and share() reuse a source's baseline until the next
+        # move; every answer must equal a fresh state's, bit for bit
+        topo, profiles, caps = mid_instance
+        rows = caps.tolist()
+        rng = np.random.default_rng(31)
+        space = [enumerate_strategies(topo.num_radios, q) for q in topo.quotas]
+        state = _MatchingState(_random_initial(topo.quotas, topo.num_radios, rng),
+                               rows, profiles, topo.num_radios)
+        for _ in range(400):
+            n = int(rng.integers(topo.num_sources))
+            cand = space[n][int(rng.integers(len(space[n])))]
+            if rng.random() < 0.2:
+                state.move(n, cand)
+                continue
+            fresh = _MatchingState(state.strategies, rows, profiles, topo.num_radios)
+            held, loads = state.strategies[n], state.loads
+            assert state.share(n) == fresh.share(n) == [
+                c / (loads[l] if l in held else loads[l] + 1)
+                for l, c in enumerate(rows[n])]
+            assert state.utility(n, cand) == fresh.utility(n, cand)
+            assert state.utility(n, held) == fresh.utility(n, held)
 
 
 class TestIterationTrace:

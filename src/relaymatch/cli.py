@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -44,20 +45,23 @@ def _add_topology_flags(p):
                    help="JSON file with topology parameters")
 
 
+def _seed(text) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, not {seed}")
+    return seed
+
+
 def _topology_params(args) -> TopologyParams:
     doc = {}
     if args.config is not None:
         with open(args.config) as fh:
             doc = json.load(fh)
-    if args.sources is not None:
-        doc["num_sources"] = args.sources
-    if args.relays is not None:
-        doc["num_relays"] = args.relays
-    if args.radios_per_relay is not None:
-        doc["radios_per_relay"] = args.radios_per_relay
-    if args.path_loss is not None:
-        doc["path_loss"] = PATH_LOSS_PRESETS[args.path_loss]
-    return TopologyParams.from_dict(doc)
+    flags = {"num_sources": args.sources, "num_relays": args.relays,
+             "radios_per_relay": args.radios_per_relay,
+             "path_loss": PATH_LOSS_PRESETS.get(args.path_loss)}
+    return replace(TopologyParams.from_dict(doc),
+                   **{k: v for k, v in flags.items() if v is not None})
 
 
 def _load_instance(path):
@@ -175,10 +179,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     topology, caps, profiles = _load_instance(args.topology)
-    matching, lam = exhaustive_search(topology, profiles, caps,
-                                      include_empty=not args.nonempty,
-                                      max_set_size=args.max_set_size,
-                                      cap=args.cap)
+    matching, lam = exhaustive_search(topology, profiles, caps, cap=args.cap)
     print(f"optimal_lambda,{lam!r}")
     if args.out is not None:
         with open(args.out, "w") as fh:
@@ -194,7 +195,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate and save a seeded topology")
     _add_topology_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_gen)
 
@@ -203,14 +204,14 @@ def build_parser() -> _Parser:
     p.add_argument("--topology", type=Path, default=None,
                    help="topology JSON (otherwise generated from flags)")
     p.add_argument("--solver", choices=SOLVER_KINDS, default="pma")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=Path, default=None, help="write final matching JSON")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("ensemble", help="run a full replicated experiment")
     p.add_argument("--config", required=True,
                    help="experiment config JSON path or preset name (fig2, fig3, fig4)")
-    p.add_argument("--seed", type=int, default=None, help="override master seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override master seed")
     p.add_argument("--solver", choices=SOLVER_KINDS, default=None,
                    help="restrict to one solver from the config")
     p.add_argument("--out", type=Path, default=None)
@@ -220,7 +221,7 @@ def build_parser() -> _Parser:
     p.add_argument("--topology", type=Path, required=True)
     p.add_argument("--matching", type=Path, required=True)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--allow-unstable", action="store_true",
                    help="exit 0 even when a blocking deviation exists")
     p.set_defaults(func=_cmd_verify)
@@ -229,9 +230,6 @@ def build_parser() -> _Parser:
     p.add_argument("--topology", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
-    p.add_argument("--nonempty", action="store_true",
-                   help="exclude the empty strategy from enumeration")
-    p.add_argument("--max-set-size", type=int, default=None)
     p.set_defaults(func=_cmd_oracle)
     return parser
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -21,10 +22,10 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, from_fields
-from .matching import default_profiles, global_satisfaction
+from .matching import count_strategies, default_profiles, global_satisfaction
 from .radio import (TopologyParams, build_capacity_table, build_gain_table,
                     generate_topology)
-from .solvers import IterationTrace, SolverConfig, solve
+from .solvers import ENUMERATION_CAP, IterationTrace, SolverConfig, solve
 
 OUT_DIR_ENV = "RELAYMATCH_OUT"
 METRICS = ("runs", "cdf", "trace")
@@ -49,6 +50,8 @@ class ExperimentConfig:
             raise ConfigurationError("at least one solver is required")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigurationError("master_seed must be >= 0")
         unknown = [m for m in self.metrics if m not in METRICS]
         if unknown:
             raise ConfigurationError(
@@ -79,18 +82,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        doc["topology"] = TopologyParams.from_dict(doc.get("topology", {}))
-        solvers = doc.get("solvers", [])
-        if any(isinstance(s, dict) and s.get("kind") == "exhaustive"
-               and "max_iterations" in s for s in solvers):
-            raise ConfigurationError(
-                "the exhaustive solver runs no iterations; drop its max_iterations")
-        doc["solvers"] = [from_fields(SolverConfig, s) if isinstance(s, dict) else s
-                          for s in solvers]
-        if "metrics" in doc:
-            doc["metrics"] = tuple(doc["metrics"])
-        return from_fields(cls, doc)
+        return from_fields(
+            cls, doc, topology=TopologyParams.from_dict, solvers=_solvers_from_json,
+            metrics=tuple, sweep_num_sources=lambda ns: (
+                None if ns is None else [operator.index(n) for n in ns]))
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -102,6 +97,14 @@ class ExperimentConfig:
         config block."""
         payload = json.dumps(self._recorded(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
+
+
+def _solvers_from_json(docs) -> list:
+    if any(isinstance(s, dict) and s.get("kind") == "exhaustive"
+           and "max_iterations" in s for s in docs):
+        raise ConfigurationError(
+            "the exhaustive solver runs no iterations; drop its max_iterations")
+    return [from_fields(SolverConfig, s) for s in docs]
 
 
 @dataclass
@@ -225,11 +228,26 @@ def satisfaction_vs_n(results: Sequence) -> list:
     return rows
 
 
+def _check(config: ExperimentConfig) -> None:
+    """Refuse, before any replication runs, invalid topology parameters and
+    an exhaustive solver that every draw takes past ENUMERATION_CAP: the
+    space is smallest with every source on the smallest quota."""
+    params = config.topology
+    params.validate()
+    if all(s.kind != "exhaustive" for s in config.solvers):
+        return
+    fewest = count_strategies(params.num_relays * params.radios_per_relay,
+                              params._radio_range()[0]) ** params.num_sources
+    if fewest > ENUMERATION_CAP:
+        raise ConfigurationError(f"the exhaustive solver would score at least {fewest} "
+                                 f"strategy profiles, over its cap of {ENUMERATION_CAP}")
+
+
 def run_ensemble(config: ExperimentConfig, out_dir=None) -> EnsembleResult:
     """Run every configured solver on every replication's topology (shared
     within a replication) and optionally persist CSVs plus a manifest. The
-    topology parameters are validated before any replication runs."""
-    config.topology.validate()
+    config is checked before any replication runs."""
+    _check(config)
     seeds = list(_replication_seeds(config.master_seed, config.replications,
                                     len(config.solvers)))
     if config.workers > 1:
@@ -253,7 +271,7 @@ def run_ensemble(config: ExperimentConfig, out_dir=None) -> EnsembleResult:
 def run_sweep(config: ExperimentConfig, out_dir=None) -> list:
     """Run one ensemble per entry of sweep_num_sources; each N gets its own
     deterministic seed root derived from (master_seed, N). Every size's
-    topology parameters are validated before the first replication runs."""
+    config is checked before the first replication runs."""
     if not config.sweep_num_sources:
         raise ConfigurationError("sweep_num_sources is empty")
     out_dir = _resolve_out_dir(config, out_dir)
@@ -265,7 +283,7 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list:
         sweep_num_sources=None, out_dir=None))
         for n in map(int, config.sweep_num_sources)]
     for _, sub in subs:
-        sub.topology.validate()
+        _check(sub)
     results = [(n, run_ensemble(sub, out_dir=None if out is None else out / f"n{n}"))
                for n, sub in subs]
 
@@ -335,7 +353,5 @@ def write_result(result: EnsembleResult, out_dir) -> None:
                 for k, lam in enumerate(trace, start=1):
                     fh.write(f"{k},{float(lam)!r}\n")
 
-    seeds = [s for s, _ in _replication_seeds(config.master_seed,
-                                              config.replications,
-                                              len(config.solvers))]
-    _write_manifest(config, out, topology_seeds=seeds)
+    seeds = {r.replication: r.topology_seed for r in result.records}
+    _write_manifest(config, out, topology_seeds=list(seeds.values()))

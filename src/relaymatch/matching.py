@@ -132,9 +132,15 @@ class Matching:
 
     @classmethod
     def from_dict(cls, doc: dict, num_radios: int) -> "Matching":
-        n = max(int(k) for k in doc) + 1 if doc else 0
-        strategies = [doc.get(str(i), []) for i in range(n)]
-        return cls(strategies, num_radios)
+        """Inverse of to_dict; any other document raises ConfigurationError."""
+        if not (isinstance(doc, dict) and all(
+                k.isdecimal() and isinstance(v, list) and all(type(l) is int for l in v)
+                for k, v in doc.items())):
+            raise ConfigurationError(
+                f"a matching maps source ids to lists of radio ids, not {doc!r}")
+        held = {int(k): v for k, v in doc.items()}
+        return cls([held.get(n, []) for n in range(max(held, default=-1) + 1)],
+                   num_radios)
 
 
 def sv_rate(m: Matching, source: int, caps: np.ndarray) -> float:
@@ -160,11 +166,11 @@ class _MatchingState:
     satisfaction, with global satisfaction `lam`.
 
     A move updates only the sources on the radios it touches, then re-adds
-    lam over all sources; it also retires every source's mover baseline.
+    lam over all sources; it also drops every source's mover baseline.
     """
 
     __slots__ = ("caps", "profiles", "strategies", "loads", "occupants",
-                 "rates", "sat", "lam", "_moves", "_baselines")
+                 "rates", "sat", "lam", "_baselines")
 
     def __init__(self, strategies, caps_rows, profiles, num_radios):
         self.caps = caps_rows
@@ -181,7 +187,6 @@ class _MatchingState:
         for n in range(len(self.strategies)):
             self._refresh(n)
         self._sum()
-        self._moves = 0
         self._baselines = [None] * len(self.strategies)
 
     def _refresh(self, n):
@@ -198,19 +203,15 @@ class _MatchingState:
         self.lam = lam
 
     def _remove(self, n):
-        """Mover n's baseline, [moves, loads0, absent, current, share]:
+        """Builds and keeps mover n's baseline (loads0, absent, current):
         radio loads with n removed, (rate, satisfaction) as if n held no
-        radio of every source sharing a radio with n, the utility of n's
-        current strategy, and the share vector once share(n) has built it.
-        It is kept per source and reused until the next move.
+        radio of every source sharing a radio with n, and the utility of n's
+        current strategy. It is reused until the next move drops it.
 
         That utility is utility()'s arithmetic for candidate == current,
         in the same order: the own term is sat[n], since loads0[l] + 1 is
         loads[l], and the neighbour drops are summed in the same pass that
         finds the neighbours."""
-        base = self._baselines[n]
-        if base is not None and base[0] == self._moves:
-            return base
         cur = self.strategies[n]
         loads0 = self.loads.copy()
         for l in cur:
@@ -232,27 +233,21 @@ class _MatchingState:
         for k, drop in drops.items():
             base_rate, base_f = absent[k]
             value += profiles[k].evaluate(base_rate - drop) - base_f
-        base = self._baselines[n] = [self._moves, loads0, absent, value, None]
+        base = self._baselines[n] = (loads0, absent, value)
         return base
 
     def share(self, n) -> list:
         """Per radio, the time share caps[n][l] / (loads0[l] + 1) that n gets
-        there, or keeps on a radio it holds. Built on the first request after
-        a move; callers must not change the list."""
-        base = self._remove(n)
-        if base[4] is None:
-            base[4] = [c / (a + 1) for c, a in zip(self.caps[n], base[1])]
-        return base[4]
+        there, or keeps on a radio it holds."""
+        loads0 = (self._baselines[n] or self._remove(n))[0]
+        return [c / (a + 1) for c, a in zip(self.caps[n], loads0)]
 
     def utility(self, n, candidate) -> float:
         """Relay acceptance utility of `candidate` for source n: its own
         satisfaction plus, for every source sharing a radio of the
         candidate, the satisfaction change versus n holding no radio.
         Differences between two candidates equal the change of lam."""
-        base = self._baselines[n]
-        if base is None or base[0] != self._moves:    # _remove's test, inlined
-            base = self._remove(n)
-        _, loads0, absent, current, _ = base
+        loads0, absent, current = self._baselines[n] or self._remove(n)
         if candidate == self.strategies[n]:
             return current
         caps, occupants = self.caps, self.occupants
@@ -292,7 +287,7 @@ class _MatchingState:
         for k in touched:
             self._refresh(k)
         self._sum()
-        self._moves += 1
+        self._baselines = [None] * len(self.strategies)
 
 
 def _state(m: Matching, profiles, caps: np.ndarray) -> _MatchingState:
@@ -330,24 +325,17 @@ def is_feasible(m: Matching, topology) -> bool:
     return True
 
 
-def enumerate_strategies(num_radios: int, quota: int, include_empty: bool = True,
-                         max_size: Optional[int] = None) -> list:
-    """All radio subsets a source may hold, in canonical (size, lexicographic)
-    order; this ordering fixes tie-breaking everywhere."""
-    size_cap = quota if max_size is None else min(quota, max_size)
-    out = [()] if include_empty else []
-    for size in range(1, size_cap + 1):
+def enumerate_strategies(num_radios: int, quota: int) -> list:
+    """All radio subsets a source may hold, () included, in canonical (size,
+    lexicographic) order; this ordering fixes tie-breaking everywhere."""
+    out = [()]
+    for size in range(1, quota + 1):
         out.extend(itertools.combinations(range(num_radios), size))
     return out
 
 
-def count_strategies(num_radios: int, quota: int, include_empty: bool = True,
-                     max_size: Optional[int] = None) -> int:
-    size_cap = quota if max_size is None else min(quota, max_size)
-    total = 1 if include_empty else 0
-    for size in range(1, size_cap + 1):
-        total += math.comb(num_radios, size)
-    return total
+def count_strategies(num_radios: int, quota: int) -> int:
+    return 1 + sum(math.comb(num_radios, size) for size in range(1, quota + 1))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -174,15 +176,12 @@ class TopologyParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TopologyParams":
-        """Parameters from JSON: path_loss as a dict of PathLossModel fields
-        (or a model), pairs as lists."""
-        doc = dict(doc)
-        if isinstance(doc.get("path_loss"), dict):
-            doc["path_loss"] = from_fields(PathLossModel, doc["path_loss"])
-        for key in ("rate_requirement_bps", "source_annulus", "source_radios"):
-            if isinstance(doc.get(key), list):
-                doc[key] = tuple(doc[key])
-        return from_fields(cls, doc)
+        """Parameters from JSON: path_loss as an object of PathLossModel
+        fields, pairs as lists."""
+        return from_fields(
+            cls, doc, path_loss=partial(from_fields, PathLossModel),
+            rate_requirement_bps=tuple, source_annulus=tuple,
+            source_radios=lambda r: tuple(r) if isinstance(r, list) else r)
 
     def validate(self) -> None:
         if self.num_sources < 1 or self.num_relays < 1:
@@ -204,12 +203,15 @@ class TopologyParams:
             raise ConfigurationError("source radio counts must be >= 1")
 
     def _radio_range(self) -> tuple:
-        if self.source_radios is None:
+        r = self.source_radios
+        if r is None:
             return (1, 3)
-        if isinstance(self.source_radios, int):
-            return (self.source_radios, self.source_radios)
-        lo, hi = self.source_radios
-        return (int(lo), int(hi))
+        try:
+            lo, hi = (r, r) if isinstance(r, int) else r
+            return (operator.index(lo), operator.index(hi))
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"source_radios must be null, an int or a pair of ints, not {r!r}") from None
 
 
 def generate_topology(params: TopologyParams, seed: int) -> Topology:
@@ -317,36 +319,23 @@ def topology_to_dict(topology: Topology, gains: LinkGainTable | None = None) -> 
                       "relay_to_destination": gains.relay_to_destination.tolist()}}
 
 
-def _from_json(cls, doc: dict, **convert):
-    """cls from one JSON object through from_fields, with each key named in
-    convert, where present, mapped by its converter first."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"a {cls.__name__} must be a JSON object, not {doc!r}")
-    return from_fields(cls, {k: convert[k](v) if k in convert else v
-                             for k, v in doc.items()})
-
-
-def _gain_array(rows) -> np.ndarray:
-    try:
-        return np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"gain tables are not numeric arrays: {exc}") from exc
-
-
 def topology_from_dict(doc: dict) -> tuple:
     """Returns (Topology, LinkGainTable) replayed bit-exactly from JSON. An
     unknown or missing key, a quota below 1 or a gain table whose shape does
     not match the nodes raises ConfigurationError."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"a topology file must hold a JSON object, not {doc!r}")
     doc = dict(doc)
-    gains = _from_json(LinkGainTable, doc.pop("gains", {}),
-                       source_to_relay=_gain_array, relay_to_destination=_gain_array)
-    topo = _from_json(
+    floats = partial(np.array, dtype=float)
+    gains = from_fields(LinkGainTable, doc.pop("gains", {}),
+                        source_to_relay=floats, relay_to_destination=floats)
+    topo = from_fields(
         Topology, doc, destination=tuple,
-        path_loss=lambda d: _from_json(PathLossModel, d),
-        sources=lambda ss: tuple(_from_json(SourceNode, s, position=tuple) for s in ss),
+        path_loss=partial(from_fields, PathLossModel),
+        sources=lambda ss: tuple(from_fields(SourceNode, s, position=tuple) for s in ss),
         relays=lambda rs: tuple(
-            _from_json(RelayNode, r, position=tuple,
-                       radios=lambda cs: tuple(_from_json(RelayRadio, c) for c in cs))
+            from_fields(RelayNode, r, position=tuple,
+                        radios=lambda cs: tuple(from_fields(RelayRadio, c) for c in cs))
             for r in rs))
     if any(s.num_radios < 1 for s in topo.sources):
         raise ConfigurationError("every source needs a quota of at least 1")

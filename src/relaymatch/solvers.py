@@ -199,7 +199,8 @@ def pma_propose(attractiveness: Sequence[float], quota: int, rng,
     for integers(1, quota + 1) and random(k). Raises ValueError, as numpy
     does, when fewer than `size` radios keep a nonzero probability after
     normalisation. A caller that proposes from the same weights again may
-    pass their proposal_table(attractiveness) as `table`.
+    pass their proposal_table(attractiveness) as `table`; attractiveness is
+    then not read.
     """
     idx, p, nonzero, cdf = table or proposal_table(attractiveness)
     if not idx:
@@ -257,7 +258,7 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng,
     state = _MatchingState(_random_initial(quotas, n_radio, rng), caps.tolist(),
                            profiles, n_radio)
     strategies = state.strategies
-    shares, tables = [None] * n_src, [None] * n_src
+    tables = [None] * n_src     # per source until a move changes its loads
 
     lam = state.lam
     trace = IterationTrace(lam, observer)
@@ -278,18 +279,18 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng,
                 if size == 0:
                     candidate = ()
                 else:
-                    # a radio's share if n joined it; n's own radios keep theirs.
-                    # The list is the same object until a move, and so is its table
-                    weights = state.share(n)
-                    if shares[n] is not weights:
-                        shares[n], tables[n] = weights, proposal_table(weights)
-                    candidate = pma_propose(weights, quotas[n], draws, size=size,
-                                            table=tables[n])
+                    # a radio's share if n joined it; n's own radios keep theirs
+                    table = tables[n]
+                    if table is None:
+                        table = tables[n] = proposal_table(state.share(n))
+                    candidate = pma_propose(None, quotas[n], draws, size=size,
+                                            table=table)
                 u_old = state.utility(n, current)
                 u_new = state.utility(n, candidate)
                 accepted = draws.random() < pma_accept(u_new, u_old, beta(activations))
                 if accepted and candidate != current:
                     state.move(n, candidate)
+                    tables = [None] * n_src
                     lam = state.lam
                     if lam > best_lam + IMPROVEMENT_TOL:
                         last_improve = k
@@ -414,17 +415,16 @@ def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
             trace.close(iteration if iteration and not truncated else None))
 
 
-def exhaustive_search(topology, profiles, caps, include_empty: bool = True,
-                      max_set_size: Optional[int] = None, cap: int = ENUMERATION_CAP):
-    """Global optimum over the full Cartesian strategy space.
+def exhaustive_search(topology, profiles, caps, cap: int = ENUMERATION_CAP):
+    """Global optimum over the full Cartesian strategy space: every radio
+    subset up to each source's quota, the empty set included.
 
     Each source's candidate sets are enumerated in canonical (size,
     lexicographic) order, and strategy profiles in itertools.product order
     over the sources, the last source varying fastest. The first profile
     attaining the maximum wins, so ties break deterministically. Raises
     EnumerationLimitError, naming the profile count, when the space exceeds
-    the cap, and ConfigurationError when max_set_size is negative or the
-    space is empty.
+    the cap.
 
     A source's satisfaction depends only on its own set and the loads on
     its radios, each between 1 and the number of sources N. So every source
@@ -439,24 +439,14 @@ def exhaustive_search(topology, profiles, caps, include_empty: bool = True,
     optimum and its lambda are bit-identical to one. np.argmax takes the
     first maximum within a chunk and a strict > the first across chunks.
     """
-    if max_set_size is not None and max_set_size < 0:
-        raise ConfigurationError("max_set_size must be >= 0")
-    if not include_empty and max_set_size == 0:
-        raise ConfigurationError(
-            "empty strategy space: the empty set is excluded and max_set_size is 0")
     n_src, n_radio = topology.num_sources, topology.num_radios
-    counts = [count_strategies(n_radio, s.num_radios, include_empty, max_set_size)
-              for s in topology.sources]
+    counts = [count_strategies(n_radio, s.num_radios) for s in topology.sources]
     total = math.prod(counts)
     if total > cap:
         raise EnumerationLimitError(
             f"{total} strategy profiles exceed the exhaustive-search cap of {cap}")
-    if total == 0:
-        raise ConfigurationError("empty strategy space: a source has no candidate set")
 
-    per_source = [enumerate_strategies(n_radio, s.num_radios, include_empty,
-                                       max_set_size)
-                  for s in topology.sources]
+    per_source = [enumerate_strategies(n_radio, s.num_radios) for s in topology.sources]
     caps_rows = caps.tolist()
     # a source holding a radio puts its load in 1..n_src
     load_dtype = np.min_scalar_type(n_src)

@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
 import relaymatch as rm
 from relaymatch import experiments
 from relaymatch.cli import main
-from relaymatch.matching import _MatchingState
+from relaymatch.matching import _MatchingState, count_strategies
 
 
 def make_topology_file(tmp_path, name="topo.json", **params):
@@ -76,11 +77,34 @@ class TestGen:
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_config_not_an_object_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps([1, 2]))
+        code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "t.json")])
+        assert code == 1
+        assert "TopologyParams must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
     def test_bad_flag_exits_one(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["gen", "--path-loss", "underwater", "--out",
                   str(tmp_path / "t.json")])
         assert err.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--out", "t.json"],
+    ["run", "--sources", "2"],
+    ["ensemble", "--config", "fig2", "--out", "r"],
+    ["verify", "--topology", "t.json", "--matching", "m.json"],
+], ids=["gen", "run", "ensemble", "verify"])
+def test_negative_seed_exits_one(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--seed", "-1"])
+    assert err.value.code == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestRun:
@@ -117,7 +141,8 @@ class TestRun:
         (lambda doc: doc.pop("seed"), "missing Topology keys: seed"),
         (lambda doc: doc["sources"][0].update(num_radios=0), "quota"),
         (lambda doc: doc["gains"]["source_to_relay"].pop(), "gain tables"),
-        (lambda doc: doc["gains"]["source_to_relay"][0].pop(), "gain tables"),
+        (lambda doc: doc["gains"]["source_to_relay"][0].pop(),
+         "LinkGainTable key 'source_to_relay'"),
         (lambda doc: doc["sources"].__setitem__(0, 5), "SourceNode"),
     ], ids=["unknown-key", "missing-key", "quota-zero", "gain-shape", "ragged-gain-row",
             "node-not-object"])
@@ -130,6 +155,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert code == 1
         assert "configuration error" in err and named in err
+
+    def test_topology_file_not_an_object_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps([1, 2]))
+        code = main(["run", "--topology", str(path)])
+        assert code == 1
+        assert "must hold a JSON object" in capsys.readouterr().err
 
     def test_generated_instance_without_file(self, capsys):
         code = main(["run", "--sources", "2", "--relays", "2",
@@ -238,6 +270,63 @@ class TestEnsembleCommand:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("doc,named", [
+        ({"topology": 5}, "TopologyParams must be a JSON object"),
+        ({"solvers": [5]}, "SolverConfig must be a JSON object"),
+        ({"solvers": {"kind": "pma"}}, "SolverConfig must be a JSON object"),
+        ([1], "ExperimentConfig must be a JSON object"),
+        ({"topology": {"num_sources": 2, "path_loss": [1, 2]}},
+         "PathLossModel must be a JSON object"),
+        ({"topology": {"num_sources": 2, "source_radios": 2.0}}, "source_radios"),
+        ({"topology": {"num_sources": 2, "source_radios": [1, 2, 3]}}, "source_radios"),
+        ({"sweep_num_sources": 5}, "sweep_num_sources"),
+        ({"master_seed": -1}, "master_seed"),
+    ], ids=["topology-int", "solver-int", "solvers-object", "top-level-list",
+            "path-loss-list", "source-radios-float", "source-radios-triple",
+            "sweep-int", "negative-master-seed"])
+    def test_malformed_config_exits_one_before_writing(self, tmp_path, capsys,
+                                                       monkeypatch, doc, named):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        ran = []
+        monkeypatch.setattr(experiments, "solve", lambda *a, **k: ran.append(a))
+        code = main(["ensemble", "--config", str(path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "configuration error" in err and named in err
+        assert ran == [] and not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"solvers": [{"kind": "exhaustive"}]},
+        {"topology": {"num_relays": 2, "radios_per_relay": 1, "source_radios": 1},
+         "sweep_num_sources": [3, 17], "solvers": [{"kind": "exhaustive"}]},
+    ], ids=["ensemble", "sweep"])
+    def test_oracle_past_cap_on_every_draw_exits_one(self, tmp_path, capsys,
+                                                     monkeypatch, doc):
+        # with every source on the smallest quota the space still exceeds
+        # the cap: 11**13 profiles on the default topology, 3**17 in the sweep
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({**doc, "metrics": ["runs"]}))
+        ran = []
+        monkeypatch.setattr(experiments, "solve", lambda *a, **k: ran.append(a))
+        code = main(["ensemble", "--config", str(path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "configuration error" in err
+        assert str(11 ** 13 if "sweep_num_sources" not in doc else 3 ** 17) in err
+        assert ran == [] and not (tmp_path / "r").exists()
+
+    def test_sweep_checks_only_swept_sizes(self, tmp_path, capsys):
+        # the top-level 20 sources would exceed the cap, but no run uses them
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "topology": {"num_sources": 20, "num_relays": 2, "radios_per_relay": 1,
+                         "source_radios": 1},
+            "sweep_num_sources": [2], "solvers": [{"kind": "exhaustive"}],
+            "metrics": ["runs"]}))
+        assert main(["ensemble", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
+        assert (tmp_path / "r" / "n2" / "runs.csv").exists()
+
     def test_presets_parse(self):
         from relaymatch.cli import _resolve_config
         for name in ("fig2", "fig3", "fig4"):
@@ -302,6 +391,20 @@ class TestVerify:
         assert "over 25 samples" in capsys.readouterr().out
         assert len(built) <= 25 + 2
 
+    @pytest.mark.parametrize("doc", [{"a": [1]}, [[0]], {"0": "x", "1": [0]},
+                                     {"-1": [0]}],
+                             ids=["key-not-int", "list", "radios-not-list",
+                                  "negative-key"])
+    def test_malformed_matching_exits_one(self, tmp_path, capsys, doc):
+        topo_path = make_topology_file(tmp_path)
+        matching_path = tmp_path / "bad.json"
+        matching_path.write_text(json.dumps(doc))
+        code = main(["verify", "--topology", str(topo_path),
+                     "--matching", str(matching_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "configuration error" in captured.err and captured.out == ""
+
     def test_infeasible_matching_exits_two(self, tmp_path, capsys):
         topo_path = make_topology_file(tmp_path, name="t3.json", num_sources=3,
                                        num_relays=2, source_radios=1)
@@ -323,18 +426,16 @@ class TestOracle:
         assert code == 2
         assert "exceed" in capsys.readouterr().err
 
-    def test_nonempty_and_cap_flags(self, tmp_path, capsys):
+    def test_cap_at_and_below_profile_count(self, tmp_path, capsys):
         topo_path = make_topology_file(tmp_path, name="small.json")
-        code = main(["oracle", "--topology", str(topo_path), "--nonempty",
-                     "--max-set-size", "1"])
-        captured = capsys.readouterr()
+        topology, _ = rm.load_topology(topo_path)
+        total = math.prod(count_strategies(topology.num_radios, q)
+                          for q in topology.quotas)
+        code = main(["oracle", "--topology", str(topo_path), "--cap", str(total)])
         assert code == 0
-        assert captured.out.startswith("optimal_lambda,")
-
-    @pytest.mark.parametrize("flags", [["--nonempty", "--max-set-size", "0"],
-                                       ["--max-set-size", "-1"]])
-    def test_invalid_strategy_space_exits_one(self, tmp_path, capsys, flags):
-        topo_path = make_topology_file(tmp_path, name="small.json")
-        code = main(["oracle", "--topology", str(topo_path), *flags])
-        assert code == 1
-        assert "configuration error" in capsys.readouterr().err
+        assert capsys.readouterr().out.startswith("optimal_lambda,")
+        code = main(["oracle", "--topology", str(topo_path), "--cap", str(total - 1)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{total} strategy profiles exceed" in captured.err
+        assert captured.out == ""

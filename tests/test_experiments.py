@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relaymatch as rm
+from relaymatch import experiments
 from relaymatch.errors import ConfigurationError
 from relaymatch.experiments import (OUT_DIR_ENV, _replication_seeds,
                                     run_ensemble, run_sweep, write_result)
@@ -201,6 +202,17 @@ class TestEnsemble:
         assert 0.0 <= result.satisfaction_proportion("pma") <= 1.0
         assert 0.0 <= result.non_converged_fraction("pma") <= 1.0
 
+    def test_oracle_refused_only_when_every_draw_exceeds_cap(self):
+        oracle = [rm.SolverConfig(kind="exhaustive")]
+        # every source on quota 1 of 10 radios: 11**13 profiles at least
+        with pytest.raises(ConfigurationError, match=str(11 ** 13)):
+            run_ensemble(small_config(topology=rm.TopologyParams(), solvers=oracle))
+        # quotas 1..3 at 4 sources: 11**4 profiles fit, 176**4 do not, so
+        # some draws can run
+        experiments._check(small_config(
+            topology=rm.TopologyParams(num_sources=4, source_radios=(1, 3)),
+            solvers=oracle))
+
     def test_mean_trace_requires_stored_traces(self):
         result = run_ensemble(small_config(store_traces=False,
                                            metrics=("runs", "cdf")))
@@ -279,6 +291,16 @@ class TestPersistence:
                 # the comment line carries a label, then the number
                 for cell in cells[1:] if line.startswith("#") else cells:
                     float(cell)
+
+    def test_manifest_seeds_come_from_records(self, tmp_path, monkeypatch):
+        # the manifest lists the topology seeds the records ran on, without
+        # deriving them from the config a second time
+        result = run_ensemble(small_config())
+        monkeypatch.setattr(experiments, "_replication_seeds", None)
+        write_result(result, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["topology_seeds"] == [
+            r.topology_seed for r in result.records if r.solver == "pma"]
 
     def test_write_result_idempotent(self, tmp_path):
         result = run_ensemble(small_config())

@@ -208,11 +208,6 @@ class TestStrategyEnumeration:
         assert space == [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
         assert len(space) == count_strategies(3, 2)
 
-    def test_exclude_empty_and_max_size(self):
-        assert enumerate_strategies(3, 2, include_empty=False)[0] == (0,)
-        assert enumerate_strategies(3, 3, max_size=1) == [(), (0,), (1,), (2,)]
-        assert count_strategies(3, 3, max_size=1) == 4
-
 
 class TestStability:
     def test_single_matched_pair_stable(self):

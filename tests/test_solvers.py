@@ -1,7 +1,6 @@
 """Unit tests for the solver family: proposal/acceptance rules, trace
 bookkeeping, baselines and the exhaustive oracle."""
 
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -545,44 +544,22 @@ class TestExhaustive:
         with pytest.raises(EnumerationLimitError, match=str(expected)):
             rm.exhaustive_search(topo, profiles, caps)
 
-    def test_negative_or_empty_set_size_rejected(self):
-        topo, profiles, caps = make_instance(3)
-        with pytest.raises(ConfigurationError, match="max_set_size"):
-            rm.exhaustive_search(topo, profiles, caps, max_set_size=-1)
-        with pytest.raises(ConfigurationError, match="empty strategy space"):
-            rm.exhaustive_search(topo, profiles, caps, include_empty=False,
-                                 max_set_size=0)
-        # the empty set alone is a valid, if trivial, strategy space
-        m, _ = rm.exhaustive_search(topo, profiles, caps, max_set_size=0)
-        assert m == rm.Matching([()] * topo.num_sources, topo.num_radios)
-        # a Topology built in code may give a source no radio at all
-        idle = dataclasses.replace(topo, sources=(
-            dataclasses.replace(topo.sources[0], num_radios=0), *topo.sources[1:]))
-        with pytest.raises(ConfigurationError, match="empty strategy space"):
-            rm.exhaustive_search(idle, profiles, caps, include_empty=False)
-
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
            num_sources=st.integers(min_value=1, max_value=5),
            num_radios=st.integers(min_value=1, max_value=6),
-           include_empty=st.booleans(),
-           max_set_size=st.sampled_from([None, 1]),
            chunk=st.sampled_from([1, 7, 64, solvers._ORACLE_CHUNK]))
-    def test_matches_reference_loop(self, seed, num_sources, num_radios,
-                                    include_empty, max_set_size, chunk):
+    def test_matches_reference_loop(self, seed, num_sources, num_radios, chunk):
         topo, profiles, caps = make_instance(seed, num_sources=num_sources,
                                              num_relays=num_radios,
                                              radios_per_relay=1,
                                              source_radios=(1, 3))
-        assume(math.prod(count_strategies(num_radios, q, include_empty,
-                                          max_set_size)
+        assume(math.prod(count_strategies(num_radios, q)
                          for q in topo.quotas) <= 20_000)
         # small chunks put many chunk boundaries inside small spaces
         with mock.patch.object(solvers, "_ORACLE_CHUNK", chunk):
-            m, lam = rm.exhaustive_search(topo, profiles, caps, include_empty,
-                                          max_set_size)
-        m_ref, lam_ref = _reference_exhaustive(topo, profiles, caps,
-                                               include_empty, max_set_size)
+            m, lam = rm.exhaustive_search(topo, profiles, caps)
+        m_ref, lam_ref = _reference_exhaustive(topo, profiles, caps)
         assert m == m_ref
         assert lam.hex() == lam_ref.hex()
 
@@ -657,13 +634,11 @@ class _CountingProfile:
         return self.profile.evaluate(rate)
 
 
-def _reference_exhaustive(topology, profiles, caps, include_empty=True,
-                          max_set_size=None):
+def _reference_exhaustive(topology, profiles, caps):
     """Reference oracle: score every profile in itertools.product order with
     one from-scratch recompute each; the first maximum wins."""
     n_radio = topology.num_radios
-    per_source = [enumerate_strategies(n_radio, s.num_radios, include_empty,
-                                       max_set_size)
+    per_source = [enumerate_strategies(n_radio, s.num_radios)
                   for s in topology.sources]
     caps_rows = caps.tolist()
     evaluators = [p.evaluate for p in profiles]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, EnumerationLimitError
+from .errors import ConfigurationError, EnumerationLimitError, from_fields
 from .experiments import (OUT_DIR_ENV, ExperimentConfig, _resolve_out_dir,
                           run_ensemble, run_sweep)
 from .matching import (Matching, _state, default_profiles, enumerate_strategies,
@@ -45,11 +45,17 @@ def _add_topology_flags(p):
                    help="JSON file with topology parameters")
 
 
-def _seed(text) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, not {seed}")
-    return seed
+def _non_negative(name):
+    """argparse type for an int >= 0; the error names the value as name."""
+    def non_negative_int(text) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{name} must be >= 0, not {value}")
+        return value
+    return non_negative_int
+
+
+_seed = _non_negative("seed")
 
 
 def _topology_params(args) -> TopologyParams:
@@ -60,7 +66,7 @@ def _topology_params(args) -> TopologyParams:
     flags = {"num_sources": args.sources, "num_relays": args.relays,
              "radios_per_relay": args.radios_per_relay,
              "path_loss": PATH_LOSS_PRESETS.get(args.path_loss)}
-    return replace(TopologyParams.from_dict(doc),
+    return replace(from_fields(TopologyParams, doc),
                    **{k: v for k, v in flags.items() if v is not None})
 
 
@@ -220,7 +226,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="stability and potential-identity audit")
     p.add_argument("--topology", type=Path, required=True)
     p.add_argument("--matching", type=Path, required=True)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_non_negative("sample count"), default=200)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--allow-unstable", action="store_true",
                    help="exit 0 even when a blocking deviation exists")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -34,14 +33,14 @@ METRICS = ("runs", "cdf", "trace")
 @dataclass
 class ExperimentConfig:
     topology: TopologyParams = field(default_factory=TopologyParams)
-    solvers: list = field(default_factory=lambda: [SolverConfig(kind="pma")])
+    solvers: list[SolverConfig] = field(default_factory=lambda: [SolverConfig(kind="pma")])
     replications: int = 1
     master_seed: int = 0
-    metrics: tuple = ("runs", "cdf")
+    metrics: tuple[str, ...] = ("runs", "cdf")
     out_dir: Optional[str] = None
     workers: int = 1
     store_traces: bool = True
-    sweep_num_sources: Optional[list] = None
+    sweep_num_sources: Optional[list[int]] = None
 
     def __post_init__(self):
         if self.replications < 1:
@@ -67,7 +66,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         doc = asdict(self)
-        doc["metrics"] = list(self.metrics)
         for s in doc["solvers"]:
             if s["kind"] == "exhaustive":
                 del s["max_iterations"]     # the oracle runs no iterations
@@ -82,10 +80,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        return from_fields(
-            cls, doc, topology=TopologyParams.from_dict, solvers=_solvers_from_json,
-            metrics=tuple, sweep_num_sources=lambda ns: (
-                None if ns is None else [operator.index(n) for n in ns]))
+        config = from_fields(cls, doc)
+        if any(s.get("kind") == "exhaustive" and "max_iterations" in s
+               for s in doc.get("solvers", ())):
+            raise ConfigurationError(
+                "the exhaustive solver runs no iterations; drop its max_iterations")
+        return config
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -97,14 +97,6 @@ class ExperimentConfig:
         config block."""
         payload = json.dumps(self._recorded(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
-
-
-def _solvers_from_json(docs) -> list:
-    if any(isinstance(s, dict) and s.get("kind") == "exhaustive"
-           and "max_iterations" in s for s in docs):
-        raise ConfigurationError(
-            "the exhaustive solver runs no iterations; drop its max_iterations")
-    return [from_fields(SolverConfig, s) for s in docs]
 
 
 @dataclass

@@ -132,10 +132,11 @@ class Matching:
 
     @classmethod
     def from_dict(cls, doc: dict, num_radios: int) -> "Matching":
-        """Inverse of to_dict; any other document raises ConfigurationError."""
+        """Inverse of to_dict; any other document, a source id such as "00"
+        included, raises ConfigurationError."""
         if not (isinstance(doc, dict) and all(
-                k.isdecimal() and isinstance(v, list) and all(type(l) is int for l in v)
-                for k, v in doc.items())):
+                k.isdecimal() and k == str(int(k)) and isinstance(v, list)
+                and all(type(l) is int for l in v) for k, v in doc.items())):
             raise ConfigurationError(
                 f"a matching maps source ids to lists of radio ids, not {doc!r}")
         held = {int(k): v for k, v in doc.items()}

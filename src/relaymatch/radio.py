@@ -10,9 +10,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-import operator
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from typing import Optional, Union
 
 import numpy as np
 
@@ -104,7 +103,7 @@ def af_capacity(snr_sr: float, snr_rd: float, bandwidth_hz: float) -> float:
 @dataclass(frozen=True)
 class SourceNode:
     id: int
-    position: tuple
+    position: tuple[float, float]
     tx_power_dbm: float
     num_radios: int      # quota alpha_n: how many relay radios it can hold
     required_rate_bps: float
@@ -120,17 +119,17 @@ class RelayRadio:
 @dataclass(frozen=True)
 class RelayNode:
     id: int
-    position: tuple
+    position: tuple[float, float]
     tx_power_dbm: float
-    radios: tuple        # of RelayRadio
+    radios: tuple[RelayRadio, ...]
 
 
 @dataclass(frozen=True)
 class Topology:
     area_side_m: float
-    destination: tuple
-    sources: tuple       # of SourceNode
-    relays: tuple        # of RelayNode
+    destination: tuple[float, float]
+    sources: tuple[SourceNode, ...]
+    relays: tuple[RelayNode, ...]
     seed: int
     noise_density_dbm_hz: float = -174.0
     path_loss: PathLossModel = field(default_factory=PathLossModel)
@@ -163,25 +162,16 @@ class TopologyParams:
     num_relays: int = 5
     radios_per_relay: int = 2
     # None: alpha drawn uniformly from {1,2,3}; int: fixed; (lo, hi): uniform.
-    source_radios: object = None
+    source_radios: Optional[Union[int, tuple[int, int]]] = None
     area_side_m: float = 2000.0
     sv_tx_power_dbm: float = 20.0
     rv_tx_power_dbm: float = 30.0
     bandwidth_hz: float = 10e6
     noise_density_dbm_hz: float = -174.0
-    rate_requirement_bps: tuple = (10e6, 40e6)
+    rate_requirement_bps: tuple[float, float] = (10e6, 40e6)
     relay_radius_m: float = 200.0
-    source_annulus: tuple = (0.6, 1.0)   # fractions of the half-diagonal
+    source_annulus: tuple[float, float] = (0.6, 1.0)   # fractions of the half-diagonal
     path_loss: PathLossModel = field(default_factory=PathLossModel)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TopologyParams":
-        """Parameters from JSON: path_loss as an object of PathLossModel
-        fields, pairs as lists."""
-        return from_fields(
-            cls, doc, path_loss=partial(from_fields, PathLossModel),
-            rate_requirement_bps=tuple, source_annulus=tuple,
-            source_radios=lambda r: tuple(r) if isinstance(r, list) else r)
 
     def validate(self) -> None:
         if self.num_sources < 1 or self.num_relays < 1:
@@ -204,14 +194,7 @@ class TopologyParams:
 
     def _radio_range(self) -> tuple:
         r = self.source_radios
-        if r is None:
-            return (1, 3)
-        try:
-            lo, hi = (r, r) if isinstance(r, int) else r
-            return (operator.index(lo), operator.index(hi))
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"source_radios must be null, an int or a pair of ints, not {r!r}") from None
+        return (1, 3) if r is None else (r, r) if isinstance(r, int) else r
 
 
 def generate_topology(params: TopologyParams, seed: int) -> Topology:
@@ -320,23 +303,13 @@ def topology_to_dict(topology: Topology, gains: LinkGainTable | None = None) -> 
 
 
 def topology_from_dict(doc: dict) -> tuple:
-    """Returns (Topology, LinkGainTable) replayed bit-exactly from JSON. An
-    unknown or missing key, a quota below 1 or a gain table whose shape does
-    not match the nodes raises ConfigurationError."""
+    """Returns (Topology, LinkGainTable) replayed bit-exactly from JSON. Besides
+    from_fields' key and type errors, a quota below 1 or gain tables that do
+    not fit the nodes raise ConfigurationError."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"a topology file must hold a JSON object, not {doc!r}")
-    doc = dict(doc)
-    floats = partial(np.array, dtype=float)
-    gains = from_fields(LinkGainTable, doc.pop("gains", {}),
-                        source_to_relay=floats, relay_to_destination=floats)
-    topo = from_fields(
-        Topology, doc, destination=tuple,
-        path_loss=partial(from_fields, PathLossModel),
-        sources=lambda ss: tuple(from_fields(SourceNode, s, position=tuple) for s in ss),
-        relays=lambda rs: tuple(
-            from_fields(RelayNode, r, position=tuple,
-                        radios=lambda cs: tuple(from_fields(RelayRadio, c) for c in cs))
-            for r in rs))
+    gains = from_fields(LinkGainTable, doc.get("gains", {}))
+    topo = from_fields(Topology, {k: v for k, v in doc.items() if k != "gains"})
     if any(s.num_radios < 1 for s in topo.sources):
         raise ConfigurationError("every source needs a quota of at least 1")
     n, m = topo.num_sources, len(topo.relays)

@@ -85,6 +85,23 @@ class TestGen:
         assert "TopologyParams must be a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("doc,named", [
+        ({"area_side_m": math.nan}, "TopologyParams key 'area_side_m'"),
+        ({"rate_requirement_bps": [1e7, math.nan]},
+         "TopologyParams key 'rate_requirement_bps'"),
+        ({"path_loss": {"slope_db": math.inf}}, "PathLossModel key 'slope_db'"),
+        ({"area_side_m": 10 ** 400}, "TopologyParams key 'area_side_m'"),
+    ], ids=["nan-area", "nan-rate", "infinite-slope", "int-past-float-range"])
+    def test_non_finite_config_value_exits_one(self, tmp_path, capsys, doc, named):
+        # these used to exit 2 from inside numpy's uniform draw or the geometry
+        cfg = tmp_path / "params.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "t.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert named in err and "expected float" in err
+        assert not (tmp_path / "t.json").exists()
+
     def test_bad_flag_exits_one(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["gen", "--path-loss", "underwater", "--out",
@@ -104,6 +121,17 @@ def test_negative_seed_exits_one(tmp_path, capsys, monkeypatch, argv):
         main([*argv, "--seed", "-1"])
     assert err.value.code == 1
     assert "seed must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_sample_count_exits_one(tmp_path, capsys, monkeypatch):
+    # --samples -5 used to run no samples and report "over -5 samples"
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--topology", "t.json", "--matching", "m.json",
+              "--samples", "-1"])
+    assert err.value.code == 1
+    assert "sample count must be >= 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -144,8 +172,17 @@ class TestRun:
         (lambda doc: doc["gains"]["source_to_relay"][0].pop(),
          "LinkGainTable key 'source_to_relay'"),
         (lambda doc: doc["sources"].__setitem__(0, 5), "SourceNode"),
+        (lambda doc: doc["sources"][0].update(num_radios="2"),
+         "SourceNode key 'num_radios': expected int, not '2'"),
+        (lambda doc: doc["sources"][0].update(num_radios=1.5),
+         "SourceNode key 'num_radios': expected int, not 1.5"),
+        (lambda doc: doc["relays"][0]["radios"][0].update(bandwidth_hz="1e7"),
+         "RelayRadio key 'bandwidth_hz': expected float, not '1e7'"),
+        (lambda doc: doc["sources"][0].update(position=[1.0]),
+         "SourceNode key 'position': expected tuple[float, float]"),
     ], ids=["unknown-key", "missing-key", "quota-zero", "gain-shape", "ragged-gain-row",
-            "node-not-object"])
+            "node-not-object", "quota-string", "quota-float", "bandwidth-string",
+            "position-short"])
     def test_malformed_topology_file_exits_one(self, tmp_path, capsys, corrupt, named):
         path = make_topology_file(tmp_path)
         doc = json.loads(path.read_text())
@@ -155,6 +192,32 @@ class TestRun:
         err = capsys.readouterr().err
         assert code == 1
         assert "configuration error" in err and named in err
+
+    @pytest.mark.parametrize("path,value,named", [
+        (("gains", "source_to_relay", 0, 0), math.nan,
+         "LinkGainTable key 'source_to_relay': expected ndarray"),
+        (("gains", "relay_to_destination", 1), math.inf,
+         "LinkGainTable key 'relay_to_destination'"),
+        (("sources", 1, "position", 0), -math.inf,
+         "SourceNode key 'position'"),
+        (("noise_density_dbm_hz",), math.nan,
+         "Topology key 'noise_density_dbm_hz': expected float, not nan"),
+    ], ids=["nan-gain", "infinite-gain", "infinite-position", "nan-noise"])
+    def test_non_finite_topology_value_exits_one(self, tmp_path, capsys, path,
+                                                 value, named):
+        # json reads NaN and Infinity; a NaN gain used to run and exit 0
+        topo = make_topology_file(tmp_path)
+        doc = json.loads(topo.read_text())
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        topo.write_text(json.dumps(doc))
+        code = main(["run", "--topology", str(topo)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "configuration error" in captured.err and named in captured.err
 
     def test_topology_file_not_an_object_exits_one(self, tmp_path, capsys):
         path = tmp_path / "topo.json"
@@ -273,7 +336,8 @@ class TestEnsembleCommand:
     @pytest.mark.parametrize("doc,named", [
         ({"topology": 5}, "TopologyParams must be a JSON object"),
         ({"solvers": [5]}, "SolverConfig must be a JSON object"),
-        ({"solvers": {"kind": "pma"}}, "SolverConfig must be a JSON object"),
+        ({"solvers": {"kind": "pma"}},
+         "ExperimentConfig key 'solvers': expected list[SolverConfig]"),
         ([1], "ExperimentConfig must be a JSON object"),
         ({"topology": {"num_sources": 2, "path_loss": [1, 2]}},
          "PathLossModel must be a JSON object"),
@@ -281,9 +345,23 @@ class TestEnsembleCommand:
         ({"topology": {"num_sources": 2, "source_radios": [1, 2, 3]}}, "source_radios"),
         ({"sweep_num_sources": 5}, "sweep_num_sources"),
         ({"master_seed": -1}, "master_seed"),
+        ({"replications": "3"}, "ExperimentConfig key 'replications': expected int"),
+        ({"solvers": [{"kind": "pma", "max_iterations": "5"}]},
+         "ExperimentConfig key 'solvers': SolverConfig key 'max_iterations': "
+         "expected int, not '5'"),
+        ({"workers": True, "topology": {"num_sources": 4}},
+         "ExperimentConfig key 'workers': expected int, not True"),
+        ({"topology": {"num_sources": 4.5}},
+         "TopologyParams key 'num_sources': expected int, not 4.5"),
+        ({"store_traces": "no"}, "ExperimentConfig key 'store_traces': expected bool"),
+        ({"metrics": "runs"}, "ExperimentConfig key 'metrics': expected tuple[str, ...]"),
+        ({"topology": {"bandwidth_hz": math.inf}},
+         "TopologyParams key 'bandwidth_hz': expected float, not inf"),
     ], ids=["topology-int", "solver-int", "solvers-object", "top-level-list",
             "path-loss-list", "source-radios-float", "source-radios-triple",
-            "sweep-int", "negative-master-seed"])
+            "sweep-int", "negative-master-seed", "replications-string",
+            "max-iterations-string", "workers-bool", "num-sources-float",
+            "store-traces-string", "metrics-string", "infinite-bandwidth"])
     def test_malformed_config_exits_one_before_writing(self, tmp_path, capsys,
                                                        monkeypatch, doc, named):
         path = tmp_path / "exp.json"
@@ -327,11 +405,25 @@ class TestEnsembleCommand:
         assert main(["ensemble", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
         assert (tmp_path / "r" / "n2" / "runs.csv").exists()
 
+    # config_sha256 of each preset; the JSON decoder must not move them
+    PRESET_DIGESTS = {
+        "fig2": "c22549b36ae77795129758727e4bd8531a2e432e08b868efc2af1e3d83e69b5b",
+        "fig3": "fa2c34d72fa8751e24f4c1d660ac24f8b1629df506642f577200d1ff7c09e627",
+        "fig4": "99628f35767c9767d755d4920ef7502aa01d2ec6b1d53d8c63f409d9ad886aed",
+    }
+
     def test_presets_parse(self):
         from relaymatch.cli import _resolve_config
         for name in ("fig2", "fig3", "fig4"):
             config = _resolve_config(name)
             assert config.replications >= 100
+            assert config.config_hash() == self.PRESET_DIGESTS[name]
+        # an int given for a float field is kept as written, so its hash holds
+        config = rm.ExperimentConfig.from_dict(
+            {"topology": {"bandwidth_hz": 10000000, "area_side_m": 2000}})
+        assert config.topology.bandwidth_hz == 10000000
+        assert config.config_hash() == (
+            "569c91a9adfcc7c4e0974a5691f60a17abfc8846b966ee46fb6b28cfb554275e")
 
 
 class TestVerify:
@@ -392,9 +484,9 @@ class TestVerify:
         assert len(built) <= 25 + 2
 
     @pytest.mark.parametrize("doc", [{"a": [1]}, [[0]], {"0": "x", "1": [0]},
-                                     {"-1": [0]}],
+                                     {"-1": [0]}, {"0": [0], "00": [1], "2": []}],
                              ids=["key-not-int", "list", "radios-not-list",
-                                  "negative-key"])
+                                  "negative-key", "non-canonical-key"])
     def test_malformed_matching_exits_one(self, tmp_path, capsys, doc):
         topo_path = make_topology_file(tmp_path)
         matching_path = tmp_path / "bad.json"

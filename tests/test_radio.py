@@ -2,11 +2,13 @@
 generation and serialization."""
 
 import dataclasses
+import json
 import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import relaymatch as rm
 from relaymatch.errors import ConfigurationError
@@ -205,3 +207,26 @@ class TestSerialization:
         doc = topology_to_dict(topo)
         topo2, _ = topology_from_dict(doc)
         assert topology_to_dict(topo2) == doc
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=st.builds(
+        rm.TopologyParams, num_sources=st.integers(1, 6), num_relays=st.integers(1, 4),
+        radios_per_relay=st.integers(1, 3),
+        source_radios=st.one_of(st.none(), st.integers(1, 3),
+                                st.tuples(st.integers(1, 2), st.integers(2, 3))),
+        # an int area and bandwidth must come back as ints
+        area_side_m=st.one_of(st.integers(400, 5000), st.floats(400, 5000)),
+        bandwidth_hz=st.one_of(st.integers(10 ** 5, 10 ** 8), st.floats(1e5, 1e8)),
+        path_loss=st.sampled_from(sorted(PATH_LOSS_PRESETS.values(), key=repr))),
+        seed=st.integers(0, 2 ** 63))
+    def test_json_round_trip_is_exact(self, params, seed):
+        topo = rm.generate_topology(params, seed)
+        gains = rm.build_gain_table(topo)
+        text = json.dumps(topology_to_dict(topo, gains))
+        topo2, gains2 = topology_from_dict(json.loads(text))
+        assert topo2 == topo
+        assert json.dumps(topology_to_dict(topo2, gains2)) == text
+        for a, b in ((gains.source_to_relay, gains2.source_to_relay),
+                     (gains.relay_to_destination, gains2.relay_to_destination)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()

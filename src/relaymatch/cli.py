@@ -235,7 +235,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exhaustive search for the global optimum")
     p.add_argument("--topology", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
+    p.add_argument("--cap", type=_non_negative("cap"), default=ENUMERATION_CAP)
     p.set_defaults(func=_cmd_oracle)
     return parser
 

@@ -271,6 +271,69 @@ class _MatchingState:
             value += profiles[k].evaluate(base_rate - drop) - base_f
         return value
 
+    def scores(self, n, candidates) -> list:
+        """[self.utility(n, c) for c in candidates], bit for bit, in one pass.
+
+        Each radio's share and, for every neighbour k on every radio l, the
+        term evaluate(base_rate - caps[k][l] * shrink_l) - base_f are
+        computed once. A candidate adds the cached terms in utility()'s
+        order; only a neighbour on two or more of its radios has its drops
+        summed, in radio order, and its term evaluated again."""
+        loads0, absent, current = self._baselines[n] or self._remove(n)
+        caps, profiles, rates, sat = self.caps, self.profiles, self.rates, self.sat
+        share = [c / (a + 1) for c, a in zip(caps[n], loads0)]
+        # per radio: neighbour -> drop, the terms in occupant order, and the
+        # neighbours as a bit mask
+        bases, drops, terms, masks = {}, [], [], []
+        for l, a in enumerate(loads0):
+            d, t, mask = {}, [], 0
+            if a:
+                shrink = 1.0 / a - 1.0 / (a + 1)
+                for k in self.occupants[l]:
+                    if k != n:
+                        if k not in bases:
+                            bases[k] = absent.get(k) or (rates[k], sat[k])
+                        base_rate, base_f = bases[k]
+                        drop = d[k] = caps[k][l] * shrink
+                        t.append(profiles[k].evaluate(base_rate - drop) - base_f)
+                        mask |= 1 << k
+            drops.append(d)
+            terms.append(t)
+            masks.append(mask)
+        evaluate, held = profiles[n].evaluate, self.strategies[n]
+        out = []
+        for cand in candidates:
+            if cand == held:
+                out.append(current)
+                continue
+            rate = 0.0
+            seen = multi = 0
+            for l in cand:
+                rate += share[l]
+                multi |= seen & masks[l]
+                seen |= masks[l]
+            value = evaluate(rate)
+            if not multi:
+                for l in cand:
+                    for t in terms[l]:
+                        value += t
+            else:
+                todo = multi
+                for l in cand:
+                    for k, t in zip(drops[l], terms[l]):
+                        if not multi >> k & 1:
+                            value += t
+                        elif todo >> k & 1:
+                            todo ^= 1 << k
+                            drop = 0.0
+                            for j in cand:
+                                if k in drops[j]:
+                                    drop += drops[j][k]
+                            base_rate, base_f = bases[k]
+                            value += profiles[k].evaluate(base_rate - drop) - base_f
+            out.append(value)
+        return out
+
     def move(self, n, new_set) -> None:
         """Give source n the strategy new_set and update lam."""
         old = self.strategies[n]
@@ -353,9 +416,9 @@ def is_stable(m: Matching, topology, profiles: Sequence[SatisfactionProfile],
     empty set included); raises EnumerationLimitError beyond STABILITY_CAP
     candidates rather than silently truncating. By the potential identity a
     candidate raises global satisfaction by its relay-utility gain over the
-    current strategy, so one state scores every candidate; the witness is
-    the first candidate whose gain exceeds SATISFACTION_TOL, best response's
-    own stopping rule.
+    current strategy, so one state scores each source's whole space in one
+    scores() pass; the witness is the first candidate, in enumeration order,
+    whose gain exceeds SATISFACTION_TOL, best response's own stopping rule.
     """
     total = sum(count_strategies(topology.num_radios, s.num_radios)
                 for s in topology.sources)
@@ -365,7 +428,8 @@ def is_stable(m: Matching, topology, profiles: Sequence[SatisfactionProfile],
     state = _state(m, profiles, caps)
     for n, src in enumerate(topology.sources):
         u_current = state.utility(n, m.radios_of(n))
-        for cand in enumerate_strategies(topology.num_radios, src.num_radios):
-            if state.utility(n, cand) > u_current + SATISFACTION_TOL:
+        space = enumerate_strategies(topology.num_radios, src.num_radios)
+        for cand, u in zip(space, state.scores(n, space)):
+            if u > u_current + SATISFACTION_TOL:
                 return StabilityResult(stable=False, witness=(n, cand))
     return StabilityResult(stable=True)

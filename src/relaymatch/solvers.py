@@ -317,7 +317,12 @@ def run_many_to_one(topology, profiles, caps, config: SolverConfig, rng,
 def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
                       observer=None):
     """Round-robin sweeps where the acting source adopts its utility-maximizing
-    feasible radio set; terminates once a full sweep changes nothing."""
+    feasible radio set; terminates once a full sweep changes nothing.
+
+    Each activation scores the source's whole space in one
+    _MatchingState.scores pass. A source whose last activation left it in
+    place, with no move by anyone since, would score the same state again,
+    so it keeps its set unscored."""
     n_src, n_radio = topology.num_sources, topology.num_radios
     quotas = [s.num_radios for s in topology.sources]
     for q in quotas:
@@ -336,6 +341,7 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
     last_improve = 0
     converged = None
     iteration = 0
+    idle = [False] * n_src     # n would score an unchanged state
 
     while iteration < config.max_iterations:
         changed = False
@@ -344,17 +350,21 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
                 break
             iteration += 1
             best_set = strategies[n]
-            best_u = state.utility(n, best_set)
-            for cand in candidates[quotas[n]]:
-                u = state.utility(n, cand)
-                if u > best_u + SATISFACTION_TOL:
-                    best_u, best_set = u, cand
+            if not idle[n]:
+                space = candidates[quotas[n]]
+                best_u = state.utility(n, best_set)
+                for cand, u in zip(space, state.scores(n, space)):
+                    if u > best_u + SATISFACTION_TOL:
+                        best_u, best_set = u, cand
             accepted = best_set != strategies[n]
             if accepted:
                 state.move(n, best_set)
                 lam = state.lam
                 changed = True
                 last_improve = iteration
+                idle = [False] * n_src
+            else:
+                idle[n] = True
             trace.record(iteration, n, accepted, lam, strategies,
                          {"candidate": best_set})
         if not changed:

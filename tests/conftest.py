@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import relaymatch as rm
-from relaymatch.matching import SATISFACTION_TOL, enumerate_strategies
+from relaymatch.matching import (SATISFACTION_TOL, _MatchingState,
+                                 enumerate_strategies)
+from relaymatch.solvers import IterationTrace, _random_initial
 
 
 def make_instance(seed, **params):
@@ -69,6 +71,40 @@ def _reference_is_stable(m, topology, profiles, caps, tol=SATISFACTION_TOL):
             if alt > base + tol:
                 return rm.StabilityResult(stable=False, witness=(n, cand))
     return rm.StabilityResult(stable=True)
+
+
+def _reference_best_response(topology, profiles, caps, config, rng):
+    """Best response as one utility() call per candidate at every
+    activation: round-robin sweeps from the same random start, each source
+    adopting the first candidate that beats its best so far by more than
+    SATISFACTION_TOL, until a sweep changes nothing."""
+    n_radio = topology.num_radios
+    state = _MatchingState(_random_initial(topology.quotas, n_radio, rng),
+                           caps.tolist(), profiles, n_radio)
+    trace = IterationTrace(state.lam)
+    last_improve, converged, iteration = 0, None, 0
+    while iteration < config.max_iterations:
+        changed = False
+        for n, quota in enumerate(topology.quotas):
+            if iteration >= config.max_iterations:
+                break
+            iteration += 1
+            best_set = state.strategies[n]
+            best_u = state.utility(n, best_set)
+            for cand in enumerate_strategies(n_radio, quota):
+                u = state.utility(n, cand)
+                if u > best_u + SATISFACTION_TOL:
+                    best_u, best_set = u, cand
+            accepted = best_set != state.strategies[n]
+            if accepted:
+                state.move(n, best_set)
+                changed = True
+                last_improve = iteration
+            trace.record(iteration, n, accepted, state.lam, state.strategies)
+        if not changed:
+            converged = last_improve
+            break
+    return rm.Matching(state.strategies, n_radio), trace.close(converged)
 
 
 @pytest.fixture

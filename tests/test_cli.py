@@ -531,3 +531,13 @@ class TestOracle:
         assert code == 2
         assert f"{total} strategy profiles exceed" in captured.err
         assert captured.out == ""
+
+    def test_negative_cap_exits_one(self, tmp_path, capsys):
+        # --cap -1 used to run and exit 2 with "... exceed the
+        # exhaustive-search cap of -1"
+        topo_path = make_topology_file(tmp_path, name="small.json")
+        with pytest.raises(SystemExit) as err:
+            main(["oracle", "--topology", str(topo_path), "--cap", "-1"])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert "cap must be >= 0" in captured.err and captured.out == ""

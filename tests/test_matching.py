@@ -293,3 +293,35 @@ class TestWrappersMatchReference:
                                         rng=rng)
         assert (rm.is_stable(m, topo, profiles, caps)
                 == _reference_is_stable(m, topo, profiles, caps))
+
+
+class TestScores:
+    """_MatchingState.scores against one utility() call per candidate."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("num_sources", [4, 8, 13, 16])
+    def test_equal_to_utility_bit_for_bit(self, num_sources, seed):
+        # quotas 2 and 3, so some neighbours hold two or three radios of a
+        # candidate and have their term evaluated again
+        topo, profiles, caps = make_instance(300 + seed, num_sources=num_sources,
+                                             num_relays=5, radios_per_relay=2,
+                                             source_radios=(2, 3))
+        rows = caps.tolist()
+        rng = np.random.default_rng(seed)
+        space = [enumerate_strategies(topo.num_radios, q) for q in topo.quotas]
+        shared_twice = False
+        for _ in range(5):
+            strategies = [s[int(rng.integers(len(s)))] for s in space]
+            strategies[int(rng.integers(num_sources))] = ()
+            for n in range(num_sources):
+                got = _MatchingState(strategies, rows, profiles,
+                                     topo.num_radios).scores(n, space[n])
+                fresh = _MatchingState(strategies, rows, profiles, topo.num_radios)
+                # space[n] holds strategies[n], so the fused current value
+                # is compared too
+                assert [x.hex() for x in got] == [
+                    fresh.utility(n, cand).hex() for cand in space[n]]
+                shared_twice |= any(
+                    len(set(strategies[k]).intersection(cand)) > 1
+                    for cand in space[n] for k in range(num_sources) if k != n)
+        assert shared_twice

@@ -19,8 +19,8 @@ from relaymatch.matching import (_MatchingState, count_strategies,
                                  enumerate_strategies)
 from relaymatch.solvers import IterationTrace, _numpy_sum, _random_initial
 
-from conftest import (_reference_global_satisfaction, _reference_relay_utility,
-                      make_instance, spawn_seeds)
+from conftest import (_reference_best_response, _reference_global_satisfaction,
+                      _reference_relay_utility, make_instance, spawn_seeds)
 
 
 class TestAcceptanceRule:
@@ -479,6 +479,53 @@ class TestBestResponse:
         cfg = rm.SolverConfig(kind="best_response")
         with pytest.raises(EnumerationLimitError, match="166667501"):
             rm.run_best_response(topo, profiles, caps, cfg, np.random.default_rng(0))
+
+
+def _skippable(trace):
+    """Activations whose actor's previous entry was not accepted, with no
+    accepted entry since: the same state, scored again."""
+    previous, last_accepted, count = {}, -1, 0
+    for i, (n, accepted) in enumerate(zip(trace.actor.tolist(),
+                                          trace.accepted.tolist())):
+        j = previous.get(n)
+        if j is not None and not trace.accepted[j] and last_accepted < j:
+            count += 1
+        previous[n] = i
+        if accepted:
+            last_accepted = i
+    return count
+
+
+@pytest.mark.parametrize("num_sources", [8, 13, 16])
+def test_best_response_matches_reference_and_skips_unchanged_states(
+        num_sources, monkeypatch):
+    calls = []
+    scores = _MatchingState.scores
+
+    def counted(self, n, candidates):
+        calls.append(n)
+        return scores(self, n, candidates)
+
+    monkeypatch.setattr(_MatchingState, "scores", counted)
+    cfg = rm.SolverConfig(kind="best_response")
+    skipped = 0
+    for topo_seed, seq in spawn_seeds(60 + num_sources, 20):
+        topo, profiles, caps = make_instance(topo_seed, num_sources=num_sources,
+                                             num_relays=5, radios_per_relay=2,
+                                             source_radios=None)
+        ref_m, ref = _reference_best_response(topo, profiles, caps, cfg,
+                                              np.random.default_rng(seq))
+        calls.clear()
+        m, trace = rm.run_best_response(topo, profiles, caps, cfg,
+                                        np.random.default_rng(seq))
+        assert m == ref_m
+        assert trace.convergence_iteration == ref.convergence_iteration
+        for column in ("iteration", "actor", "accepted", "lam"):
+            assert (getattr(trace, column).tobytes()
+                    == getattr(ref, column).tobytes()), column
+        assert len(calls) == len(trace) - _skippable(trace)
+        skipped += _skippable(trace)
+    assert skipped > 0
 
 
 class TestSubstitutable:

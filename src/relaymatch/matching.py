@@ -257,6 +257,20 @@ class _MatchingState:
         for l in candidate:
             rate += row[l] / (loads0[l] + 1)
         value = self.profiles[n].evaluate(rate)
+        rates, sat, profiles = self.rates, self.sat, self.profiles
+        if len(candidate) == 1:
+            # each neighbour's drop is its one term, and 0.0 + drop == drop
+            # for drop >= 0, so the dict's sum is skipped
+            l = candidate[0]
+            a = loads0[l]
+            if a:
+                shrink = 1.0 / a - 1.0 / (a + 1)
+                for k in occupants[l]:
+                    if k != n:
+                        base_rate, base_f = absent.get(k) or (rates[k], sat[k])
+                        value += (profiles[k].evaluate(base_rate - caps[k][l] * shrink)
+                                  - base_f)
+            return value
         drops = {}
         for l in candidate:
             a = loads0[l]
@@ -265,7 +279,6 @@ class _MatchingState:
                 for k in occupants[l]:
                     if k != n:
                         drops[k] = drops.get(k, 0.0) + caps[k][l] * shrink
-        rates, sat, profiles = self.rates, self.sat, self.profiles
         for k, drop in drops.items():
             base_rate, base_f = absent.get(k) or (rates[k], sat[k])
             value += profiles[k].evaluate(base_rate - drop) - base_f

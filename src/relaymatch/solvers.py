@@ -114,8 +114,8 @@ class IterationTrace:
     def lambda_per_iteration(self) -> np.ndarray:
         """Global satisfaction at the end of each iteration."""
         out = np.empty(self.num_iterations)
-        for k, lam in zip(self.iteration, self.lam):
-            out[k - 1] = lam
+        last = np.flatnonzero(np.diff(self.iteration, append=-1))
+        out[self.iteration[last] - 1] = self.lam[last]
         return out
 
     def write_csv(self, fh) -> None:
@@ -211,6 +211,9 @@ def pma_propose(attractiveness: Sequence[float], quota: int, rng,
     size = min(size, len(idx))
     if nonzero < size:
         raise ValueError("fewer nonzero probabilities than the sample size")
+    if size == 1:
+        # the first round's one draw, as random(1) would give it
+        return (idx[bisect_right(cdf, rng.random())],)
     found = []
     while len(found) < size:
         draws = rng.random(size - len(found))
@@ -259,6 +262,8 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng,
                            profiles, n_radio)
     strategies = state.strategies
     tables = [None] * n_src     # per source until a move changes its loads
+    # utility(n, ()): n's satisfaction at rate 0, with no neighbour term
+    alone = [p.evaluate(0.0) for p in profiles]
 
     lam = state.lam
     trace = IterationTrace(lam, observer)
@@ -286,7 +291,7 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng,
                     candidate = pma_propose(None, quotas[n], draws, size=size,
                                             table=table)
                 u_old = state.utility(n, current)
-                u_new = state.utility(n, candidate)
+                u_new = state.utility(n, candidate) if candidate else alone[n]
                 accepted = draws.random() < pma_accept(u_new, u_old, beta(activations))
                 if accepted and candidate != current:
                     state.move(n, candidate)

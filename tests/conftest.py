@@ -1,9 +1,12 @@
 """Shared fixtures and instance builders for the test suite."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
 import relaymatch as rm
+from relaymatch import solvers
 from relaymatch.matching import (SATISFACTION_TOL, _MatchingState,
                                  enumerate_strategies)
 from relaymatch.solvers import IterationTrace, _random_initial
@@ -105,6 +108,89 @@ def _reference_best_response(topology, profiles, caps, config, rng):
             converged = last_improve
             break
     return rm.Matching(state.strategies, n_radio), trace.close(converged)
+
+
+def _reference_utility(state, n, candidate):
+    """_MatchingState.utility through its general path for every candidate:
+    the current strategy's baseline value, else own satisfaction plus, per
+    neighbour, its drops summed in a dict in radio order, then its term."""
+    loads0, absent, current = state._baselines[n] or state._remove(n)
+    if candidate == state.strategies[n]:
+        return current
+    rate = 0.0
+    for l in candidate:
+        rate += state.caps[n][l] / (loads0[l] + 1)
+    value = state.profiles[n].evaluate(rate)
+    drops = {}
+    for l in candidate:
+        a = loads0[l]
+        if a:
+            shrink = 1.0 / a - 1.0 / (a + 1)
+            for k in state.occupants[l]:
+                if k != n:
+                    drops[k] = drops.get(k, 0.0) + state.caps[k][l] * shrink
+    for k, drop in drops.items():
+        base_rate, base_f = absent.get(k) or (state.rates[k], state.sat[k])
+        value += state.profiles[k].evaluate(base_rate - drop) - base_f
+    return value
+
+
+def _reference_pma_propose(attractiveness, size, rng):
+    """pma_propose's successive sampling as one rejection loop for every
+    size: draw the missing radios, zero the found ones' weights, redraw."""
+    idx, p, nonzero, cdf = solvers.proposal_table(attractiveness)
+    if not idx:
+        return ()
+    size = min(size, len(idx))
+    if nonzero < size:
+        raise ValueError("fewer nonzero probabilities than the sample size")
+    found = []
+    while len(found) < size:
+        draws = rng.random(size - len(found))
+        if found:
+            p = p.copy()
+            for j in found:
+                p[j] = 0.0
+            cdf = solvers._cdf(p)
+        for x in draws:
+            j = bisect_right(cdf, x)
+            if j not in found:
+                found.append(j)
+    return tuple(sorted(idx[j] for j in found))
+
+
+def _reference_pma(topology, profiles, caps, config, rng, quota_override=None):
+    """The PMA walk drawn from the Generator itself: fresh proposal weights
+    at every activation, _reference_pma_propose for every proposal and
+    _reference_utility for both scored candidates, withdrawals included."""
+    n_radio = topology.num_radios
+    quotas = [min(q, quota_override) if quota_override else q
+              for q in topology.quotas]
+    state = _MatchingState(_random_initial(quotas, n_radio, rng), caps.tolist(),
+                           profiles, n_radio)
+    trace = IterationTrace(state.lam)
+    best_lam, best = state.lam, list(state.strategies)
+    last_improve, converged, activations = 0, None, 0
+    for k in range(1, config.max_iterations + 1):
+        for n in rng.permutation(topology.num_sources).tolist():
+            activations += 1
+            size = int(rng.integers(0, quotas[n] + 1))
+            candidate = _reference_pma_propose(state.share(n), size, rng) if size else ()
+            u_old = _reference_utility(state, n, state.strategies[n])
+            u_new = _reference_utility(state, n, candidate)
+            accepted = rng.random() < solvers.pma_accept(
+                u_new, u_old, solvers.beta(activations))
+            if accepted and candidate != state.strategies[n]:
+                state.move(n, candidate)
+                if state.lam > best_lam + solvers.IMPROVEMENT_TOL:
+                    last_improve = k
+                if state.lam > best_lam + SATISFACTION_TOL:
+                    best_lam, best = state.lam, list(state.strategies)
+            trace.record(k, n, accepted, state.lam, state.strategies)
+        if k - last_improve >= solvers.STOP_WINDOW:
+            converged = last_improve
+            break
+    return rm.Matching(best, n_radio), trace.close(converged)
 
 
 @pytest.fixture

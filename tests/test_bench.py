@@ -1,0 +1,55 @@
+"""Tests for bench/ab.py's pair summary and run loop; no benchmark runs."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+RATE = {"name": "replications_per_s", "unit": "1/s", "better": "higher"}
+P50 = {"name": "rep_ms_p50", "unit": "ms", "better": "lower"}
+
+
+@pytest.fixture
+def ab(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("ab")
+
+
+def test_summary_medians_quartiles_and_pairs_won(ab):
+    base = [{"replications_per_s": x, "rep_ms_p50": y}
+            for x, y in ((10.0, 5.0), (11.0, 6.0), (12.0, 7.0))]
+    change = [{"replications_per_s": x, "rep_ms_p50": y}
+              for x, y in ((12.0, 6.0), (13.0, 5.0), (14.0, 8.0))]
+    rate, p50 = ab.summarize(base, change, [RATE, P50])
+    assert rate["base"] == [10.5, 11.0, 11.5]
+    assert rate["change"] == [12.5, 13.0, 13.5]
+    assert rate["pct"] == pytest.approx(100 * 2 / 11)
+    assert (rate["won"], rate["pairs"], rate["clears_iqr"]) == (3, 3, True)
+    # lower is better: only the second pair's change is faster
+    assert p50["won"] == 1 and p50["pct"] == 0.0 and not p50["clears_iqr"]
+    assert "won 3/3  clears IQR" in ab.format_rows([rate])
+
+
+def test_summary_needs_the_gain_to_clear_the_base_spread(ab):
+    base = [{"rep_ms_p50": x} for x in (30.0, 34.0, 38.0, 42.0)]
+    change = [{"rep_ms_p50": x} for x in (29.0, 33.0, 37.0, 41.0)]
+    (row,) = ab.summarize(base, change, [RATE, P50])   # no rate in the runs
+    assert row["won"] == 4 and not row["clears_iqr"]
+
+
+def test_pairs_alternate_and_a_failed_check_exits_one(ab, monkeypatch, capsys):
+    calls = []
+
+    def fake_run_one(checkout, workload, seed, trace):
+        calls.append(checkout.name)
+        value = 2.0 if checkout.name == "change" else 1.0
+        return {"correct": len(calls) != 3, "exit_code": 0,
+                "metrics": {"replications_per_s": {"unit": "1/s", "value": value}}}
+
+    monkeypatch.setattr(ab, "run_one", fake_run_one)
+    assert ab.main(["base", "change", "--workload", "w", "--pairs", "3"]) == 1
+    assert calls == ["base", "change", "change", "base", "base", "change"]
+    out = capsys.readouterr().out
+    assert "replications_per_s" in out and "won 3/3" in out

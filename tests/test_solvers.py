@@ -20,7 +20,8 @@ from relaymatch.matching import (_MatchingState, count_strategies,
 from relaymatch.solvers import IterationTrace, _numpy_sum, _random_initial
 
 from conftest import (_reference_best_response, _reference_global_satisfaction,
-                      _reference_relay_utility, make_instance, spawn_seeds)
+                      _reference_pma, _reference_relay_utility,
+                      _reference_utility, make_instance, spawn_seeds)
 
 
 class TestAcceptanceRule:
@@ -227,6 +228,71 @@ class TestMatchingState:
             assert state.utility(n, held) == fresh.utility(n, held)
 
 
+class TestFastPaths:
+    """utility()'s one-radio path and run_pma's withdrawal value against
+    the general arithmetic, bit for bit."""
+
+    @pytest.mark.parametrize("num_sources", [4, 8, 13, 20])
+    def test_utility_equals_general_path(self, num_sources):
+        topo, profiles, caps = make_instance(500 + num_sources,
+                                             num_sources=num_sources, num_relays=5,
+                                             radios_per_relay=2, source_radios=(1, 3))
+        rows = caps.tolist()
+        rng = np.random.default_rng(num_sources)
+        space = [enumerate_strategies(topo.num_radios, q) for q in topo.quotas]
+        loads_seen = set()
+        for _ in range(4):
+            # one radio nobody holds, one held by the first four sources
+            empty, crowded = rng.choice(topo.num_radios, 2, replace=False).tolist()
+            strategies = []
+            for n, s in enumerate(space):
+                strat = [l for l in s[int(rng.integers(len(s)))] if l != empty]
+                if n < 4:
+                    strat = strat[:topo.quotas[n] - 1] + [crowded]
+                strategies.append(tuple(sorted(set(strat))))
+            strategies[int(rng.integers(num_sources))] = ()
+            state = _MatchingState(strategies, rows, profiles, topo.num_radios)
+            for n in range(num_sources):
+                fresh = _MatchingState(strategies, rows, profiles, topo.num_radios)
+                assert [state.utility(n, c).hex() for c in space[n]] == [
+                    _reference_utility(fresh, n, c).hex() for c in space[n]]
+                loads_seen.update(fresh._baselines[n][0])
+        # candidates joined empty radios and radios of three or more
+        assert 0 in loads_seen and max(loads_seen) >= 3
+
+    def test_withdrawal_is_satisfaction_alone(self, mid_instance):
+        topo, profiles, caps = mid_instance
+        rng = np.random.default_rng(5)
+        strategies = _random_initial(topo.quotas, topo.num_radios, rng)
+        strategies[0] = ()
+        state = _MatchingState(strategies, caps.tolist(), profiles, topo.num_radios)
+        # sources holding radios and source 0, holding none
+        for n in range(topo.num_sources):
+            assert state.utility(n, ()).hex() == profiles[n].evaluate(0.0).hex()
+
+
+@pytest.mark.parametrize("num_sources", [8, 13, 20])
+@pytest.mark.parametrize("kind", ["pma", "many_to_one"])
+def test_pma_walk_matches_reference(kind, num_sources):
+    """run_pma, fast paths and caches included, against the walk drawn from
+    the Generator with the general utility and proposal for every case."""
+    cfg = rm.SolverConfig(kind=kind)
+    quota = 1 if kind == "many_to_one" else None
+    for topo_seed, seq in spawn_seeds(80 + num_sources, 20):
+        topo, profiles, caps = make_instance(topo_seed, num_sources=num_sources,
+                                             num_relays=5, radios_per_relay=2,
+                                             source_radios=(1, 3))
+        ref_rng, rng = np.random.default_rng(seq), np.random.default_rng(seq)
+        ref_m, ref = _reference_pma(topo, profiles, caps, cfg, ref_rng, quota)
+        m, trace = rm.solve(topo, profiles, caps, cfg, rng)
+        assert m == ref_m
+        assert trace.convergence_iteration == ref.convergence_iteration
+        for column in ("iteration", "actor", "accepted", "lam"):
+            assert (getattr(trace, column).tobytes()
+                    == getattr(ref, column).tobytes()), column
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestIterationTrace:
     def test_default_iteration_index(self):
         # each recorded activation keeps its iteration; close() types the columns
@@ -247,6 +313,18 @@ class TestIterationTrace:
             tr.record(k, actor, True, lam, [(), ()])
         tr.close(None)
         assert list(tr.lambda_per_iteration()) == [1.5, 2.0]
+        assert IterationTrace(0.5).close(None).lambda_per_iteration().shape == (0,)
+
+    @pytest.mark.parametrize("kind", solvers.SOLVER_KINDS)
+    def test_per_iteration_series_equals_entry_loop(self, kind, small_instance):
+        topo, profiles, caps = small_instance
+        _, tr = rm.solve(topo, profiles, caps, rm.SolverConfig(kind=kind),
+                         np.random.default_rng(9))
+        expected = [0.0] * tr.num_iterations
+        for k, lam in zip(tr.iteration.tolist(), tr.lam.tolist()):
+            expected[k - 1] = lam
+        assert [x.hex() for x in tr.lambda_per_iteration().tolist()] == [
+            x.hex() for x in expected]
 
     def test_csv_format(self):
         events = []

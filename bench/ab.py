@@ -10,8 +10,11 @@ lasts the benchmark's `run_seconds`. With `--trace 0` the metrics compared are
 BENCHMARK.json's end-to-end ones, with `--trace 1` its per-layer ones. For
 each metric this prints both sides' median and quartiles, the change of the
 median in %, the pairs the change wins by the metric's `better` direction,
-and whether the change's median clears the base's interquartile range. It
-exits 1 if any run is not `correct`.
+and whether the change's median clears the base's interquartile range.
+A last line counts the pairs whose two runs' record `fingerprint`s, the
+digest of the workload's results, are equal; a pair with a run that printed
+no fingerprint is counted as not compared. It exits 1 if any run is not
+`correct`.
 """
 
 from __future__ import annotations
@@ -63,6 +66,17 @@ def format_rows(rows: list) -> str:
     return "\n".join(out)
 
 
+def fingerprint_line(base: list, change: list) -> str:
+    """How many pairs have equal record fingerprints; base[i] and change[i]
+    are pair i's fingerprints, None where a run printed none."""
+    compared = [(b, c) for b, c in zip(base, change)
+                if b is not None and c is not None]
+    equal = sum(b == c for b, c in compared)
+    missing = len(base) - len(compared)
+    return (f"stream fingerprints equal in {equal}/{len(base)} pairs"
+            + (f" ({missing} not compared)" if missing else ""))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("base", type=Path)
@@ -73,6 +87,7 @@ def main(argv=None) -> int:
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
     sides = {"base": (args.base.resolve(), []), "change": (args.change.resolve(), [])}
+    fingerprints = {"base": [], "change": []}
     correct = True
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -81,11 +96,13 @@ def main(argv=None) -> int:
             run = run_one(checkout, args.workload, args.seed, args.trace)
             correct &= run["correct"] and run["exit_code"] == 0
             runs.append({k: v["value"] for k, v in run["metrics"].items()})
+            fingerprints[side].append(run.get("record", {}).get("fingerprint"))
             print(f"pair {i + 1} {side}: exit {run['exit_code']}", file=sys.stderr)
     metrics = BENCHMARK["per_layer" if args.trace else "end_to_end"]
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, trace {args.trace},"
           f" {SECONDS} s per run; median [q1-q3] base -> change")
     print(format_rows(summarize(sides["base"][1], sides["change"][1], metrics)))
+    print(fingerprint_line(fingerprints["base"], fingerprints["change"]))
     if not correct:
         print("error: a run failed its correctness checks", file=sys.stderr)
         return 1

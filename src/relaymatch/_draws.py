@@ -80,19 +80,12 @@ class Draws:
         self._has32, self._u32 = 1, word >> 32
         return word & _MASK32
 
-    def random(self, size=None):
-        """One uniform in [0, 1), or a list of `size` of them."""
+    def random(self) -> float:
+        """One uniform in [0, 1)."""
         words = self._words
-        if size is None:
-            if not words:
-                self._refill()
-            return (words.pop() >> 11) * _TWO_M53
-        out = []
-        for _ in range(size):
-            if not words:
-                self._refill()
-            out.append((words.pop() >> 11) * _TWO_M53)
-        return out
+        if not words:
+            self._refill()
+        return (words.pop() >> 11) * _TWO_M53
 
     def integers(self, low: int, high: int) -> int:
         """Uniform integer in [low, high), for 1 <= high - low <= 2**32 - 1."""

@@ -143,7 +143,7 @@ def _cmd_ensemble(args) -> int:
         raise ConfigurationError(
             f"no output directory: pass --out, set {OUT_DIR_ENV} or give out_dir "
             "in the config")
-    if config.sweep_num_sources:
+    if config.sweep_num_sources is not None:
         run_sweep(config, out_dir=out)
     else:
         run_ensemble(config, out_dir=out)
@@ -172,8 +172,7 @@ def _cmd_verify(args) -> int:
     state = _state(matching, profiles, caps)
     for _ in range(args.samples):
         n = int(rng.integers(topology.num_sources))
-        space = enumerate_strategies(topology.num_radios,
-                                     topology.sources[n].num_radios)
+        space = enumerate_strategies(topology.num_radios, topology.quotas[n])
         cand = space[int(rng.integers(len(space)))]
         du = state.utility(n, cand) - state.utility(n, matching.radios_of(n))
         dlam = global_satisfaction(matching.with_strategy(n, cand),

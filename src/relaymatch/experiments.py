@@ -238,7 +238,12 @@ def _check(config: ExperimentConfig) -> None:
 def run_ensemble(config: ExperimentConfig, out_dir=None) -> EnsembleResult:
     """Run every configured solver on every replication's topology (shared
     within a replication) and optionally persist CSVs plus a manifest. The
-    config is checked before any replication runs."""
+    config is checked before any replication runs; one that sets
+    sweep_num_sources belongs to run_sweep."""
+    if config.sweep_num_sources is not None:
+        raise ConfigurationError(
+            "sweep_num_sources is set: run_sweep runs one ensemble per size, "
+            "run_ensemble only topology.num_sources")
     _check(config)
     seeds = list(_replication_seeds(config.master_seed, config.replications,
                                     len(config.solvers)))
@@ -311,18 +316,21 @@ def _write_manifest(config: ExperimentConfig, out: Path, **extra) -> None:
 
 
 def write_result(result: EnsembleResult, out_dir) -> None:
-    """Persist per-run records and the selected aggregate metrics as CSV."""
+    """Persist the selected metrics as CSV: per-run records ("runs"),
+    convergence CDFs ("cdf") and mean traces ("trace"), plus a manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = result.config
 
-    with open(out / "runs.csv", "w") as fh:
-        fh.write("replication,solver,topology_seed,final_lambda,"
-                 "convergence_iteration,iterations,num_sources\n")
-        for r in result.records:
-            conv = "" if r.convergence_iteration is None else r.convergence_iteration
-            fh.write(f"{r.replication},{r.solver},{r.topology_seed},"
-                     f"{r.final_lambda!r},{conv},{r.iterations},{r.num_sources}\n")
+    if "runs" in config.metrics:
+        with open(out / "runs.csv", "w") as fh:
+            fh.write("replication,solver,topology_seed,final_lambda,"
+                     "convergence_iteration,iterations,num_sources\n")
+            for r in result.records:
+                conv = ("" if r.convergence_iteration is None
+                        else r.convergence_iteration)
+                fh.write(f"{r.replication},{r.solver},{r.topology_seed},"
+                         f"{r.final_lambda!r},{conv},{r.iterations},{r.num_sources}\n")
 
     if "cdf" in config.metrics:
         for solver in result.solver_names:

@@ -396,10 +396,7 @@ def is_feasible(m: Matching, topology) -> bool:
     ids are in range by construction of Matching."""
     if m.num_sources != topology.num_sources or m.num_radios != topology.num_radios:
         return False
-    for n, s in enumerate(m.strategies):
-        if len(s) > topology.sources[n].num_radios:
-            return False
-    return True
+    return all(len(s) <= q for s, q in zip(m.strategies, topology.quotas))
 
 
 def enumerate_strategies(num_radios: int, quota: int) -> list:
@@ -433,15 +430,14 @@ def is_stable(m: Matching, topology, profiles: Sequence[SatisfactionProfile],
     scores() pass; the witness is the first candidate, in enumeration order,
     whose gain exceeds SATISFACTION_TOL, best response's own stopping rule.
     """
-    total = sum(count_strategies(topology.num_radios, s.num_radios)
-                for s in topology.sources)
+    total = sum(count_strategies(topology.num_radios, q) for q in topology.quotas)
     if total > STABILITY_CAP:
         raise EnumerationLimitError(
             f"stability check needs {total} strategy evaluations, cap is {STABILITY_CAP}")
     state = _state(m, profiles, caps)
-    for n, src in enumerate(topology.sources):
+    for n, q in enumerate(topology.quotas):
         u_current = state.utility(n, m.radios_of(n))
-        space = enumerate_strategies(topology.num_radios, src.num_radios)
+        space = enumerate_strategies(topology.num_radios, q)
         for cand, u in zip(space, state.scores(n, space)):
             if u > u_current + SATISFACTION_TOL:
                 return StabilityResult(stable=False, witness=(n, cand))

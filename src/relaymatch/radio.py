@@ -304,14 +304,27 @@ def topology_to_dict(topology: Topology, gains: LinkGainTable | None = None) -> 
 
 def topology_from_dict(doc: dict) -> tuple:
     """Returns (Topology, LinkGainTable) replayed bit-exactly from JSON. Besides
-    from_fields' key and type errors, a quota below 1 or gain tables that do
-    not fit the nodes raise ConfigurationError."""
+    from_fields' key and type errors, a quota below 1, an id that is not the
+    node's position (radios counted in relay order), a repeated radio channel
+    or gain tables that do not fit the nodes raise ConfigurationError: every
+    solver indexes sources, relays and radios by position."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"a topology file must hold a JSON object, not {doc!r}")
     gains = from_fields(LinkGainTable, doc.get("gains", {}))
     topo = from_fields(Topology, {k: v for k, v in doc.items() if k != "gains"})
     if any(s.num_radios < 1 for s in topo.sources):
         raise ConfigurationError("every source needs a quota of at least 1")
+    for kind, nodes in (("SourceNode", topo.sources), ("RelayNode", topo.relays),
+                        ("RelayRadio", topo.radios)):
+        ids = [node.id for node in nodes]
+        if ids != list(range(len(ids))):
+            raise ConfigurationError(f"{kind} key 'id': ids must be the positions "
+                                     f"0..{len(ids) - 1} in order, not {ids}")
+    channels = [r.channel for r in topo.radios]
+    repeated = sorted({c for c in channels if channels.count(c) > 1})
+    if repeated:
+        raise ConfigurationError(f"RelayRadio key 'channel': channels must be "
+                                 f"distinct, {repeated} repeat")
     n, m = topo.num_sources, len(topo.relays)
     if gains.source_to_relay.shape != (n, m) or gains.relay_to_destination.shape != (m,):
         raise ConfigurationError(f"gain tables do not fit {n} sources and {m} relays")

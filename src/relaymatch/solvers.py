@@ -12,7 +12,7 @@ import logging
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -196,11 +196,12 @@ def pma_propose(attractiveness: Sequence[float], quota: int, rng,
     Successive sampling as in numpy's Generator.choice(p=..., replace=False),
     with the same draws from rng, so both give the same set and leave rng in
     the same state. rng is a Generator or a Draws on one; it is asked only
-    for integers(1, quota + 1) and random(k). Raises ValueError, as numpy
-    does, when fewer than `size` radios keep a nonzero probability after
-    normalisation. A caller that proposes from the same weights again may
-    pass their proposal_table(attractiveness) as `table`; attractiveness is
-    then not read.
+    for integers(1, quota + 1) and random(), once per radio a round still
+    misses, which takes the words numpy's random(k) takes for the round.
+    Raises ValueError, as numpy does, when fewer than `size` radios keep a
+    nonzero probability after normalisation. A caller that proposes from
+    the same weights again may pass their proposal_table(attractiveness)
+    as `table`; attractiveness is then not read.
     """
     idx, p, nonzero, cdf = table or proposal_table(attractiveness)
     if not idx:
@@ -216,16 +217,15 @@ def pma_propose(attractiveness: Sequence[float], quota: int, rng,
         return (idx[bisect_right(cdf, rng.random())],)
     found = []
     while len(found) < size:
-        draws = rng.random(size - len(found))
         if found:
             p = p.copy()
             for j in found:
                 p[j] = 0.0
             cdf = _cdf(p)
-        for x in draws:
+        for _ in range(size - len(found)):
             # a found radio has p == 0 and an empty cdf step, so it is never
             # drawn again; each round adds at least one radio
-            j = bisect_right(cdf, x)
+            j = bisect_right(cdf, rng.random())
             if j not in found:
                 found.append(j)
     found.sort()
@@ -242,8 +242,7 @@ def _random_initial(quotas, num_radios, rng):
     return strategies
 
 
-def run_pma(topology, profiles, caps, config: SolverConfig, rng,
-            quota_override: Optional[int] = None, observer=None):
+def run_pma(topology, profiles, caps, config: SolverConfig, rng, observer=None):
     """Potential matching: per iteration, every source (in random order)
     proposes a weighted random radio set — or a full withdrawal — which the
     relay side accepts with Boltzmann probability at the annealed inverse
@@ -255,8 +254,7 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng,
     a material gain over that best value.
     """
     n_src, n_radio = topology.num_sources, topology.num_radios
-    quotas = [min(s.num_radios, quota_override) if quota_override else s.num_radios
-              for s in topology.sources]
+    quotas = topology.quotas
     draws = Draws(rng)        # rejects a non-PCG64 rng before any draw
     state = _MatchingState(_random_initial(quotas, n_radio, rng), caps.tolist(),
                            profiles, n_radio)
@@ -314,9 +312,11 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng,
 
 def run_many_to_one(topology, profiles, caps, config: SolverConfig, rng,
                     observer=None):
-    """PMA with every source quota clamped to a single radio."""
-    return run_pma(topology, profiles, caps, config, rng=rng,
-                   quota_override=1, observer=observer)
+    """PMA on a copy of the topology with every source's quota set to one
+    radio. run_pma is looked up at call time, so wrappers of it see this."""
+    one_radio = replace(topology, sources=tuple(
+        replace(s, num_radios=1) for s in topology.sources))
+    return run_pma(one_radio, profiles, caps, config, rng=rng, observer=observer)
 
 
 def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
@@ -327,9 +327,10 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
     Each activation scores the source's whole space in one
     _MatchingState.scores pass. A source whose last activation left it in
     place, with no move by anyone since, would score the same state again,
-    so it keeps its set unscored."""
+    so it keeps its set unscored. All sources idle is a stable state, the
+    only one in which a run cut by max_iterations reports convergence."""
     n_src, n_radio = topology.num_sources, topology.num_radios
-    quotas = [s.num_radios for s in topology.sources]
+    quotas = topology.quotas
     for q in quotas:
         count = count_strategies(n_radio, q)
         if count > ENUMERATION_CAP:
@@ -344,39 +345,33 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
     lam = state.lam
     trace = IterationTrace(lam, observer)
     last_improve = 0
-    converged = None
-    iteration = 0
     idle = [False] * n_src     # n would score an unchanged state
 
-    while iteration < config.max_iterations:
-        changed = False
-        for n in range(n_src):
-            if iteration >= config.max_iterations:
-                break
-            iteration += 1
-            best_set = strategies[n]
-            if not idle[n]:
-                space = candidates[quotas[n]]
-                best_u = state.utility(n, best_set)
-                for cand, u in zip(space, state.scores(n, space)):
-                    if u > best_u + SATISFACTION_TOL:
-                        best_u, best_set = u, cand
-            accepted = best_set != strategies[n]
-            if accepted:
-                state.move(n, best_set)
-                lam = state.lam
-                changed = True
-                last_improve = iteration
-                idle = [False] * n_src
-            else:
-                idle[n] = True
-            trace.record(iteration, n, accepted, lam, strategies,
-                         {"candidate": best_set})
-        if not changed:
-            converged = last_improve
+    for iteration in range(1, config.max_iterations + 1):
+        n = (iteration - 1) % n_src
+        best_set = strategies[n]
+        if not idle[n]:
+            space = candidates[quotas[n]]
+            best_u = state.utility(n, best_set)
+            for cand, u in zip(space, state.scores(n, space)):
+                if u > best_u + SATISFACTION_TOL:
+                    best_u, best_set = u, cand
+        accepted = best_set != strategies[n]
+        if accepted:
+            state.move(n, best_set)
+            lam = state.lam
+            last_improve = iteration
+            idle = [False] * n_src
+        else:
+            idle[n] = True
+        event = None if observer is None else {"candidate": best_set}
+        trace.record(iteration, n, accepted, lam, strategies, event)
+        # at a sweep's end, all idle means the sweep changed nothing
+        if n == n_src - 1 and all(idle):
             break
 
-    return Matching(strategies, n_radio), trace.close(converged)
+    return (Matching(strategies, n_radio),
+            trace.close(last_improve if all(idle) else None))
 
 
 def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
@@ -455,13 +450,13 @@ def exhaustive_search(topology, profiles, caps, cap: int = ENUMERATION_CAP):
     first maximum within a chunk and a strict > the first across chunks.
     """
     n_src, n_radio = topology.num_sources, topology.num_radios
-    counts = [count_strategies(n_radio, s.num_radios) for s in topology.sources]
+    counts = [count_strategies(n_radio, q) for q in topology.quotas]
     total = math.prod(counts)
     if total > cap:
         raise EnumerationLimitError(
             f"{total} strategy profiles exceed the exhaustive-search cap of {cap}")
 
-    per_source = [enumerate_strategies(n_radio, s.num_radios) for s in topology.sources]
+    per_source = [enumerate_strategies(n_radio, q) for q in topology.quotas]
     caps_rows = caps.tolist()
     # a source holding a radio puts its load in 1..n_src
     load_dtype = np.min_scalar_type(n_src)

@@ -53,3 +53,26 @@ def test_pairs_alternate_and_a_failed_check_exits_one(ab, monkeypatch, capsys):
     assert calls == ["base", "change", "change", "base", "base", "change"]
     out = capsys.readouterr().out
     assert "replications_per_s" in out and "won 3/3" in out
+
+
+def test_fingerprints_compared_per_pair(ab, monkeypatch, capsys):
+    # pair 1 equal, pair 2 unequal, pair 3 equal, pair 4's change printed
+    # no record
+    runs = iter([("base", "a"), ("change", "a"), ("change", "c"), ("base", "b"),
+                 ("base", "d"), ("change", "d"), ("change", None), ("base", "e")])
+
+    def fake_run_one(checkout, workload, seed, trace):
+        side, fingerprint = next(runs)
+        assert checkout.name == side
+        run = {"correct": True, "exit_code": 0,
+               "metrics": {"replications_per_s": {"unit": "1/s", "value": 1.0}}}
+        if fingerprint is not None:
+            run["record"] = {"fingerprint": fingerprint}
+        return run
+
+    monkeypatch.setattr(ab, "run_one", fake_run_one)
+    assert ab.main(["base", "change", "--workload", "w", "--pairs", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "stream fingerprints equal in 2/4 pairs (1 not compared)" in out
+    assert ab.fingerprint_line(["x"] * 10, ["x"] * 10) == \
+        "stream fingerprints equal in 10/10 pairs"

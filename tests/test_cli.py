@@ -193,6 +193,28 @@ class TestRun:
         assert code == 1
         assert "configuration error" in err and named in err
 
+    @pytest.mark.parametrize("corrupt,named", [
+        (lambda doc: [s.update(id=7) for s in doc["sources"][:2]],
+         "SourceNode key 'id': ids must be the positions 0..2 in order, "
+         "not [7, 7, 2]"),
+        (lambda doc: doc["relays"][1].update(id=0), "RelayNode key 'id'"),
+        (lambda doc: doc["relays"][1]["radios"][0].update(id=42),
+         "RelayRadio key 'id'"),
+        (lambda doc: [r["radios"][0].update(channel=42) for r in doc["relays"]],
+         "RelayRadio key 'channel': channels must be distinct, [42] repeat"),
+    ], ids=["source-id", "relay-id", "radio-id", "repeated-channel"])
+    def test_ids_off_position_or_shared_channel_exit_one(self, tmp_path, capsys,
+                                                         corrupt, named):
+        # solvers index nodes by position; such a file used to run and exit 0
+        path = make_topology_file(tmp_path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        code = main(["run", "--topology", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "configuration error" in captured.err and named in captured.err
+
     @pytest.mark.parametrize("path,value,named", [
         (("gains", "source_to_relay", 0, 0), math.nan,
          "LinkGainTable key 'source_to_relay': expected ndarray"),

@@ -11,7 +11,6 @@ from relaymatch.errors import ConfigurationError
 
 _CALL = st.one_of(
     st.tuples(st.just("random"), st.none()),
-    st.tuples(st.just("random"), st.integers(0, 4)),
     st.tuples(st.just("integers"), st.tuples(st.integers(-5, 5), st.integers(1, 12))),
     st.tuples(st.just("permutation"), st.integers(0, 12)),
 )
@@ -19,7 +18,7 @@ _CALL = st.one_of(
 
 def _call(target, name, arg):
     if name == "random":
-        return target.random() if arg is None else list(target.random(arg))
+        return target.random()
     if name == "integers":
         low, span = arg
         return int(target.integers(low, low + span))

@@ -302,6 +302,12 @@ class TestPersistence:
         assert manifest["topology_seeds"] == [
             r.topology_seed for r in result.records if r.solver == "pma"]
 
+    def test_runs_csv_only_when_selected(self, tmp_path):
+        run_ensemble(small_config(metrics=("cdf",)), out_dir=tmp_path)
+        assert not (tmp_path / "runs.csv").exists()
+        assert (tmp_path / "cdf_pma.csv").exists()
+        assert (tmp_path / "manifest.json").exists()
+
     def test_write_result_idempotent(self, tmp_path):
         result = run_ensemble(small_config())
         write_result(result, tmp_path)
@@ -356,6 +362,16 @@ class TestSweep:
         for n in (2, 3):
             assert (top["master_seeds"][str(n)]
                     == manifests[f"n{n}/manifest.json"]["config"]["master_seed"])
+
+    def test_ensemble_refuses_a_sweep_before_running(self, tmp_path, monkeypatch):
+        # it would run only topology.num_sources and record the sweep as run
+        ran = []
+        monkeypatch.setattr(experiments, "_run_replication",
+                            lambda *args: ran.append(args))
+        config = small_config(sweep_num_sources=[5, 6])
+        with pytest.raises(ConfigurationError, match="run_sweep"):
+            run_ensemble(config, out_dir=tmp_path / "r")
+        assert ran == [] and not (tmp_path / "r").exists()
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigurationError):

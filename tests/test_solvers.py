@@ -606,6 +606,33 @@ def test_best_response_matches_reference_and_skips_unchanged_states(
     assert skipped > 0
 
 
+@pytest.mark.parametrize("num_sources,num_relays", [(6, 3), (13, 5)])
+def test_best_response_cut_reports_convergence_only_when_stable(num_sources,
+                                                                num_relays):
+    # a cut can fall mid-sweep; only a state every source has scored
+    # without moving is a converged one. The reference records one entry
+    # per activation, so its run cut at k is its full run's first k entries.
+    converged = 0
+    for topo_seed, seq in spawn_seeds(90 + num_sources, 20):
+        topo, profiles, caps = make_instance(topo_seed, num_sources=num_sources,
+                                             num_relays=num_relays,
+                                             radios_per_relay=2, source_radios=None)
+        _, ref = _reference_best_response(topo, profiles, caps,
+                                          rm.SolverConfig(kind="best_response"),
+                                          np.random.default_rng(seq))
+        for cut in range(1, len(ref)):
+            cfg = rm.SolverConfig(kind="best_response", max_iterations=cut)
+            m, trace = rm.run_best_response(topo, profiles, caps, cfg,
+                                            np.random.default_rng(seq))
+            for column in ("iteration", "actor", "accepted", "lam"):
+                assert (getattr(trace, column).tobytes()
+                        == getattr(ref, column)[:cut].tobytes()), (cut, column)
+            if trace.convergence_iteration is not None:
+                assert rm.is_stable(m, topo, profiles, caps).stable, cut
+                converged += 1
+    assert converged > 0
+
+
 class TestSubstitutable:
     def test_feasible_singleton_strategies_within_radio_quota(self, mid_instance):
         topo, profiles, caps = mid_instance

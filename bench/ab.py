@@ -1,8 +1,9 @@
-"""Compare two checkouts on one benchmark workload in alternating pairs.
+"""Compare two checkouts on benchmark workloads in alternating pairs.
 
-    python3 bench/ab.py BASE CHANGE --workload paired_n13 [--seed 1]
-        [--pairs 10] [--trace 0]
+    python3 bench/ab.py BASE CHANGE --workload paired_n13
+        [--workload oracle_audit ...] [--seed 1] [--pairs 10] [--trace 0]
 
+Each `--workload` given gets its own pairs and its own block of output.
 Each pair runs `perfbench/run.py` once in the checkout BASE and once in
 CHANGE, through `collect.run_one`, and flips which side goes first on
 every pair, so drift in machine speed falls on both sides alike. Each run
@@ -13,8 +14,8 @@ median in %, the pairs the change wins by the metric's `better` direction,
 and whether the change's median clears the base's interquartile range.
 A last line counts the pairs whose two runs' record `fingerprint`s, the
 digest of the workload's results, are equal; a pair with a run that printed
-no fingerprint is counted as not compared. It exits 1 if any run is not
-`correct`.
+no fingerprint is counted as not compared. It exits 1 if any run, of any
+workload, is not `correct`.
 """
 
 from __future__ import annotations
@@ -77,15 +78,9 @@ def fingerprint_line(base: list, change: list) -> str:
             + (f" ({missing} not compared)" if missing else ""))
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("base", type=Path)
-    p.add_argument("change", type=Path)
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    args = p.parse_args(argv)
+def compare(args, workload: str) -> bool:
+    """Run one workload's alternating pairs and print its block; False if
+    any run was not correct."""
     sides = {"base": (args.base.resolve(), []), "change": (args.change.resolve(), [])}
     fingerprints = {"base": [], "change": []}
     correct = True
@@ -93,17 +88,31 @@ def main(argv=None) -> int:
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
             checkout, runs = sides[side]
-            run = run_one(checkout, args.workload, args.seed, args.trace)
+            run = run_one(checkout, workload, args.seed, args.trace)
             correct &= run["correct"] and run["exit_code"] == 0
             runs.append({k: v["value"] for k, v in run["metrics"].items()})
             fingerprints[side].append(run.get("record", {}).get("fingerprint"))
-            print(f"pair {i + 1} {side}: exit {run['exit_code']}", file=sys.stderr)
+            print(f"{workload} pair {i + 1} {side}: exit {run['exit_code']}",
+                  file=sys.stderr)
     metrics = BENCHMARK["per_layer" if args.trace else "end_to_end"]
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, trace {args.trace},"
+    print(f"{workload} seed {args.seed}, {args.pairs} pairs, trace {args.trace},"
           f" {SECONDS} s per run; median [q1-q3] base -> change")
     print(format_rows(summarize(sides["base"][1], sides["change"][1], metrics)))
     print(fingerprint_line(fingerprints["base"], fingerprints["change"]))
-    if not correct:
+    return correct
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("base", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--workload", required=True, action="append",
+                   help="repeat for several workloads, one block each")
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = p.parse_args(argv)
+    if not all([compare(args, workload) for workload in args.workload]):
         print("error: a run failed its correctness checks", file=sys.stderr)
         return 1
     return 0

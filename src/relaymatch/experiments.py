@@ -63,6 +63,11 @@ class ExperimentConfig:
         if len(set(kinds)) < len(kinds):
             raise ConfigurationError(
                 f"solver kinds {kinds} repeat; a kind names one output series")
+        sweep = self.sweep_num_sources or []
+        repeats = sorted({n for n in sweep if sweep.count(n) > 1})
+        if repeats:
+            raise ConfigurationError(f"sweep_num_sources repeats sizes {repeats}; "
+                                     "a size names one n<N> output directory")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -247,8 +252,10 @@ def run_ensemble(config: ExperimentConfig, out_dir=None) -> EnsembleResult:
     _check(config)
     seeds = list(_replication_seeds(config.master_seed, config.replications,
                                     len(config.solvers)))
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # fork starts every worker up front, so start no more than there is work
+    workers = min(config.workers, len(seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(
                 _run_replication,
                 [config] * len(seeds), range(len(seeds)),

@@ -76,3 +76,26 @@ def test_fingerprints_compared_per_pair(ab, monkeypatch, capsys):
     assert "stream fingerprints equal in 2/4 pairs (1 not compared)" in out
     assert ab.fingerprint_line(["x"] * 10, ["x"] * 10) == \
         "stream fingerprints equal in 10/10 pairs"
+
+
+def test_one_block_per_workload_and_any_failure_exits_one(ab, monkeypatch, capsys):
+    calls = []
+
+    def fake_run_one(checkout, workload, seed, trace):
+        calls.append((workload, checkout.name))
+        rate = {"w1": 1.0, "w2": 3.0}[workload] * (2 if checkout.name == "change" else 1)
+        # only the first workload's last run fails
+        return {"correct": len(calls) != 4, "exit_code": 0,
+                "metrics": {"replications_per_s": {"unit": "1/s", "value": rate}},
+                "record": {"fingerprint": workload}}
+
+    monkeypatch.setattr(ab, "run_one", fake_run_one)
+    argv = ["base", "change", "--workload", "w1", "--workload", "w2", "--pairs", "2"]
+    assert ab.main(argv) == 1
+    assert calls == [("w1", "base"), ("w1", "change"), ("w1", "change"), ("w1", "base"),
+                     ("w2", "base"), ("w2", "change"), ("w2", "change"), ("w2", "base")]
+    blocks = capsys.readouterr().out.split("w2 seed 1")
+    assert len(blocks) == 2 and blocks[0].startswith("w1 seed 1, 2 pairs")
+    for block, (b, c) in zip(blocks, (("1", "2"), ("3", "6"))):
+        assert "replications_per_s" in block and f" {b} [{b}-{b}] -> {c} [" in block
+        assert "stream fingerprints equal in 2/2 pairs" in block

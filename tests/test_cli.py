@@ -366,6 +366,7 @@ class TestEnsembleCommand:
         ({"topology": {"num_sources": 2, "source_radios": 2.0}}, "source_radios"),
         ({"topology": {"num_sources": 2, "source_radios": [1, 2, 3]}}, "source_radios"),
         ({"sweep_num_sources": 5}, "sweep_num_sources"),
+        ({"sweep_num_sources": [3, 4, 3]}, "sweep_num_sources repeats sizes [3]"),
         ({"master_seed": -1}, "master_seed"),
         ({"replications": "3"}, "ExperimentConfig key 'replications': expected int"),
         ({"solvers": [{"kind": "pma", "max_iterations": "5"}]},
@@ -381,8 +382,9 @@ class TestEnsembleCommand:
          "TopologyParams key 'bandwidth_hz': expected float, not inf"),
     ], ids=["topology-int", "solver-int", "solvers-object", "top-level-list",
             "path-loss-list", "source-radios-float", "source-radios-triple",
-            "sweep-int", "negative-master-seed", "replications-string",
-            "max-iterations-string", "workers-bool", "num-sources-float",
+            "sweep-int", "sweep-repeated-size", "negative-master-seed",
+            "replications-string", "max-iterations-string", "workers-bool",
+            "num-sources-float",
             "store-traces-string", "metrics-string", "infinite-bandwidth"])
     def test_malformed_config_exits_one_before_writing(self, tmp_path, capsys,
                                                        monkeypatch, doc, named):

@@ -147,7 +147,7 @@ class TestConfig:
             metrics=tuple(data.draw(st.lists(st.sampled_from(["runs", "cdf", "trace"]),
                                              unique=True))),
             sweep_num_sources=data.draw(st.one_of(
-                st.none(), st.lists(st.integers(1, 30), min_size=1))))
+                st.none(), st.lists(st.integers(1, 30), min_size=1, unique=True))))
         restored = rm.ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert restored == config
         assert restored.config_hash() == config.config_hash()
@@ -373,6 +373,11 @@ class TestSweep:
             run_ensemble(config, out_dir=tmp_path / "r")
         assert ran == [] and not (tmp_path / "r").exists()
 
+    def test_repeated_size_rejected(self):
+        # a repeat would run twice, rewrite n3/ and duplicate its CSV rows
+        with pytest.raises(ConfigurationError, match=r"repeats sizes \[3\]"):
+            small_config(sweep_num_sources=[3, 2, 3])
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigurationError):
             run_sweep(small_config(sweep_num_sources=[]))
@@ -394,6 +399,31 @@ class TestWorkerPool:
         parallel = run_ensemble(small_config(workers=2))
         np.testing.assert_array_equal(serial.final_lambdas("pma"),
                                       parallel.final_lambdas("pma"))
+
+    @pytest.mark.parametrize("replications,started", [(1, []), (3, [3]), (6, [4])])
+    def test_pool_sized_to_the_work(self, monkeypatch, replications, started):
+        # an idle worker is still forked; a spy pool records the size asked for
+        pools = []
+
+        class SpyPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SpyPool)
+        pooled = run_ensemble(small_config(workers=4, replications=replications))
+        assert pools == started
+        serial = run_ensemble(small_config(replications=replications))
+        np.testing.assert_array_equal(pooled.final_lambdas("pma"),
+                                      serial.final_lambdas("pma"))
 
     @pytest.mark.parametrize("sweep", [None, [2, 3]])
     def test_output_bytes_identical_for_any_worker_count(self, tmp_path, sweep):

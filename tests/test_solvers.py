@@ -706,20 +706,29 @@ class TestExhaustive:
                                              num_relays=num_radios,
                                              radios_per_relay=1,
                                              source_radios=(1, 3))
-        assume(math.prod(count_strategies(num_radios, q)
-                         for q in topo.quotas) <= 20_000)
-        # small chunks put many chunk boundaries inside small spaces
-        with mock.patch.object(solvers, "_ORACLE_CHUNK", chunk):
+        total = math.prod(count_strategies(num_radios, q) for q in topo.quotas)
+        assume(total <= 20_000)
+        # small chunks put many chunk boundaries inside small spaces; each
+        # block's lambda grid passes through np.argmax once
+        blocks, argmax = [], np.argmax
+
+        def spy(a, *args, **kwargs):
+            blocks.append(np.size(a))
+            return argmax(a, *args, **kwargs)
+
+        with mock.patch.object(solvers, "_ORACLE_CHUNK", chunk), \
+                mock.patch.object(solvers.np, "argmax", spy):
             m, lam = rm.exhaustive_search(topo, profiles, caps)
         m_ref, lam_ref = _reference_exhaustive(topo, profiles, caps)
         assert m == m_ref
         assert lam.hex() == lam_ref.hex()
+        assert sum(blocks) == total and max(blocks) <= chunk
 
     def test_first_maximum_wins_across_chunks(self):
         # identical sources on equal capacities: every relabelling of the
         # radios scores the same lambda, bit for bit
-        topo, _, _ = make_instance(5, num_sources=3, num_relays=3,
-                                   radios_per_relay=2, source_radios=2)
+        topo, _, _ = make_instance(5, num_sources=3, num_relays=7,
+                                   radios_per_relay=1, source_radios=2)
         profiles = (rm.SatisfactionProfile(30e6),) * 3
         caps = np.full((3, topo.num_radios), 20e6)
         spaces = [enumerate_strategies(topo.num_radios, 2)] * 3
@@ -730,6 +739,8 @@ class TestExhaustive:
         winners = [i for i, lam in enumerate(lams) if lam == best]
         assert len(lams) > solvers._ORACLE_CHUNK
         assert winners[-1] // solvers._ORACLE_CHUNK > winners[0] // solvers._ORACLE_CHUNK
+        # a block is a contiguous run of at most _ORACLE_CHUNK profiles
+        assert winners[-1] - winners[0] >= solvers._ORACLE_CHUNK
         m, lam = rm.exhaustive_search(topo, profiles, caps)
         first = np.unravel_index(winners[0], [len(sp) for sp in spaces])
         assert m.strategies == tuple(sp[i] for sp, i in zip(spaces, first))
@@ -761,6 +772,27 @@ class TestExhaustive:
             h.update(repr((m.strategies, lam.hex())).encode())
         assert h.hexdigest() == CRITERION_2_ORACLE_DIGEST
 
+    def test_six_radio_quota_patterns_digest(self):
+        # sha256 of (strategies, lambda.hex()) of the oracle on the first
+        # instance of each of the 16 quota patterns at the oracle_audit shape
+        # (up to 22**4 profiles, many blocks each), recorded with the
+        # load-vector chunk loop
+        params = rm.TopologyParams(num_sources=4, num_relays=3,
+                                   radios_per_relay=2, source_radios=(1, 2),
+                                   path_loss=rm.AIR_TO_AIR)
+        firsts = {}
+        for topo_seed, _ in spawn_seeds(15, 200):
+            topo = rm.generate_topology(params, topo_seed)
+            firsts.setdefault(topo.quotas, topo)
+        assert len(firsts) == 16
+        h = hashlib.sha256()
+        for quotas in sorted(firsts):
+            topo = firsts[quotas]
+            m, lam = rm.exhaustive_search(topo, rm.default_profiles(topo),
+                                          rm.build_capacity_table(topo))
+            h.update(repr((m.strategies, lam.hex())).encode())
+        assert h.hexdigest() == SIX_RADIO_ORACLE_DIGEST
+
     def test_deterministic_tie_break(self):
         profiles = (rm.SatisfactionProfile(10e6),)
         caps = np.array([[20e6, 20e6]])
@@ -773,6 +805,8 @@ class TestExhaustive:
 
 CRITERION_2_ORACLE_DIGEST = \
     "0b11793fc294ea790e5290d392b876bcce2d428b66895f106b7cc80c7ba79647"
+SIX_RADIO_ORACLE_DIGEST = \
+    "3f79a228b36760bf7d867dbda14a7834b8488232d7964e24f1c972f94bd02d3c"
 
 
 class _CountingProfile:

@@ -10,7 +10,10 @@ and on (`--trace 1`, per-layer metrics), this runs
 in the checkout DIR (default: the checkout holding this script), with T the
 benchmark's `run_seconds` from BENCHMARK.json, so every collection runs for
 the same length. Each run is kept as the merge of the two JSON lines it
-prints last, its record and its result, plus its exit code. The runs are
+prints last, its record and its result, plus its exit code and `clean`:
+whether `git status --porcelain -- src/relaymatch` in the checkout printed
+nothing (true), something (false), or failed because the checkout has no
+git (null), taken before the run. The runs are
 written to BENCH_<tag>.json at the root of this script's checkout, so a
 parent commit can be measured from a clean copy of it and its file still
 lands here. Runs are sequential; the whole collection takes about six times
@@ -31,7 +34,20 @@ WORKLOADS = ("paired_n13", "sweep_n8_n20", "oracle_audit")
 SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
+def tree_clean(checkout: Path):
+    """True when git sees no change to src/relaymatch in the checkout, False
+    when it does, None when the checkout has no git."""
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--", "src/relaymatch"],
+                              cwd=checkout, capture_output=True, text=True,
+                              check=False)
+    except FileNotFoundError:     # no git installed
+        return None
+    return None if proc.returncode else proc.stdout == ""
+
+
 def run_one(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    clean = tree_clean(checkout)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
@@ -41,7 +57,7 @@ def run_one(checkout: Path, workload: str, seed: int, trace: int) -> dict:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode} without "
                            f"a result:\n{proc.stderr[-2000:]}")
     return {**json.loads(lines[-2]), **json.loads(lines[-1]),
-            "exit_code": proc.returncode}
+            "exit_code": proc.returncode, "clean": clean}
 
 
 def main(argv=None) -> int:

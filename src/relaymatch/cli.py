@@ -17,8 +17,8 @@ import numpy as np
 from .errors import ConfigurationError, EnumerationLimitError, from_fields
 from .experiments import (OUT_DIR_ENV, ExperimentConfig, _resolve_out_dir,
                           run_ensemble, run_sweep)
-from .matching import (Matching, _state, default_profiles, enumerate_strategies,
-                       global_satisfaction, is_feasible, is_stable)
+from .matching import (Matching, default_profiles, enumerate_strategies,
+                       global_satisfaction, is_feasible, is_stable, relay_utility)
 from .radio import (PATH_LOSS_PRESETS, TopologyParams, build_capacity_table,
                     build_gain_table, generate_topology, load_topology,
                     save_topology)
@@ -165,18 +165,20 @@ def _cmd_verify(args) -> int:
         n, better = result.witness
         print(f"unstable: source {n} improves by switching to radios {list(better)}")
 
-    # potential-identity audit on sampled unilateral deviations: dU from one
-    # kept kernel state, dLambda from a full rebuild of each deviated matching
+    # potential-identity audit on sampled unilateral deviations: dU and the
+    # base lambda from the kernel state kept on the matching, dLambda from a
+    # full rebuild of each deviated matching
     rng = np.random.default_rng(args.seed)
     worst = 0.0
-    state = _state(matching, profiles, caps)
+    base = global_satisfaction(matching, profiles, caps)
     for _ in range(args.samples):
         n = int(rng.integers(topology.num_sources))
         space = enumerate_strategies(topology.num_radios, topology.quotas[n])
         cand = space[int(rng.integers(len(space)))]
-        du = state.utility(n, cand) - state.utility(n, matching.radios_of(n))
+        du = (relay_utility(matching, n, cand, profiles, caps)
+              - relay_utility(matching, n, matching.radios_of(n), profiles, caps))
         dlam = global_satisfaction(matching.with_strategy(n, cand),
-                                   profiles, caps) - state.lam
+                                   profiles, caps) - base
         worst = max(worst, abs(du - dlam))
     print(f"potential-identity max deviation over {args.samples} samples: {worst:.3e}")
     return 0 if result.stable or args.allow_unstable else 2

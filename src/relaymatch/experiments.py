@@ -12,14 +12,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, matching, solvers
 from .errors import ConfigurationError, from_fields
 from .matching import count_strategies, default_profiles, global_satisfaction
 from .radio import (TopologyParams, build_capacity_table, build_gain_table,
@@ -28,6 +30,10 @@ from .solvers import ENUMERATION_CAP, IterationTrace, SolverConfig, solve
 
 OUT_DIR_ENV = "RELAYMATCH_OUT"
 METRICS = ("runs", "cdf", "trace")
+#: module constants that change results, recorded in every manifest
+RESULT_CONSTANTS = ((solvers, ("ANNEAL_SCALE", "BETA_MAX", "STOP_WINDOW",
+                               "IMPROVEMENT_TOL", "ENUMERATION_CAP", "RADIO_QUOTA")),
+                    (matching, ("SATISFACTION_TOL", "STABILITY_CAP")))
 
 
 @dataclass
@@ -310,8 +316,38 @@ def _resolve_out_dir(config: ExperimentConfig, out_dir):
     return config.out_dir
 
 
+@cache
+def _source_digest() -> str:
+    """sha256 over every file of the package but __pycache__, in sorted
+    path order, each as its path relative to the source root and then its
+    bytes: perfbench's source_identity rule, so a manifest and a BENCH
+    record can be matched. Computed once per process, on the first
+    manifest write."""
+    package = Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            digest.update(path.relative_to(package.parent).as_posix().encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def _code_block() -> dict:
+    """The manifest's code block: what besides the config changes results,
+    namely the sources, the result-changing module constants and the Python
+    and numpy versions (the draw mirror reproduces numpy's algorithms)."""
+    return {
+        "src_sha256": _source_digest(),
+        "constants": {name: getattr(module, name)
+                      for module, names in RESULT_CONSTANTS for name in names},
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def _write_manifest(config: ExperimentConfig, out: Path, **extra) -> None:
     manifest = {
+        "code": _code_block(),
         "config": config._recorded(),
         "config_sha256": config.config_hash(),
         "version": __version__,

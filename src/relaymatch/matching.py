@@ -7,7 +7,9 @@ radio carrying A sources delivers caps[n, l] / A to each of them.
 
 One kernel, _MatchingState, holds the rate, satisfaction and relay-utility
 arithmetic; the solvers run on it, and global_satisfaction, relay_utility
-and is_stable are thin wrappers over it.
+and is_stable are thin wrappers over it. A matching keeps the state the
+wrappers last built for it (see _state), so repeated queries on one
+matching build it once.
 """
 
 from __future__ import annotations
@@ -75,14 +77,16 @@ class Matching:
     """Immutable bipartite assignment between sources and relay radios.
 
     Stored source-side as sorted radio tuples; per-radio loads are derived,
-    so mutuality holds by construction.
+    so mutuality holds by construction. `_kernel` holds the kernel state the
+    wrappers last built for this matching; it is never copied or pickled.
     """
 
-    __slots__ = ("_strategies", "_num_radios")
+    __slots__ = ("_strategies", "_num_radios", "_kernel")
 
     def __init__(self, strategies: Sequence[Iterable[int]], num_radios: int):
         self._num_radios = int(num_radios)
         self._strategies = tuple(_canonical(s, self._num_radios) for s in strategies)
+        self._kernel = None
 
     @property
     def num_sources(self) -> int:
@@ -114,7 +118,11 @@ class Matching:
         m = Matching.__new__(Matching)
         m._strategies = tuple(new)
         m._num_radios = self._num_radios
+        m._kernel = None
         return m
+
+    def __reduce__(self):
+        return Matching, (self._strategies, self._num_radios)
 
     def __eq__(self, other):
         return (isinstance(other, Matching)
@@ -368,7 +376,22 @@ class _MatchingState:
 
 
 def _state(m: Matching, profiles, caps: np.ndarray) -> _MatchingState:
-    return _MatchingState(m.strategies, caps.tolist(), profiles, m.num_radios)
+    """The kernel state of m under (profiles, caps), kept on m.
+
+    The kept state is reused while caps is the same array with unchanged
+    bytes and profiles holds the same objects, in the same number; any other
+    call builds a fresh state and replaces it. Callers only read the state,
+    never move it: a moved state would answer for another matching."""
+    raw = caps.tobytes()
+    kept = m._kernel
+    if (kept is not None and kept[0] is caps and kept[1] == raw
+            and len(kept[2]) == len(profiles)
+            and all(a is b for a, b in zip(kept[2], profiles))):
+        return kept[3]
+    profiles = tuple(profiles)
+    state = _MatchingState(m.strategies, caps.tolist(), profiles, m.num_radios)
+    m._kernel = (caps, raw, profiles, state)
+    return state
 
 
 def global_satisfaction(m: Matching, profiles: Sequence[SatisfactionProfile],

@@ -156,6 +156,11 @@ class Topology:
         return tuple(s.num_radios for s in self.sources)
 
 
+#: most source-radio links a topology may have; its capacity table then
+#: holds 8 MB of float64
+MAX_LINKS = 10 ** 6
+
+
 @dataclass(frozen=True)
 class TopologyParams:
     num_sources: int = 13
@@ -178,6 +183,12 @@ class TopologyParams:
             raise ConfigurationError("need at least one source and one relay")
         if self.radios_per_relay < 1:
             raise ConfigurationError("relays need at least one radio")
+        links = self.num_sources * self.num_relays * self.radios_per_relay
+        if links > MAX_LINKS:
+            raise ConfigurationError(
+                f"num_sources x num_relays x radios_per_relay = {self.num_sources} x "
+                f"{self.num_relays} x {self.radios_per_relay} = {links} source-radio "
+                f"links, over the limit of {MAX_LINKS}")
         if self.area_side_m <= 0:
             raise ConfigurationError("area side must be positive")
         if self.relay_radius_m <= 0 or self.relay_radius_m > self.area_side_m / 2:

@@ -1,6 +1,8 @@
-"""Tests for bench/ab.py's pair summary and run loop; no benchmark runs."""
+"""Tests for bench/ab.py's pair summary and run loop and bench/collect.py's
+run record; no benchmark runs."""
 
 import importlib
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -99,3 +101,44 @@ def test_one_block_per_workload_and_any_failure_exits_one(ab, monkeypatch, capsy
     for block, (b, c) in zip(blocks, (("1", "2"), ("3", "6"))):
         assert "replications_per_s" in block and f" {b} [{b}-{b}] -> {c} [" in block
         assert "stream fingerprints equal in 2/2 pairs" in block
+
+
+STUB_RUN = """import json
+print(json.dumps({"record": {"fingerprint": "f"}}))
+print(json.dumps({"correct": True}))
+"""
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org",
+                    *args], cwd=repo, check=True, capture_output=True)
+
+
+def test_run_record_says_whether_the_sources_were_clean(monkeypatch, tmp_path):
+    # a stub perfbench/run.py stands in for the benchmark
+    monkeypatch.syspath_prepend(str(BENCH))
+    collect = importlib.import_module("collect")
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    repo = tmp_path / "checkout"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "src" / "relaymatch").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text(STUB_RUN)
+    source = repo / "src" / "relaymatch" / "kernel.py"
+    source.write_text("x = 1\n")
+
+    def clean():
+        run = collect.run_one(repo, "w", 1, 0)
+        assert run["correct"] and run["record"] == {"fingerprint": "f"}
+        return run["clean"]
+
+    assert clean() is None                      # no git
+    git(repo, "init", "-q")
+    git(repo, "add", "src")
+    git(repo, "commit", "-q", "-m", "sources")
+    # perfbench/ is untracked, but only src/relaymatch counts
+    assert clean() is True
+    source.write_text("x = 2\n")
+    assert clean() is False
+    git(repo, "commit", "-q", "-am", "edit")
+    (repo / "src" / "relaymatch" / "new.py").write_text("")
+    assert clean() is False

@@ -102,6 +102,22 @@ class TestGen:
         assert named in err and "expected float" in err
         assert not (tmp_path / "t.json").exists()
 
+    def test_oversized_topology_exits_one_before_any_draw(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # this config used to loop in the per-source draw until killed; the
+        # first source the loop completes would raise, and so exit 2
+        def no_source(**fields):
+            raise AssertionError("generate_topology entered its source loop")
+
+        monkeypatch.setattr(rm.radio, "SourceNode", no_source)
+        cfg = tmp_path / "params.json"
+        cfg.write_text(json.dumps({"num_sources": 100000000000}))
+        code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "t.json")])
+        assert code == 1
+        assert ("num_sources x num_relays x radios_per_relay = 100000000000 x 5 x 2"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "t.json").exists()
+
     def test_bad_flag_exits_one(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["gen", "--path-loss", "underwater", "--out",
@@ -487,8 +503,8 @@ class TestVerify:
         assert "unstable" in capsys.readouterr().out
 
     def test_audit_keeps_one_kernel_state(self, tmp_path, capsys, monkeypatch):
-        # one state for is_stable, one for the audit's dU, and one full
-        # rebuild per sample for dLambda
+        # one state kept on the matching for is_stable and the audit's dU
+        # and base lambda, and one full rebuild per sample for dLambda
         topo_path = make_topology_file(tmp_path)
         matching_path = tmp_path / "matching.json"
         assert main(["run", "--topology", str(topo_path), "--seed", "2",
@@ -505,7 +521,7 @@ class TestVerify:
                      str(matching_path), "--samples", "25",
                      "--allow-unstable"]) == 0
         assert "over 25 samples" in capsys.readouterr().out
-        assert len(built) <= 25 + 2
+        assert len(built) == 25 + 1
 
     @pytest.mark.parametrize("doc", [{"a": [1]}, [[0]], {"0": "x", "1": [0]},
                                      {"-1": [0]}, {"0": [0], "00": [1], "2": []}],

@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import relaymatch as rm
-from relaymatch import experiments
+from relaymatch import experiments, matching, solvers
 from relaymatch.errors import ConfigurationError
 from relaymatch.experiments import (OUT_DIR_ENV, _replication_seeds,
                                     run_ensemble, run_sweep, write_result)
@@ -265,6 +267,37 @@ class TestPersistence:
         header = (tmp_path / "runs.csv").read_text().splitlines()[0]
         assert header == ("replication,solver,topology_seed,final_lambda,"
                           "convergence_iteration,iterations,num_sources")
+
+    def test_manifest_names_the_code(self, tmp_path, monkeypatch):
+        # the sources are hashed once per process, on the first manifest
+        # write, by perfbench's source_identity rule
+        experiments._source_digest.cache_clear()
+        config = small_config(replications=1)
+        run_ensemble(config, out_dir=tmp_path / "a")
+        run_ensemble(config, out_dir=tmp_path / "b")
+        assert experiments._source_digest.cache_info().misses == 1
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        code = manifest["code"]
+        assert code["constants"] == {
+            "ANNEAL_SCALE": solvers.ANNEAL_SCALE, "BETA_MAX": solvers.BETA_MAX,
+            "STOP_WINDOW": solvers.STOP_WINDOW,
+            "IMPROVEMENT_TOL": solvers.IMPROVEMENT_TOL,
+            "ENUMERATION_CAP": solvers.ENUMERATION_CAP,
+            "RADIO_QUOTA": solvers.RADIO_QUOTA,
+            "SATISFACTION_TOL": matching.SATISFACTION_TOL,
+            "STABILITY_CAP": matching.STABILITY_CAP}
+        assert code["python"] == platform.python_version()
+        assert code["numpy"] == np.__version__
+        src = Path(rm.__file__).resolve().parent.parent
+        digest = hashlib.sha256()
+        for path in sorted((src / "relaymatch").rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                digest.update(path.relative_to(src).as_posix().encode())
+                digest.update(path.read_bytes())
+        assert code["src_sha256"] == digest.hexdigest()
+        # the block lies outside config, so the config hash ignores it
+        assert manifest["config_sha256"] == config.config_hash()
+        assert "code" not in manifest["config"]
 
     def test_byte_identical_reruns(self, tmp_path):
         config = small_config()

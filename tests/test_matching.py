@@ -1,6 +1,9 @@
 """Unit tests for matching state, satisfaction, utilities and stability."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import relaymatch as rm
 from relaymatch.errors import ConfigurationError, EnumerationLimitError
-from relaymatch.matching import (SATISFACTION_TOL, _MatchingState,
+from relaymatch.matching import (SATISFACTION_TOL, _MatchingState, _state,
                                  count_strategies, enumerate_strategies)
 
 from conftest import (_reference_global_satisfaction, _reference_is_stable,
@@ -325,3 +328,70 @@ class TestScores:
                     len(set(strategies[k]).intersection(cand)) > 1
                     for cand in space[n] for k in range(num_sources) if k != n)
         assert shared_twice
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts _MatchingState constructions."""
+    built = []
+    init = _MatchingState.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(_MatchingState, "__init__", counting_init)
+    return built
+
+
+class TestKeptKernel:
+    """The kernel state the wrappers keep on a matching."""
+
+    def test_repeated_queries_build_one_state(self, builds):
+        topo, profiles, caps, m, space, rng = _random_matching(5, 6, 3, 2)
+        rm.is_stable(m, topo, profiles, caps)
+        for _ in range(400):
+            n = int(rng.integers(topo.num_sources))
+            rm.relay_utility(m, n, space[n][int(rng.integers(len(space[n])))],
+                             profiles, caps)
+        rm.global_satisfaction(m, profiles, caps)
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("change", ["caps-mutated", "caps-equal-copy",
+                                        "profile-replaced", "profile-appended",
+                                        "profiles-equal-copy"])
+    def test_rebuilt_when_inputs_change(self, builds, change):
+        topo, profiles, caps, m, space, rng = _random_matching(7, 6, 3, 2)
+        profiles = list(profiles)
+        n = int(rng.integers(topo.num_sources))
+        cand = space[n][-1]
+        rm.relay_utility(m, n, cand, profiles, caps)
+        # the same objects in a new sequence reuse the state
+        rm.global_satisfaction(m, tuple(profiles), caps)
+        assert len(builds) == 1
+        if change == "caps-mutated":
+            caps *= 1.5
+        elif change == "caps-equal-copy":
+            caps = caps.copy()
+        elif change == "profile-replaced":
+            profiles[0] = rm.SatisfactionProfile(2 * profiles[0].required_rate_bps)
+        elif change == "profile-appended":
+            profiles.append(profiles[0])
+        else:
+            profiles = tuple(dataclasses.replace(p) for p in profiles)
+        got = (rm.global_satisfaction(m, profiles, caps),
+               rm.relay_utility(m, n, cand, profiles, caps))
+        assert len(builds) == 2
+        fresh = _MatchingState(m.strategies, caps.tolist(), profiles, topo.num_radios)
+        assert [x.hex() for x in got] == [fresh.lam.hex(),
+                                          fresh.utility(n, cand).hex()]
+
+    def test_copies_and_pickles_carry_no_kernel(self):
+        topo, profiles, caps, m, _, _ = _random_matching(9, 6, 3, 2)
+        unevaluated = pickle.dumps(m)
+        state = _state(m, profiles, caps)
+        assert m._kernel[3] is state
+        for other in (m.with_strategy(0, m.radios_of(0)), copy.copy(m),
+                      copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert other == m and other._kernel is None
+        assert pickle.dumps(m) == unevaluated

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import relaymatch as rm
 from relaymatch.errors import ConfigurationError
-from relaymatch.radio import (PATH_LOSS_PRESETS, dbm_to_watts,
+from relaymatch.cli import preset_path
+from relaymatch.radio import (MAX_LINKS, PATH_LOSS_PRESETS, dbm_to_watts,
                               topology_from_dict, topology_to_dict)
 
 
@@ -150,6 +151,24 @@ class TestTopologyGeneration:
             rm.generate_topology(rm.TopologyParams(rate_requirement_bps=(0, 1e6)), 1)
         with pytest.raises(ConfigurationError):
             rm.generate_topology(rm.TopologyParams(relay_radius_m=5000.0), 1)
+
+    def test_link_count_bounded(self):
+        # 10 x 10 x 10 links at the limit pass; one source more is refused
+        scale = round(MAX_LINKS ** (1 / 3))
+        assert scale ** 3 == MAX_LINKS
+        rm.TopologyParams(num_sources=scale, num_relays=scale,
+                          radios_per_relay=scale).validate()
+        with pytest.raises(ConfigurationError, match=(
+                f"num_sources x num_relays x radios_per_relay = {scale + 1} x "
+                f"{scale} x {scale} = {(scale + 1) * scale ** 2} ")):
+            rm.TopologyParams(num_sources=scale + 1, num_relays=scale,
+                              radios_per_relay=scale).validate()
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4"])
+    def test_presets_within_link_bound(self, preset):
+        config = rm.ExperimentConfig.from_json(preset_path(preset))
+        for n in config.sweep_num_sources or [config.topology.num_sources]:
+            dataclasses.replace(config.topology, num_sources=n).validate()
 
 
 class TestGainAndCapacityTables:

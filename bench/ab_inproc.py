@@ -1,0 +1,130 @@
+"""Compare one solver of two checkouts in one process, instance by instance.
+
+    python3 bench/ab_inproc.py BASE CHANGE --solver S --n N --rounds R
+        [--instances K] [--quota Q] [--seed 1]
+
+Both checkouts' `src/relaymatch` packages are loaded under aliases into
+this one process, so both sides share one interpreter, one heap and one
+machine phase. Every round solves the same K instances. Each instance is
+generated by each side's own package from the same topology seed and solved
+by base and change in turn; only the solver call is timed, and the side that
+goes first flips every round. `--solver exhaustive` draws the benchmark's
+`oracle_audit` shape (3 relays x 2 radios, air-to-air, quota 1 or 2), the
+walks its `paired_n13` shape (5 relays x 2 radios, air-to-air, quota 1 to
+3); `--quota Q` gives every source quota Q. Run an A/A control (the same
+checkout on both sides) next to every A/B reading: the spread it shows is
+what the setup itself gives.
+
+Per round this prints each side's ms per instance (exhaustive) or us per
+activation (the walks, one activation per trace entry), then the medians
+over rounds, the rounds the change won, and how many instances had equal
+matchings and equal trace lambda bytes on both sides. It exits 1 when any
+result differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+WALKS = ("pma", "best_response", "many_to_one", "substitutable")
+
+
+def load(tree: Path, alias: str):
+    """The relaymatch package of checkout `tree`, imported as `alias`."""
+    package = tree / "src" / "relaymatch"
+    spec = importlib.util.spec_from_file_location(
+        alias, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def instances(rm, args, seeds):
+    """(topology, profiles, caps, solver seed) per seed, from package rm."""
+    shape = (dict(num_relays=3, radios_per_relay=2, source_radios=(1, 2))
+             if args.solver == "exhaustive" else
+             dict(num_relays=5, radios_per_relay=2))
+    if args.quota is not None:
+        shape["source_radios"] = args.quota
+    params = rm.TopologyParams(num_sources=args.n, path_loss=rm.AIR_TO_AIR, **shape)
+    out = []
+    for topo_seed, solver_seq in seeds:
+        topo = rm.generate_topology(params, topo_seed)
+        out.append((topo, rm.default_profiles(topo), rm.build_capacity_table(topo),
+                    solver_seq))
+    return out
+
+
+def solve_timed(rm, instance, kind):
+    """(seconds, activations, strategies, trace lambda bytes) of one run."""
+    topo, profiles, caps, seq = instance
+    config = rm.SolverConfig(kind=kind)
+    rng = np.random.default_rng(seq)
+    t0 = time.perf_counter()
+    m, trace = rm.solve(topo, profiles, caps, config, rng)
+    return time.perf_counter() - t0, len(trace), m.strategies, trace.lam.tobytes()
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("base", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--solver", required=True, choices=WALKS + ("exhaustive",))
+    p.add_argument("--n", type=int, required=True, help="number of sources")
+    p.add_argument("--rounds", type=int, required=True)
+    p.add_argument("--instances", type=int, default=10, help="per round")
+    p.add_argument("--quota", type=int, default=None)
+    p.add_argument("--seed", type=int, default=1)
+    args = p.parse_args(argv)
+
+    sides = {"base": load(args.base.resolve(), "relaymatch_base"),
+             "change": load(args.change.resolve(), "relaymatch_change")}
+    seeds = []
+    for child in np.random.SeedSequence(args.seed).spawn(args.instances):
+        topo_seq, solver_seq = child.spawn(2)
+        seeds.append((int(topo_seq.generate_state(1, np.uint64)[0]), solver_seq))
+    work = {side: instances(rm, args, seeds) for side, rm in sides.items()}
+
+    walk = args.solver in WALKS
+    unit = "us/activation" if walk else "ms/instance"
+    print(f"{args.solver} n={args.n} quota {args.quota or 'mixed'}, "
+          f"{args.instances} instances x {args.rounds} rounds, seed {args.seed}")
+    readings = {"base": [], "change": []}
+    same_matching = same_lambda = 0
+    for r in range(args.rounds):
+        order = ("base", "change") if r % 2 == 0 else ("change", "base")
+        seconds = dict.fromkeys(sides, 0.0)
+        count = dict.fromkeys(sides, 0)
+        for i in range(args.instances):
+            runs = {}
+            for side in order:
+                runs[side] = solve_timed(sides[side], work[side][i], args.solver)
+                seconds[side] += runs[side][0]
+                count[side] += runs[side][1] if walk else 1
+            if r == 0:
+                same_matching += runs["base"][2] == runs["change"][2]
+                same_lambda += runs["base"][3] == runs["change"][3]
+        for side in sides:
+            readings[side].append(seconds[side] / count[side] * (1e6 if walk else 1e3))
+        print(f"round {r + 1} ({order[0]} first): base {readings['base'][-1]:.4g}"
+              f" -> change {readings['change'][-1]:.4g} {unit}")
+    base, change = (statistics.median(readings[s]) for s in ("base", "change"))
+    won = sum(c < b for b, c in zip(readings["base"], readings["change"]))
+    print(f"median: base {base:.4g} -> change {change:.4g} {unit} "
+          f"({100.0 * (change - base) / base:+.1f} %), "
+          f"change won {won}/{args.rounds} rounds")
+    print(f"equal matchings {same_matching}/{args.instances}, "
+          f"equal trace lambda bytes {same_lambda}/{args.instances}")
+    return 0 if same_matching == same_lambda == args.instances else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,7 @@
 """Command-line front end: gen, run, ensemble, verify, oracle.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 runtime error.
+A runtime error prints one line, or its traceback under --debug.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -198,6 +200,8 @@ def _cmd_oracle(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="relaymatch",
                      description="UAV relay-selection matching simulator")
+    parser.add_argument("--debug", action="store_true",
+                        help="print a runtime error's traceback")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate and save a seeded topology")
@@ -252,8 +256,11 @@ def main(argv=None) -> int:
     except EnumerationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        if args.debug:
+            traceback.print_exc()
+        else:
+            print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -292,8 +292,17 @@ class _MatchingState:
             value += profiles[k].evaluate(base_rate - drop) - base_f
         return value
 
-    def scores(self, n, candidates) -> list:
-        """[self.utility(n, c) for c in candidates], bit for bit, in one pass.
+    def scores(self, n, candidates, floor=-math.inf) -> list:
+        """[self.utility(n, c) for c in candidates], bit for bit, in one pass,
+        except that a candidate other than n's own set whose own term
+        evaluate(rate) is <= floor scores -inf, its neighbour terms skipped.
+
+        A utility adds to its own term at most N neighbour terms
+        f_k(base - drop) - f_k(base), each <= 0 exactly and, as computed, at
+        most one ulp of 1 (2.2e-16) above zero, so for N below a few
+        thousand it exceeds its own term by less than 1e-12. A caller that
+        takes only scores above u + SATISFACTION_TOL therefore loses no
+        candidate with floor = u + SATISFACTION_TOL - 1e-12.
 
         Each radio's share and, for every neighbour k on every radio l, the
         term evaluate(base_rate - caps[k][l] * shrink_l) - base_f are
@@ -334,6 +343,9 @@ class _MatchingState:
                 multi |= seen & masks[l]
                 seen |= masks[l]
             value = evaluate(rate)
+            if value <= floor:
+                out.append(-math.inf)
+                continue
             if not multi:
                 for l in cand:
                     for t in terms[l]:
@@ -450,8 +462,10 @@ def is_stable(m: Matching, topology, profiles: Sequence[SatisfactionProfile],
     candidates rather than silently truncating. By the potential identity a
     candidate raises global satisfaction by its relay-utility gain over the
     current strategy, so one state scores each source's whole space in one
-    scores() pass; the witness is the first candidate, in enumeration order,
-    whose gain exceeds SATISFACTION_TOL, best response's own stopping rule.
+    scores() pass, which skips a candidate whose own satisfaction cannot
+    reach that gain; the witness is the first candidate, in enumeration
+    order, whose gain exceeds SATISFACTION_TOL, best response's own stopping
+    rule.
     """
     total = sum(count_strategies(topology.num_radios, q) for q in topology.quotas)
     if total > STABILITY_CAP:
@@ -461,7 +475,8 @@ def is_stable(m: Matching, topology, profiles: Sequence[SatisfactionProfile],
     for n, q in enumerate(topology.quotas):
         u_current = state.utility(n, m.radios_of(n))
         space = enumerate_strategies(topology.num_radios, q)
-        for cand, u in zip(space, state.scores(n, space)):
+        floor = u_current + SATISFACTION_TOL - 1e-12
+        for cand, u in zip(space, state.scores(n, space, floor=floor)):
             if u > u_current + SATISFACTION_TOL:
                 return StabilityResult(stable=False, witness=(n, cand))
     return StabilityResult(stable=True)

@@ -325,10 +325,12 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
     feasible radio set; terminates once a full sweep changes nothing.
 
     Each activation scores the source's whole space in one
-    _MatchingState.scores pass. A source whose last activation left it in
-    place, with no move by anyone since, would score the same state again,
-    so it keeps its set unscored. All sources idle is a stable state, the
-    only one in which a run cut by max_iterations reports convergence."""
+    _MatchingState.scores pass, which skips a candidate whose own
+    satisfaction cannot beat the current set. A source whose last
+    activation left it in place, with no move by anyone since, would score
+    the same state again, so it keeps its set unscored. All sources idle is
+    a stable state, the only one in which a run cut by max_iterations
+    reports convergence."""
     n_src, n_radio = topology.num_sources, topology.num_radios
     quotas = topology.quotas
     for q in quotas:
@@ -353,7 +355,8 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
         if not idle[n]:
             space = candidates[quotas[n]]
             best_u = state.utility(n, best_set)
-            for cand, u in zip(space, state.scores(n, space)):
+            floor = best_u + SATISFACTION_TOL - 1e-12
+            for cand, u in zip(space, state.scores(n, space, floor=floor)):
                 if u > best_u + SATISFACTION_TOL:
                     best_u, best_set = u, cand
         accepted = best_set != strategies[n]
@@ -438,20 +441,29 @@ def exhaustive_search(topology, profiles, caps, cap: int = ENUMERATION_CAP):
 
     A source's satisfaction depends only on its own set and the loads on
     its radios, each between 1 and the number of sources N. So every source
-    gets one table, filled once with the same arithmetic as a from-scratch
-    recompute (rates summed in radio order, then the profile's sigmoid): set
-    s with loads (a_0, .., a_k-1) sits at start[s] + sum((a_j - 1) *
-    N**(k-1-j)), and a_j - 1 counts the other sources on radio s_j. So n's
-    entry is start_n[s_n] + sum over k != n of P_nk[s_n, s_k], with integer
-    pair codes P_nk = stride_n . inc_k built once: no load vector is formed.
+    gets one table, filled one set size at a time with the arithmetic of a
+    from-scratch recompute (rates divided and added in radio order, then
+    the profile's own evaluate): set s with loads (a_0, .., a_k-1) sits at
+    start[s] + sum((a_j - 1) * N**(k-1-j)), and a_j - 1 counts the other
+    sources on radio s_j. So n's entry is start_n[s_n] + sum over k != n of
+    P_nk[s_n, s_k], with integer pair codes P_nk = stride_n . inc_k built
+    once: no load vector is formed. A suffix-max table of the same layout
+    holds the largest entry over all loads >= the given ones.
+
     Blocks of at most _ORACLE_CHUNK profiles, contiguous in product order,
     fix the leading sources and broadcast the trailing ones as a C-order
-    grid (one axis cut to fit); lambda adds the looked-up satisfactions in
-    source order, the IEEE additions of a per-profile loop, so the optimum
-    and its lambda are bit-identical to one. np.argmax takes the first
-    maximum within a block and a strict > the first across blocks. Four
-    quota-2 sources on 6 radios (22**4 profiles) run at about 27e6
-    profiles/s, table fill included (2-core Xeon, numpy 2.4).
+    grid (one axis, source t's, cut to fit). Other sources can only add
+    load and IEEE addition is monotone, so every source's suffix-max entry
+    at the loads that sources 0..t put on its radios (a later source's
+    largest over its sets), added in source order from 0.0, bounds lambda
+    exactly; the largest such sum over the block's slice of t bounds the
+    block. Blocks are scored in descending bound order, ties in product
+    order, until the first whose bound is strictly below the best lambda so
+    far. lambda adds the looked-up satisfactions in source order, the IEEE
+    additions of a per-profile loop, so the optimum and its lambda are
+    bit-identical to one. np.argmax takes the first maximum within a block,
+    and a block's maximum replaces the best when it is larger, or equal at
+    a smaller profile index.
     """
     n_src, n_radio = topology.num_sources, topology.num_radios
     counts = [count_strategies(n_radio, q) for q in topology.quotas]
@@ -461,47 +473,75 @@ def exhaustive_search(topology, profiles, caps, cap: int = ENUMERATION_CAP):
             f"{total} strategy profiles exceed the exhaustive-search cap of {cap}")
 
     per_source = [enumerate_strategies(n_radio, q) for q in topology.quotas]
-    caps_rows = caps.tolist()
-    strides, starts, tables = [], [], []
+    strides, starts, tables, peaks = [], [], [], []
     for n, space in enumerate(per_source):
-        row, evaluate = caps_rows[n], profiles[n].evaluate
+        row, evaluate = caps[n], profiles[n].evaluate
         stride = np.zeros((n_radio, len(space)), dtype=np.intp)
-        start = np.empty(len(space), dtype=np.intp)
-        table = []
-        for i, strat in enumerate(space):
-            start[i] = len(table)
-            for j, l in enumerate(strat):
-                stride[l, i] = n_src ** (len(strat) - 1 - j)
-            for radio_loads in itertools.product(range(1, n_src + 1),
-                                                 repeat=len(strat)):
-                rate = 0.0
-                for l, a in zip(strat, radio_loads):
-                    rate += row[l] / a
-                table.append(evaluate(rate))
+        empty = np.array([evaluate(0.0)])
+        table, peak, first = [empty], [empty], 1
+        while first < len(space):
+            k = len(space[first])
+            sets = np.array(space[first:first + math.comb(n_radio, k)])
+            loads = np.indices((n_src,) * k).reshape(k, -1) + 1
+            rate = 0.0
+            for j in range(k):
+                rate = rate + row[sets[:, j], None] / loads[j]
+                stride[sets[:, j], first + np.arange(len(sets))] = n_src ** (k - 1 - j)
+            sat = np.array([evaluate(r) for r in rate.ravel().tolist()])
+            table.append(sat)
+            sat = sat.reshape((len(sets),) + (n_src,) * k)
+            for axis in range(1, k + 1):
+                sat = np.flip(np.maximum.accumulate(np.flip(sat, axis), axis), axis)
+            peak.append(sat.ravel())
+            first += len(sets)
         strides.append(stride)
-        starts.append(start)
-        tables.append(np.array(table))
+        starts.append(np.cumsum([0] + [n_src ** len(s) for s in space[:-1]]))
+        tables.append(np.concatenate(table))
+        peaks.append(np.concatenate(peak))
     pairs = [[s.T @ (o > 0) for o in strides] for s in strides]   # inc = stride > 0
+
+    def entries(n, idx, fixed):
+        return sum((pairs[n][k][idx[n], idx[k]] for k in fixed if k != n),
+                   starts[n][idx[n]])
 
     # sources after t form a grid of `tail` profiles; t's axis is cut to fit
     t = next(t for t in range(n_src) if math.prod(counts[t + 1:]) <= _ORACLE_CHUNK)
     tail = math.prod(counts[t + 1:])
     width = _ORACLE_CHUNK // tail
+    # the bounds of a slab of leads at a time, on a (lead, t's set, later
+    # source's set) grid of about _ORACLE_CHUNK entries
+    n_lead = math.prod(counts[:t])
+    slab = max(1, _ORACLE_CHUNK // (counts[t] * max(counts[t + 1:], default=1)))
+    bounds = []
+    for lo in range(0, n_lead, slab):
+        lead = (np.unravel_index(np.arange(lo, min(lo + slab, n_lead)), counts[:t])
+                if t else ())
+        idx = ([i[:, None, None] for i in lead] + [np.arange(counts[t])[:, None]]
+               + [np.arange(c) for c in counts[t + 1:]])
+        bound = 0.0
+        for n, peak in enumerate(peaks):
+            top = peak.take(entries(n, idx, range(t + 1)))
+            bound = bound + (top.max(-1, keepdims=True) if n > t else top)
+        bounds.append(np.maximum.reduceat(bound.reshape(-1, counts[t]),
+                                          range(0, counts[t], width), 1))
+    bounds = np.concatenate(bounds)
+
     grid = [np.arange(c).reshape((c,) + (1,) * (n_src - 1 - k))
             for k, c in enumerate(counts)]
     best_lam, best_index = -1.0, None
-    for lead in itertools.product(*map(range, counts[:t])):
-        for a in range(0, counts[t], width):
-            idx = [*lead, grid[t][a:a + width], *grid[t + 1:]]
-            lam = 0.0
-            for n, (table, start, codes) in enumerate(zip(tables, starts, pairs)):
-                entry = sum((p[idx[n], idx[k]] for k, p in enumerate(codes) if k != n),
-                            start[idx[n]])
-                lam = lam + table.take(entry)
-            j = int(np.argmax(lam))
-            if lam.flat[j] > best_lam:
-                best_lam = float(lam.flat[j])
-                best_index = np.ravel_multi_index((*lead, a), counts[:t + 1]) * tail + j
+    for b in np.argsort(-bounds, axis=None, kind="stable").tolist():
+        if bounds.flat[b] < best_lam:
+            break
+        lead, a = divmod(b, bounds.shape[1])
+        a *= width
+        idx = [*np.unravel_index(lead, counts[:t]), grid[t][a:a + width], *grid[t + 1:]]
+        lam = 0.0
+        for n, table in enumerate(tables):
+            lam = lam + table.take(entries(n, idx, range(n_src)))
+        j = int(np.argmax(lam))
+        index = (lead * counts[t] + a) * tail + j
+        if lam.flat[j] > best_lam or lam.flat[j] == best_lam and index < best_index:
+            best_lam, best_index = float(lam.flat[j]), index
     picks = np.unravel_index(best_index, counts)
     return (Matching([space[int(i)] for space, i in zip(per_source, picks)], n_radio),
             best_lam)

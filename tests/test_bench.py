@@ -1,8 +1,9 @@
-"""Tests for bench/ab.py's pair summary and run loop and bench/collect.py's
-run record; no benchmark runs."""
+"""Tests for bench/ab.py's pair summary and run loop, bench/collect.py's
+run record and a smoke run of bench/ab_inproc.py; no perfbench runs."""
 
 import importlib
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,3 +143,19 @@ def test_run_record_says_whether_the_sources_were_clean(monkeypatch, tmp_path):
     git(repo, "commit", "-q", "-am", "edit")
     (repo / "src" / "relaymatch" / "new.py").write_text("")
     assert clean() is False
+
+
+@pytest.mark.parametrize("solver,n", [("exhaustive", 3), ("best_response", 4)])
+def test_inproc_ab_same_tree_on_both_sides(solver, n):
+    root = str(BENCH.parent)
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "ab_inproc.py"), root, root, "--solver", solver,
+         "--n", str(n), "--rounds", "2", "--instances", "3"],
+        capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    unit = "ms/instance" if solver == "exhaustive" else "us/activation"
+    assert [line.split(":")[0] for line in lines[1:3]] == [
+        "round 1 (base first)", "round 2 (change first)"]
+    assert unit in lines[3] and "rounds" in lines[3]
+    assert lines[4] == "equal matchings 3/3, equal trace lambda bytes 3/3"

@@ -7,7 +7,7 @@ import math
 import pytest
 
 import relaymatch as rm
-from relaymatch import experiments
+from relaymatch import cli, experiments
 from relaymatch.cli import main
 from relaymatch.matching import _MatchingState, count_strategies
 
@@ -149,6 +149,25 @@ def test_negative_sample_count_exits_one(tmp_path, capsys, monkeypatch):
     assert err.value.code == 1
     assert "sample count must be >= 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_runtime_error_traceback_only_under_debug(tmp_path, capsys, monkeypatch,
+                                                   debug):
+    def failing_solver(*args, **kwargs):
+        raise RuntimeError("solver broke")
+
+    monkeypatch.setattr(cli, "solve", failing_solver)
+    topo = make_topology_file(tmp_path)
+    argv = ["run", "--topology", str(topo)]
+    assert main(["--debug", *argv] if debug else argv) == 2
+    err = capsys.readouterr().err
+    if debug:
+        assert err.startswith("Traceback (most recent call last):")
+        assert "in failing_solver" in err
+        assert err.endswith("RuntimeError: solver broke\n")
+    else:
+        assert err == "runtime error: solver broke\n"
 
 
 class TestRun:

@@ -312,7 +312,7 @@ class TestScores:
         rows = caps.tolist()
         rng = np.random.default_rng(seed)
         space = [enumerate_strategies(topo.num_radios, q) for q in topo.quotas]
-        shared_twice = False
+        shared_twice, skipped = False, [0, 0]
         for _ in range(5):
             strategies = [s[int(rng.integers(len(s)))] for s in space]
             strategies[int(rng.integers(num_sources))] = ()
@@ -322,12 +322,32 @@ class TestScores:
                 fresh = _MatchingState(strategies, rows, profiles, topo.num_radios)
                 # space[n] holds strategies[n], so the fused current value
                 # is compared too
-                assert [x.hex() for x in got] == [
-                    fresh.utility(n, cand).hex() for cand in space[n]]
+                want = [fresh.utility(n, cand) for cand in space[n]]
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+                # with a floor, a candidate whose own term is <= floor
+                # scores -inf and every other score stays as it was; no
+                # utility exceeds its own term by 1e-12
+                loads0 = [sum(l in s for k, s in enumerate(strategies) if k != n)
+                          for l in range(topo.num_radios)]
+                own = []
+                for cand in space[n]:
+                    rate = 0.0
+                    for l in cand:
+                        rate += rows[n][l] / (loads0[l] + 1)
+                    own.append(profiles[n].evaluate(rate))
+                assert all(u <= o + 1e-12 for u, o in zip(want, own))
+                floor = want[space[n].index(strategies[n])] + SATISFACTION_TOL - 1e-12
+                floored = _MatchingState(strategies, rows, profiles,
+                                         topo.num_radios).scores(n, space[n],
+                                                                 floor=floor)
+                for cand, f, u, o in zip(space[n], floored, want, own):
+                    skip = o <= floor and cand != strategies[n]
+                    assert f.hex() == (-math.inf if skip else u).hex()
+                    skipped[skip] += 1
                 shared_twice |= any(
                     len(set(strategies[k]).intersection(cand)) > 1
                     for cand in space[n] for k in range(num_sources) if k != n)
-        assert shared_twice
+        assert shared_twice and all(skipped)
 
 
 @pytest.fixture

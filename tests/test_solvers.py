@@ -580,9 +580,9 @@ def test_best_response_matches_reference_and_skips_unchanged_states(
     calls = []
     scores = _MatchingState.scores
 
-    def counted(self, n, candidates):
+    def counted(self, n, candidates, **floor):
         calls.append(n)
-        return scores(self, n, candidates)
+        return scores(self, n, candidates, **floor)
 
     monkeypatch.setattr(_MatchingState, "scores", counted)
     cfg = rm.SolverConfig(kind="best_response")
@@ -708,21 +708,63 @@ class TestExhaustive:
                                              source_radios=(1, 3))
         total = math.prod(count_strategies(num_radios, q) for q in topo.quotas)
         assume(total <= 20_000)
-        # small chunks put many chunk boundaries inside small spaces; each
-        # block's lambda grid passes through np.argmax once
-        blocks, argmax = [], np.argmax
-
-        def spy(a, *args, **kwargs):
-            blocks.append(np.size(a))
-            return argmax(a, *args, **kwargs)
-
-        with mock.patch.object(solvers, "_ORACLE_CHUNK", chunk), \
-                mock.patch.object(solvers.np, "argmax", spy):
-            m, lam = rm.exhaustive_search(topo, profiles, caps)
+        # small chunks put many chunk boundaries inside small spaces
+        m, lam, blocks = _oracle_blocks(topo, profiles, caps, chunk)
         m_ref, lam_ref = _reference_exhaustive(topo, profiles, caps)
         assert m == m_ref
         assert lam.hex() == lam_ref.hex()
-        assert sum(blocks) == total and max(blocks) <= chunk
+        # the blocks cover the profiles once, in order, each either scored
+        # once (its lambda grid is the reference's, bit for bit) or pruned
+        # by a bound strictly below the optimum
+        lams = np.array(_reference_lambdas(topo, profiles, caps))
+        assert [lo for lo, _, _, _ in blocks] == [0] + [hi for _, hi, _, _ in blocks[:-1]]
+        assert blocks[-1][1] == total
+        assert max(hi - lo for lo, hi, _, _ in blocks) <= chunk
+        for lo, hi, bound, grid in blocks:
+            if grid is None:
+                assert bound < lam
+            else:
+                assert grid.tobytes() == lams[lo:hi].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           num_sources=st.integers(min_value=1, max_value=5),
+           num_radios=st.integers(min_value=1, max_value=6),
+           chunk=st.sampled_from([1, 7, 64]),
+           bump=st.booleans())
+    def test_block_bounds_hold(self, seed, num_sources, num_radios, chunk, bump):
+        topo, profiles, caps = make_instance(seed, num_sources=num_sources,
+                                             num_relays=num_radios,
+                                             radios_per_relay=1,
+                                             source_radios=(1, 3))
+        total = math.prod(count_strategies(num_radios, q) for q in topo.quotas)
+        assume(total <= 20_000)
+        if bump:
+            profiles = [_BumpProfile(p) for p in profiles]
+        m, lam, blocks = _oracle_blocks(topo, profiles, caps, chunk)
+        lams = _reference_lambdas(topo, profiles, caps)
+        for lo, hi, bound, _ in blocks:
+            assert bound >= max(lams[lo:hi])
+        m_ref, lam_ref = _reference_exhaustive(topo, profiles, caps)
+        assert (m, lam.hex()) == (m_ref, lam_ref.hex())
+
+    def test_block_bounded_by_the_incumbent_is_scored(self):
+        # two identical sources on two equal radios: the first optimum's
+        # block is visited after a block with a higher bound that holds an
+        # equal optimum, and its own bound equals that lambda exactly
+        topo, _, _ = make_instance(5, num_sources=2, num_relays=2,
+                                   radios_per_relay=1, source_radios=2)
+        profiles = (rm.SatisfactionProfile(45e6),) * 2
+        caps = np.full((2, 2), 20e6)
+        lams = _reference_lambdas(topo, profiles, caps)
+        first = lams.index(max(lams))
+        m, lam, blocks = _oracle_blocks(topo, profiles, caps, 11)
+        (tied,) = [b for b in blocks if b[0] <= first < b[1]]
+        assert tied[2] == lam == lams[first]
+        assert any(b[2] > lam and max(lams[b[0]:b[1]]) == lam for b in blocks)
+        assert tied[3] is not None
+        m_ref, _ = _reference_exhaustive(topo, profiles, caps)
+        assert m == m_ref
 
     def test_first_maximum_wins_across_chunks(self):
         # identical sources on equal capacities: every relabelling of the
@@ -820,16 +862,64 @@ class _CountingProfile:
         return self.profile.evaluate(rate)
 
 
-def _reference_exhaustive(topology, profiles, caps):
-    """Reference oracle: score every profile in itertools.product order with
-    one from-scratch recompute each; the first maximum wins."""
+class _BumpProfile:
+    """Satisfaction that peaks at the required rate and falls on both
+    sides, so more load on a radio can raise it."""
+
+    def __init__(self, profile):
+        self.required = profile.required_rate_bps
+
+    def evaluate(self, rate):
+        return math.exp(-((rate - self.required) / self.required) ** 2)
+
+
+def _oracle_blocks(topology, profiles, caps, chunk):
+    """exhaustive_search with _ORACLE_CHUNK patched to chunk, and its blocks
+    in product order as (first profile, stop, bound, lambda grid or None if
+    pruned). The bounds are the one array np.argsort orders, and the k-th
+    np.argmax call scores the k-th block of that order."""
+    sorts, grids = [], []
+    argsort, argmax = np.argsort, np.argmax
+
+    def sort_spy(a, *args, **kwargs):
+        sorts.append(-a)
+        return argsort(a, *args, **kwargs)
+
+    def max_spy(a, *args, **kwargs):
+        grids.append(np.array(a, dtype=float).ravel())
+        return argmax(a, *args, **kwargs)
+
+    with mock.patch.object(solvers, "_ORACLE_CHUNK", chunk), \
+            mock.patch.object(solvers.np, "argsort", sort_spy), \
+            mock.patch.object(solvers.np, "argmax", max_spy):
+        m, lam = rm.exhaustive_search(topology, profiles, caps)
+    (bounds,) = sorts
+    bounds = bounds.ravel()
+    # sources after t vary inside a block; t's axis is cut into slices
+    counts = [count_strategies(topology.num_radios, q) for q in topology.quotas]
+    t = next(t for t in range(len(counts)) if math.prod(counts[t + 1:]) <= chunk)
+    tail = math.prod(counts[t + 1:])
+    width = chunk // tail
+    spans = [((lead * counts[t] + a) * tail,
+              (lead * counts[t] + min(a + width, counts[t])) * tail)
+             for lead in range(math.prod(counts[:t]))
+             for a in range(0, counts[t], width)]
+    assert len(spans) == len(bounds)
+    order = np.argsort(-bounds, kind="stable")
+    scored = dict(zip(order[:len(grids)].tolist(), grids))
+    return m, lam, [(lo, hi, bounds[b], scored.get(b))
+                    for b, (lo, hi) in enumerate(spans)]
+
+
+def _reference_lambdas(topology, profiles, caps):
+    """Lambda of every strategy profile, in itertools.product order, each
+    from one from-scratch recompute."""
     n_radio = topology.num_radios
     per_source = [enumerate_strategies(n_radio, s.num_radios)
                   for s in topology.sources]
     caps_rows = caps.tolist()
     evaluators = [p.evaluate for p in profiles]
-    best_lam = -1.0
-    best_profile = None
+    out = []
     for combo in itertools.product(*per_source):
         loads = [0] * n_radio
         for strat in combo:
@@ -842,10 +932,20 @@ def _reference_exhaustive(topology, profiles, caps):
             for l in strat:
                 rate += row[l] / loads[l]
             lam += evaluators[n](rate)
-        if lam > best_lam:
-            best_lam = lam
-            best_profile = combo
-    return rm.Matching(best_profile, n_radio), best_lam
+        out.append(lam)
+    return out
+
+
+def _reference_exhaustive(topology, profiles, caps):
+    """Reference oracle: the first profile in itertools.product order with
+    the largest reference lambda."""
+    lams = _reference_lambdas(topology, profiles, caps)
+    best = lams.index(max(lams))
+    per_source = [enumerate_strategies(topology.num_radios, s.num_radios)
+                  for s in topology.sources]
+    picks = np.unravel_index(best, [len(space) for space in per_source])
+    return (rm.Matching([space[i] for space, i in zip(per_source, picks)],
+                        topology.num_radios), lams[best])
 
 
 class TestSolveDispatcher:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -45,6 +46,10 @@ class SatisfactionProfile:
     offset: float = 7.5
 
     def __post_init__(self):
+        for name in ("required_rate_bps", "slope_per_bps", "offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"satisfaction {name} must be finite, not {getattr(self, name)!r}")
         if self.required_rate_bps <= 0:
             raise ConfigurationError("required rate must be positive")
         if self.slope_per_bps <= 0:
@@ -66,8 +71,14 @@ def default_profiles(topology) -> tuple:
 
 
 def _canonical(radios: Iterable[int], num_radios: int) -> tuple:
-    """A strategy as a sorted tuple of distinct radio ids in [0, num_radios)."""
-    s = tuple(sorted(set(map(int, radios))))
+    """A strategy as a sorted tuple of distinct radio ids in [0, num_radios).
+    Radio ids are integers, Python's or numpy's; anything else is refused
+    rather than truncated."""
+    try:
+        s = tuple(sorted(set(map(operator.index, radios))))
+    except TypeError:
+        raise ConfigurationError(
+            f"a strategy is a collection of integer radio ids, not {radios!r}") from None
     if s and (s[0] < 0 or s[-1] >= num_radios):
         raise ConfigurationError("radio id out of range")
     return s
@@ -191,11 +202,20 @@ class _MatchingState:
             for l in strat:
                 self.loads[l] += 1
                 self.occupants[l].append(n)
-        self.rates = [0.0] * len(self.strategies)
-        self.sat = [0.0] * len(self.strategies)
-        for n in range(len(self.strategies)):
-            self._refresh(n)
-        self._sum()
+        # _refresh for every source, then _sum, in one pass: the same
+        # divisions and additions in the same radio and source order
+        loads = self.loads
+        rates, sat, lam = [], [], 0.0
+        for n, strat in enumerate(self.strategies):
+            row = caps_rows[n]
+            rate = 0.0
+            for l in strat:
+                rate += row[l] / loads[l]
+            f = profiles[n].evaluate(rate)
+            rates.append(rate)
+            sat.append(f)
+            lam += f
+        self.rates, self.sat, self.lam = rates, sat, lam
         self._baselines = [None] * len(self.strategies)
 
     def _refresh(self, n):
@@ -391,14 +411,17 @@ def _state(m: Matching, profiles, caps: np.ndarray) -> _MatchingState:
     """The kernel state of m under (profiles, caps), kept on m.
 
     The kept state is reused while caps is the same array with unchanged
-    bytes and profiles holds the same objects, in the same number; any other
-    call builds a fresh state and replaces it. Callers only read the state,
-    never move it: a moved state would answer for another matching."""
+    bytes and profiles holds the same objects, in the same number: either
+    it is the very tuple the state was built from, or each of its entries
+    is the kept one. Any other call builds a fresh state and replaces it.
+    Callers only read the state, never move it: a moved state would answer
+    for another matching."""
     raw = caps.tobytes()
     kept = m._kernel
     if (kept is not None and kept[0] is caps and kept[1] == raw
-            and len(kept[2]) == len(profiles)
-            and all(a is b for a, b in zip(kept[2], profiles))):
+            and (kept[2] is profiles
+                 or len(kept[2]) == len(profiles)
+                 and all(a is b for a, b in zip(kept[2], profiles)))):
         return kept[3]
     profiles = tuple(profiles)
     state = _MatchingState(m.strategies, caps.tolist(), profiles, m.num_radios)

@@ -179,6 +179,15 @@ class TopologyParams:
     path_loss: PathLossModel = field(default_factory=PathLossModel)
 
     def validate(self) -> None:
+        # every field bounded below is also finite: a NaN fails no comparison
+        for name in ("num_sources", "num_relays", "radios_per_relay", "source_radios",
+                     "area_side_m", "relay_radius_m", "source_annulus",
+                     "rate_requirement_bps"):
+            value = getattr(self, name)
+            parts = value if isinstance(value, (tuple, list)) else (value,)
+            if not all(v is None or isinstance(v, int) or math.isfinite(v)
+                       for v in parts):
+                raise ConfigurationError(f"{name} must be finite, not {value!r}")
         if self.num_sources < 1 or self.num_relays < 1:
             raise ConfigurationError("need at least one source and one relay")
         if self.radios_per_relay < 1:

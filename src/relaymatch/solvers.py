@@ -259,7 +259,9 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng, observer=None):
     state = _MatchingState(_random_initial(quotas, n_radio, rng), caps.tolist(),
                            profiles, n_radio)
     strategies = state.strategies
-    tables = [None] * n_src     # per source until a move changes its loads
+    # per source until another source's move changes its loads; a mover's
+    # loads without itself, and so its table, are the same after its move
+    tables = [None] * n_src
     # utility(n, ()): n's satisfaction at rate 0, with no neighbour term
     alone = [p.evaluate(0.0) for p in profiles]
 
@@ -293,7 +295,9 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng, observer=None):
                 accepted = draws.random() < pma_accept(u_new, u_old, beta(activations))
                 if accepted and candidate != current:
                     state.move(n, candidate)
+                    kept = tables[n]
                     tables = [None] * n_src
+                    tables[n] = kept
                     lam = state.lam
                     if lam > best_lam + IMPROVEMENT_TOL:
                         last_improve = k

@@ -159,3 +159,22 @@ def test_inproc_ab_same_tree_on_both_sides(solver, n):
         "round 1 (base first)", "round 2 (change first)"]
     assert unit in lines[3] and "rounds" in lines[3]
     assert lines[4] == "equal matchings 3/3, equal trace lambda bytes 3/3"
+
+
+def test_inproc_ab_audit_units_on_both_sides():
+    root = str(BENCH.parent)
+    command = [sys.executable, str(BENCH / "ab_inproc.py"), root, root,
+               "--solver", "audit", "--rounds", "2", "--instances", "3"]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=300,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("audit oracle_audit units, 3 instances x 2 rounds")
+    assert [line.split(":")[0] for line in lines[1:3]] == [
+        "round 1 (base first)", "round 2 (change first)"]
+    assert "ms/instance" in lines[3] and "rounds" in lines[3]
+    assert lines[4] == "equal items 3/3, all checks passed 3/3"
+    # the workload fixes the shape
+    refused = subprocess.run(command + ["--n", "4"], capture_output=True, text=True,
+                             timeout=300, check=False)
+    assert refused.returncode == 2 and "--n and --quota" in refused.stderr

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -48,7 +49,35 @@ class TestSatisfaction:
             rm.SatisfactionProfile(required_rate_bps=1e6, offset=7.0)
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("required_rate_bps", math.nan), ("required_rate_bps", math.inf),
+        ("slope_per_bps", math.nan), ("offset", math.inf), ("offset", math.nan)])
+    def test_non_finite_values_refused(self, field, value):
+        kwargs = {"required_rate_bps": 1e6, field: value}
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            rm.SatisfactionProfile(**kwargs)
+
+
 class TestMatchingState:
+    @pytest.mark.parametrize("radios", [(1.7,), [3.99], ("1",), (0, None), 2])
+    def test_non_integer_radio_ids_refused(self, radios):
+        # refused, not truncated to an integer id, on every path that reads ids
+        m = rm.Matching([(0,)], num_radios=4)
+        profiles = (rm.SatisfactionProfile(10e6),)
+        caps = np.full((1, 4), 20e6)
+        named = re.escape(repr(radios))
+        with pytest.raises(ConfigurationError, match=named):
+            rm.Matching([radios], num_radios=4)
+        with pytest.raises(ConfigurationError, match=named):
+            m.with_strategy(0, radios)
+        with pytest.raises(ConfigurationError, match=named):
+            rm.relay_utility(m, 0, radios, profiles, caps)
+
+    def test_python_and_numpy_integer_ids_accepted(self):
+        m = rm.Matching([np.array([3, 1]), (np.int32(2), np.uint8(2)), (True,)], 4)
+        assert m.strategies == ((1, 3), (2,), (1,))
+        assert all(type(l) is int for s in m.strategies for l in s)
+
     def test_strategies_sorted_and_deduplicated(self):
         m = rm.Matching([(2, 0, 2), (1,)], num_radios=3)
         assert m.strategies == ((0, 2), (1,))
@@ -405,6 +434,24 @@ class TestKeptKernel:
         fresh = _MatchingState(m.strategies, caps.tolist(), profiles, topo.num_radios)
         assert [x.hex() for x in got] == [fresh.lam.hex(),
                                           fresh.utility(n, cand).hex()]
+
+    def test_same_tuple_reused_until_caps_change(self, builds):
+        topo, profiles, caps, m, _, _ = _random_matching(11, 6, 3, 2)
+        assert type(profiles) is tuple
+        state = _state(m, profiles, caps)
+        assert m._kernel[2] is profiles
+        assert _state(m, profiles, caps) is state
+        assert len(builds) == 1
+        # the very tuple the state was built from does not stand in for caps:
+        # new bytes in the same array, then an equal copy, each rebuild
+        caps *= 1.5
+        rebuilt = _state(m, profiles, caps)
+        assert len(builds) == 2 and rebuilt is not state
+        _state(m, profiles, caps.copy())
+        assert len(builds) == 3
+        fresh = _MatchingState(m.strategies, caps.tolist(), profiles, topo.num_radios)
+        assert rebuilt.lam.hex() == fresh.lam.hex()
+        assert rebuilt.rates == fresh.rates
 
     def test_copies_and_pickles_carry_no_kernel(self):
         topo, profiles, caps, m, _, _ = _random_matching(9, 6, 3, 2)

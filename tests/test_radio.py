@@ -152,6 +152,17 @@ class TestTopologyGeneration:
         with pytest.raises(ConfigurationError):
             rm.generate_topology(rm.TopologyParams(relay_radius_m=5000.0), 1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("area_side_m", math.nan), ("area_side_m", math.inf),
+        ("relay_radius_m", math.nan),
+        ("rate_requirement_bps", (math.nan, 4e7)),
+        ("rate_requirement_bps", (1e7, math.inf)),
+        ("source_radios", (1, math.nan))])
+    def test_non_finite_params_rejected(self, field, value):
+        params = rm.TopologyParams(**{field: value})
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            params.validate()
+
     def test_link_count_bounded(self):
         # 10 x 10 x 10 links at the limit pass; one source more is refused
         scale = round(MAX_LINKS ** (1 / 3))

@@ -293,6 +293,67 @@ def test_pma_walk_matches_reference(kind, num_sources):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def _check_pma_tables(topo, profiles, caps, seed, max_iterations):
+    """Runs run_pma, checking every proposal table it proposes from: the
+    table equals proposal_table of the source's share vector on a state
+    freshly built from the strategies before the activation, and a source
+    no other source's move has reached since its last proposal proposes
+    from the very table it used then, its own moves included. Returns how
+    many proposals came after the proposer's own move, with no other move
+    in between."""
+    rows = caps.tolist()
+    propose, passed, events = solvers.pma_propose, [], []
+
+    def spy(attractiveness, quota, rng, size=None, table=None):
+        passed.append(table)
+        return propose(attractiveness, quota, rng, size=size, table=table)
+
+    def observer(event):
+        events.append((event, passed.pop() if passed else None))
+
+    with mock.patch.object(solvers, "pma_propose", spy):
+        rm.run_pma(topo, profiles, caps, rm.SolverConfig(max_iterations=max_iterations),
+                   np.random.default_rng(seed), observer=observer)
+    assert events
+    before, last, after_own_move, mover = None, {}, 0, None
+    for event, table in events:
+        n = event["actor"]
+        if table is not None:
+            if n in last:
+                assert table is last[n]
+                after_own_move += mover == n
+            if before is not None:
+                fresh = _MatchingState(before, rows, profiles, topo.num_radios)
+                idx, p, nonzero, cdf = table
+                assert (idx, p, nonzero, cdf) == solvers.proposal_table(fresh.share(n))
+            last[n] = table
+        if before is not None and event["strategies"] != before:
+            mover = n
+            last = {n: last[n]} if n in last else {}
+        before = event["strategies"]
+    return after_own_move
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       num_sources=st.integers(min_value=1, max_value=6),
+       num_relays=st.integers(min_value=1, max_value=3),
+       radios_per_relay=st.integers(min_value=1, max_value=2))
+def test_mover_keeps_its_proposal_table(seed, num_sources, num_relays, radios_per_relay):
+    """A mover's loads without itself, so its share vector and proposal
+    table, are unchanged by its own move; run_pma keeps that table."""
+    topo, profiles, caps = make_instance(seed, num_sources=num_sources,
+                                         num_relays=num_relays,
+                                         radios_per_relay=radios_per_relay,
+                                         source_radios=None)
+    _check_pma_tables(topo, profiles, caps, seed, max_iterations=30)
+
+
+def test_mover_proposes_again_from_its_kept_table(mid_instance):
+    topo, profiles, caps = mid_instance
+    assert _check_pma_tables(topo, profiles, caps, 4, max_iterations=200) > 0
+
+
 class TestIterationTrace:
     def test_default_iteration_index(self):
         # each recorded activation keeps its iteration; close() types the columns

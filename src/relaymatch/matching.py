@@ -70,17 +70,26 @@ def default_profiles(topology) -> tuple:
     return tuple(SatisfactionProfile(s.required_rate_bps) for s in topology.sources)
 
 
+def _radio_id(l) -> int:
+    # a bool is refused as Matching.from_dict refuses it, though it is an int
+    if type(l) is bool:
+        raise TypeError
+    return operator.index(l)
+
+
 def _canonical(radios: Iterable[int], num_radios: int) -> tuple:
     """A strategy as a sorted tuple of distinct radio ids in [0, num_radios).
-    Radio ids are integers, Python's or numpy's; anything else is refused
-    rather than truncated."""
+    Radio ids are integers, Python's or numpy's, but not bools; anything
+    else is refused rather than truncated."""
     try:
-        s = tuple(sorted(set(map(operator.index, radios))))
+        s = tuple(sorted(set(map(_radio_id, radios))))
     except TypeError:
         raise ConfigurationError(
             f"a strategy is a collection of integer radio ids, not {radios!r}") from None
     if s and (s[0] < 0 or s[-1] >= num_radios):
-        raise ConfigurationError("radio id out of range")
+        bad = s[0] if s[0] < 0 else s[-1]
+        raise ConfigurationError(
+            f"radio id {bad} out of range for {num_radios} radios")
     return s
 
 
@@ -202,20 +211,11 @@ class _MatchingState:
             for l in strat:
                 self.loads[l] += 1
                 self.occupants[l].append(n)
-        # _refresh for every source, then _sum, in one pass: the same
-        # divisions and additions in the same radio and source order
-        loads = self.loads
-        rates, sat, lam = [], [], 0.0
-        for n, strat in enumerate(self.strategies):
-            row = caps_rows[n]
-            rate = 0.0
-            for l in strat:
-                rate += row[l] / loads[l]
-            f = profiles[n].evaluate(rate)
-            rates.append(rate)
-            sat.append(f)
-            lam += f
-        self.rates, self.sat, self.lam = rates, sat, lam
+        self.rates = [0.0] * len(self.strategies)
+        self.sat = [0.0] * len(self.strategies)
+        for n in range(len(self.strategies)):
+            self._refresh(n)
+        self._sum()
         self._baselines = [None] * len(self.strategies)
 
     def _refresh(self, n):

@@ -59,7 +59,8 @@ class TestSatisfaction:
 
 
 class TestMatchingState:
-    @pytest.mark.parametrize("radios", [(1.7,), [3.99], ("1",), (0, None), 2])
+    @pytest.mark.parametrize("radios", [(1.7,), [3.99], ("1",), (0, None), 2,
+                                        (True,), (0, np.True_)])
     def test_non_integer_radio_ids_refused(self, radios):
         # refused, not truncated to an integer id, on every path that reads ids
         m = rm.Matching([(0,)], num_radios=4)
@@ -74,9 +75,14 @@ class TestMatchingState:
             rm.relay_utility(m, 0, radios, profiles, caps)
 
     def test_python_and_numpy_integer_ids_accepted(self):
-        m = rm.Matching([np.array([3, 1]), (np.int32(2), np.uint8(2)), (True,)], 4)
+        m = rm.Matching([np.array([3, 1]), (np.int32(2), np.uint8(2)), (1,)], 4)
         assert m.strategies == ((1, 3), (2,), (1,))
         assert all(type(l) is int for s in m.strategies for l in s)
+
+    @pytest.mark.parametrize("radios, named", [((7,), "radio id 7 "), ((-2, 1), "radio id -2 ")])
+    def test_out_of_range_refusal_names_id(self, radios, named):
+        with pytest.raises(ConfigurationError, match=named + "out of range for 4 radios"):
+            rm.Matching([(0,), radios], num_radios=4)
 
     def test_strategies_sorted_and_deduplicated(self):
         m = rm.Matching([(2, 0, 2), (1,)], num_radios=3)

@@ -12,11 +12,12 @@ generated by each side's own package from the same topology seed and solved
 by base and change in turn; only the solver call is timed. The side that
 goes first flips from instance to instance, and the side that starts a
 round flips from round to round (a round's line names it). `--solver
-exhaustive` draws the benchmark's `oracle_audit` shape (3 relays x 2
-radios, air-to-air, quota 1 or 2), the walks its `paired_n13` shape (5
-relays x 2 radios, air-to-air, quota 1 to 3); `--quota Q` gives every
-source quota Q. Run an A/A control (the same checkout on both sides) next
-to every A/B reading: the spread it shows is what the setup itself gives.
+exhaustive` times the oracle, `exhaustive_search`, on the benchmark's
+`oracle_audit` shape (3 relays x 2 radios, air-to-air, quota 1 or 2); the
+walks run on its `paired_n13` shape (5 relays x 2 radios, air-to-air,
+quota 1 to 3). `--quota Q` gives every source quota Q. Run an A/A control
+(the same checkout on both sides) next to every A/B reading: the spread it
+shows is what the setup itself gives.
 
 `--solver audit` times whole units of the benchmark's `oracle_audit`
 workload instead: instance k is `OracleAudit.run_unit(k)` from this
@@ -29,9 +30,10 @@ shape is fixed: `--n` and `--quota` are refused.
 Per round this prints each side's ms per instance (exhaustive, audit) or
 us per activation (the walks, one activation per trace entry), then the
 medians over rounds, the rounds the change won, and how many instances
-had equal results on both sides: matchings and trace lambda bytes, or the
-audit's items (its stream fingerprint's input) with no failed check. It
-exits 1 when any result differs.
+had equal results on both sides: matchings and lambda bytes (every trace
+entry's for a walk, the optimum's for `exhaustive`), or the audit's items
+(its stream fingerprint's input) with no failed check. It exits 1 when any
+result differs.
 """
 
 from __future__ import annotations
@@ -76,8 +78,13 @@ def instances(rm, args, seeds):
 
 
 def solve_timed(rm, instance, kind):
-    """(seconds, activations, strategies, trace lambda bytes) of one run."""
+    """(seconds, activations, strategies, lambda bytes) of one run: the
+    trace's lambdas for a walk, the optimum's lambda for the oracle."""
     topo, profiles, caps, seq = instance
+    if kind == "exhaustive":
+        t0 = time.perf_counter()
+        m, lam = rm.exhaustive_search(topo, profiles, caps)
+        return time.perf_counter() - t0, 1, m.strategies, lam.hex()
     config = rm.SolverConfig(kind=kind)
     rng = np.random.default_rng(seq)
     t0 = time.perf_counter()

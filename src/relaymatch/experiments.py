@@ -23,10 +23,10 @@ import numpy as np
 
 from . import __version__, matching, solvers
 from .errors import ConfigurationError, from_fields
-from .matching import count_strategies, default_profiles, global_satisfaction
+from .matching import default_profiles, global_satisfaction
 from .radio import (TopologyParams, build_capacity_table, build_gain_table,
                     generate_topology)
-from .solvers import ENUMERATION_CAP, IterationTrace, SolverConfig, solve
+from .solvers import IterationTrace, SolverConfig, solve
 
 OUT_DIR_ENV = "RELAYMATCH_OUT"
 METRICS = ("runs", "cdf", "trace")
@@ -76,11 +76,7 @@ class ExperimentConfig:
                                      "a size names one n<N> output directory")
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        for s in doc["solvers"]:
-            if s["kind"] == "exhaustive":
-                del s["max_iterations"]     # the oracle runs no iterations
-        return doc
+        return asdict(self)
 
     def _recorded(self) -> dict:
         """Every setting that changes results: to_dict() without workers
@@ -91,12 +87,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        config = from_fields(cls, doc)
-        if any(s.get("kind") == "exhaustive" and "max_iterations" in s
-               for s in doc.get("solvers", ())):
-            raise ConfigurationError(
-                "the exhaustive solver runs no iterations; drop its max_iterations")
-        return config
+        return from_fields(cls, doc)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -231,21 +222,6 @@ def satisfaction_vs_n(results: Sequence) -> list:
     return rows
 
 
-def _check(config: ExperimentConfig) -> None:
-    """Refuse, before any replication runs, invalid topology parameters and
-    an exhaustive solver that every draw takes past ENUMERATION_CAP: the
-    space is smallest with every source on the smallest quota."""
-    params = config.topology
-    params.validate()
-    if all(s.kind != "exhaustive" for s in config.solvers):
-        return
-    fewest = count_strategies(params.num_relays * params.radios_per_relay,
-                              params._radio_range()[0]) ** params.num_sources
-    if fewest > ENUMERATION_CAP:
-        raise ConfigurationError(f"the exhaustive solver would score at least {fewest} "
-                                 f"strategy profiles, over its cap of {ENUMERATION_CAP}")
-
-
 def run_ensemble(config: ExperimentConfig, out_dir=None) -> EnsembleResult:
     """Run every configured solver on every replication's topology (shared
     within a replication) and optionally persist CSVs plus a manifest. The
@@ -255,7 +231,7 @@ def run_ensemble(config: ExperimentConfig, out_dir=None) -> EnsembleResult:
         raise ConfigurationError(
             "sweep_num_sources is set: run_sweep runs one ensemble per size, "
             "run_ensemble only topology.num_sources")
-    _check(config)
+    config.topology.validate()
     seeds = list(_replication_seeds(config.master_seed, config.replications,
                                     len(config.solvers)))
     # fork starts every worker up front, so start no more than there is work
@@ -293,7 +269,7 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list:
         sweep_num_sources=None, out_dir=None))
         for n in map(int, config.sweep_num_sources)]
     for _, sub in subs:
-        _check(sub)
+        sub.topology.validate()
     results = [(n, run_ensemble(sub, out_dir=None if out is None else out / f"n{n}"))
                for n, sub in subs]
 

@@ -178,7 +178,11 @@ def sv_rate(m: Matching, source: int, caps: np.ndarray) -> float:
         raise ConfigurationError(f"unknown source id {source}")
     loads = m.loads()
     row = caps[source]
-    return float(sum(row[l] / loads[l] for l in m.radios_of(source)))
+    # added in radio order; built-in sum() is compensated on Python 3.12+
+    rate = 0.0
+    for l in m.radios_of(source):
+        rate += row[l] / loads[l]
+    return float(rate)
 
 
 def _rate(row, radios, loads) -> float:
@@ -331,7 +335,7 @@ class _MatchingState:
         summed, in radio order, and its term evaluated again."""
         loads0, absent, current = self._baselines[n] or self._remove(n)
         caps, profiles, rates, sat = self.caps, self.profiles, self.rates, self.sat
-        share = [c / (a + 1) for c, a in zip(caps[n], loads0)]
+        share = self.share(n)
         # per radio: neighbour -> drop, the terms in occupant order, and the
         # neighbours as a bit mask
         bases, drops, terms, masks = {}, [], [], []

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -179,15 +179,18 @@ class TopologyParams:
     path_loss: PathLossModel = field(default_factory=PathLossModel)
 
     def validate(self) -> None:
-        # every field bounded below is also finite: a NaN fails no comparison
-        for name in ("num_sources", "num_relays", "radios_per_relay", "source_radios",
-                     "area_side_m", "relay_radius_m", "source_annulus",
-                     "rate_requirement_bps"):
-            value = getattr(self, name)
-            parts = value if isinstance(value, (tuple, list)) else (value,)
-            if not all(v is None or isinstance(v, int) or math.isfinite(v)
-                       for v in parts):
-                raise ConfigurationError(f"{name} must be finite, not {value!r}")
+        # every number is finite, path_loss's included: a NaN fails no
+        # comparison below and would reach the capacity table
+        for owner, prefix in ((self, ""), (self.path_loss, "path_loss.")):
+            for f in fields(owner):
+                value = getattr(owner, f.name)
+                if isinstance(value, PathLossModel):
+                    continue
+                parts = value if isinstance(value, (tuple, list)) else (value,)
+                if not all(v is None or isinstance(v, int) or math.isfinite(v)
+                           for v in parts):
+                    raise ConfigurationError(
+                        f"{prefix}{f.name} must be finite, not {value!r}")
         if self.num_sources < 1 or self.num_relays < 1:
             raise ConfigurationError("need at least one source and one relay")
         if self.radios_per_relay < 1:
@@ -200,6 +203,10 @@ class TopologyParams:
                 f"links, over the limit of {MAX_LINKS}")
         if self.area_side_m <= 0:
             raise ConfigurationError("area side must be positive")
+        if self.bandwidth_hz <= 0:
+            raise ConfigurationError("bandwidth must be positive")
+        if self.path_loss.shadowing_sigma_db < 0:
+            raise ConfigurationError("path_loss.shadowing_sigma_db must be >= 0")
         if self.relay_radius_m <= 0 or self.relay_radius_m > self.area_side_m / 2:
             raise ConfigurationError("relay placement radius must fit inside the area")
         lo, hi = self.source_annulus

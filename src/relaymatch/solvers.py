@@ -2,7 +2,9 @@
 
 All solvers take (topology, profiles, caps, config, rng) and return a final
 Matching plus an IterationTrace. The stochastic ones draw only from the
-numpy Generator rng, so fixed seeds reproduce runs bit-exactly.
+numpy Generator rng, so fixed seeds reproduce runs bit-exactly. The oracle,
+exhaustive_search, is not a solver kind: it returns the optimum and its
+lambda, the yardstick the solvers are measured against.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .matching import (SATISFACTION_TOL, Matching, _MatchingState,
 
 log = logging.getLogger(__name__)
 
-SOLVER_KINDS = ("pma", "best_response", "many_to_one", "substitutable", "exhaustive")
+SOLVER_KINDS = ("pma", "best_response", "many_to_one", "substitutable")
 
 #: most strategy profiles exhaustive_search scores per numpy block; chosen
 #: by measuring throughput on 4-source instances with 7-22 sets per source
@@ -564,9 +566,4 @@ def solve(topology, profiles, caps, config: SolverConfig, rng, observer=None):
     if config.kind == "substitutable":
         return run_substitutable(topology, profiles, caps, config, rng,
                                  observer=observer)
-    if config.kind == "exhaustive":
-        m, lam = exhaustive_search(topology, profiles, caps)
-        trace = IterationTrace(lam, observer)
-        trace.record(1, -1, True, lam, m.strategies)
-        return m, trace.close(1)
     raise ConfigurationError(f"unknown solver kind {config.kind!r}")

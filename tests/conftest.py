@@ -34,12 +34,14 @@ def spawn_seeds(master, count, width=2):
 
 def _reference_global_satisfaction(m, profiles, caps):
     """Global satisfaction recomputed from scratch: numpy loads, each
-    source's rate summed over its radios, satisfactions added in source
-    order."""
+    source's rate added in radio order by a loop (built-in sum() is
+    compensated on Python 3.12+), satisfactions added in source order."""
     loads = m.loads()
     total = 0.0
     for n, profile in enumerate(profiles):
-        rate = sum(caps[n, l] / loads[l] for l in m.radios_of(n))
+        rate = 0.0
+        for l in m.radios_of(n):
+            rate += caps[n, l] / loads[l]
         total += profile.evaluate(rate)
     return total
 

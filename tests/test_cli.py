@@ -102,6 +102,22 @@ class TestGen:
         assert named in err and "expected float" in err
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("doc,named", [
+        ({"bandwidth_hz": 0}, "bandwidth must be positive"),
+        ({"path_loss": {"shadowing_sigma_db": -1.0}},
+         "path_loss.shadowing_sigma_db must be >= 0"),
+    ], ids=["zero-bandwidth", "negative-shadowing"])
+    def test_invalid_topology_exits_one_before_writing(self, tmp_path, capsys,
+                                                       doc, named):
+        # a zero bandwidth was written and only refused by `run --topology`;
+        # a negative sigma silently meant no shadowing
+        cfg = tmp_path / "params.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "t.json")])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
     def test_oversized_topology_exits_one_before_any_draw(self, tmp_path, capsys,
                                                           monkeypatch):
         # this config used to loop in the per-source draw until killed; the
@@ -283,6 +299,21 @@ class TestRun:
         assert code == 1
         assert "must hold a JSON object" in capsys.readouterr().err
 
+    def test_exhaustive_is_no_solver_kind(self, tmp_path, capsys):
+        # the oracle is exhaustive_search and `relaymatch oracle`
+        with pytest.raises(rm.ConfigurationError, match="unknown solver kind"):
+            rm.SolverConfig(kind="exhaustive")
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"solvers": [{"kind": "exhaustive"}]}))
+        code = main(["ensemble", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "unknown solver kind 'exhaustive'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--solver", "exhaustive"])
+        assert err.value.code == 1
+        assert "invalid choice: 'exhaustive'" in capsys.readouterr().err
+
     def test_generated_instance_without_file(self, capsys):
         code = main(["run", "--sources", "2", "--relays", "2",
                      "--solver", "substitutable", "--seed", "1"])
@@ -328,16 +359,6 @@ class TestEnsembleCommand:
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
 
-    def test_exhaustive_max_iterations_exits_one(self, tmp_path, capsys):
-        # the oracle runs no iterations; a config that sets them fails
-        path = tmp_path / "exp.json"
-        path.write_text(json.dumps({
-            "topology": {"num_sources": 2, "num_relays": 2}, "metrics": ["runs"],
-            "solvers": [{"kind": "exhaustive", "max_iterations": 1}]}))
-        code = main(["ensemble", "--config", str(path), "--out", str(tmp_path / "r")])
-        assert code == 1
-        assert "max_iterations" in capsys.readouterr().err
-
     def test_prints_directory_written(self, tmp_path, capsys, monkeypatch):
         # with no --out the results go to RELAYMATCH_OUT, and the message says so
         path = tmp_path / "exp.json"
@@ -380,7 +401,9 @@ class TestEnsembleCommand:
     @pytest.mark.parametrize("doc", [
         {"topology": {"num_sources": 0}},
         {"topology": {"num_relays": 2}, "sweep_num_sources": [3, 0]},
-    ], ids=["ensemble", "sweep"])
+        {"topology": {"bandwidth_hz": 0}},
+        {"topology": {"path_loss": {"shadowing_sigma_db": -1.0}}},
+    ], ids=["ensemble", "sweep", "zero-bandwidth", "negative-shadowing"])
     def test_invalid_topology_exits_one_before_writing(self, tmp_path, capsys, doc):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({**doc, "solvers": [{"kind": "substitutable"}],
@@ -433,33 +456,13 @@ class TestEnsembleCommand:
         assert "configuration error" in err and named in err
         assert ran == [] and not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("doc", [
-        {"solvers": [{"kind": "exhaustive"}]},
-        {"topology": {"num_relays": 2, "radios_per_relay": 1, "source_radios": 1},
-         "sweep_num_sources": [3, 17], "solvers": [{"kind": "exhaustive"}]},
-    ], ids=["ensemble", "sweep"])
-    def test_oracle_past_cap_on_every_draw_exits_one(self, tmp_path, capsys,
-                                                     monkeypatch, doc):
-        # with every source on the smallest quota the space still exceeds
-        # the cap: 11**13 profiles on the default topology, 3**17 in the sweep
-        path = tmp_path / "exp.json"
-        path.write_text(json.dumps({**doc, "metrics": ["runs"]}))
-        ran = []
-        monkeypatch.setattr(experiments, "solve", lambda *a, **k: ran.append(a))
-        code = main(["ensemble", "--config", str(path), "--out", str(tmp_path / "r")])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "configuration error" in err
-        assert str(11 ** 13 if "sweep_num_sources" not in doc else 3 ** 17) in err
-        assert ran == [] and not (tmp_path / "r").exists()
-
     def test_sweep_checks_only_swept_sizes(self, tmp_path, capsys):
-        # the top-level 20 sources would exceed the cap, but no run uses them
+        # the top-level 0 sources would be refused, but no run uses them
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({
-            "topology": {"num_sources": 20, "num_relays": 2, "radios_per_relay": 1,
+            "topology": {"num_sources": 0, "num_relays": 2, "radios_per_relay": 1,
                          "source_radios": 1},
-            "sweep_num_sources": [2], "solvers": [{"kind": "exhaustive"}],
+            "sweep_num_sources": [2], "solvers": [{"kind": "pma"}],
             "metrics": ["runs"]}))
         assert main(["ensemble", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
         assert (tmp_path / "r" / "n2" / "runs.csv").exists()

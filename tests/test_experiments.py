@@ -62,24 +62,8 @@ class TestConfig:
         hashes = {json.loads((tmp_path / w / "manifest.json").read_text())
                   ["config_sha256"] for w in ("1", "2")}
         assert hashes == {small_config(workers=2, replications=2).config_hash()}
-
-    def test_hash_ignores_exhaustive_max_iterations(self):
-        # the oracle runs no iterations, so the setting cannot change results
-        hashes = {small_config(solvers=[rm.SolverConfig(kind="exhaustive",
-                                                        max_iterations=k)]
-                               ).config_hash() for k in (1, 1000)}
-        assert len(hashes) == 1
-        # a config without an exhaustive solver keeps its earlier digest
-        assert small_config().config_hash() == (
+        assert config.config_hash() == (
             "7043a0e454cc6696ee19c2221b8ad82a9ed9c5f7c129ab9291e2da4c7bff4290")
-
-    def test_exhaustive_max_iterations_rejected(self):
-        doc = {**small_config().to_dict(),
-               "solvers": [{"kind": "exhaustive", "max_iterations": 1000}]}
-        with pytest.raises(ConfigurationError, match="max_iterations"):
-            rm.ExperimentConfig.from_dict(doc)
-        config = small_config(solvers=[rm.SolverConfig(kind="exhaustive")])
-        assert rm.ExperimentConfig.from_dict(config.to_dict()) == config
 
     @pytest.mark.parametrize("change,named", [
         ({"bogus": 1}, "bogus"),
@@ -137,9 +121,7 @@ class TestConfig:
             rate_requirement_bps=pair, source_annulus=pair, path_loss=path_loss)
         kinds = data.draw(st.lists(st.sampled_from(rm.solvers.SOLVER_KINDS),
                                    min_size=1, unique=True))
-        # the exhaustive solver reads no max_iterations and its file form has none
-        solvers = [rm.SolverConfig(kind=k) if k == "exhaustive" else
-                   rm.SolverConfig(kind=k,
+        solvers = [rm.SolverConfig(kind=k,
                                    max_iterations=data.draw(st.integers(1, 10 ** 4)))
                    for k in kinds]
         config = rm.ExperimentConfig(
@@ -203,17 +185,6 @@ class TestEnsemble:
             np.mean([r.final_lambda / r.num_sources for r in recs]))
         assert 0.0 <= result.satisfaction_proportion("pma") <= 1.0
         assert 0.0 <= result.non_converged_fraction("pma") <= 1.0
-
-    def test_oracle_refused_only_when_every_draw_exceeds_cap(self):
-        oracle = [rm.SolverConfig(kind="exhaustive")]
-        # every source on quota 1 of 10 radios: 11**13 profiles at least
-        with pytest.raises(ConfigurationError, match=str(11 ** 13)):
-            run_ensemble(small_config(topology=rm.TopologyParams(), solvers=oracle))
-        # quotas 1..3 at 4 sources: 11**4 profiles fit, 176**4 do not, so
-        # some draws can run
-        experiments._check(small_config(
-            topology=rm.TopologyParams(num_sources=4, source_radios=(1, 3)),
-            solvers=oracle))
 
     def test_mean_trace_requires_stored_traces(self):
         result = run_ensemble(small_config(store_traces=False,

@@ -157,9 +157,17 @@ class TestTopologyGeneration:
         ("relay_radius_m", math.nan),
         ("rate_requirement_bps", (math.nan, 4e7)),
         ("rate_requirement_bps", (1e7, math.inf)),
-        ("source_radios", (1, math.nan))])
+        ("source_radios", (1, math.nan)),
+        # these reached the capacity table, and PMA returned lambda = NaN
+        ("sv_tx_power_dbm", math.inf), ("rv_tx_power_dbm", math.nan),
+        ("bandwidth_hz", math.inf), ("noise_density_dbm_hz", math.nan),
+        ("path_loss.intercept_db", math.inf), ("path_loss.slope_db", math.nan),
+        ("path_loss.shadowing_sigma_db", math.nan),
+        ("path_loss.min_distance_m", math.inf)])
     def test_non_finite_params_rejected(self, field, value):
-        params = rm.TopologyParams(**{field: value})
+        name = field.removeprefix("path_loss.")
+        params = (rm.TopologyParams(**{field: value}) if name == field else
+                  rm.TopologyParams(path_loss=rm.PathLossModel(**{name: value})))
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
             params.validate()
 

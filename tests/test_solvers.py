@@ -578,7 +578,7 @@ def test_observer_events_match_trace_columns(kind, small_instance):
     assert [e["actor"] for e in events] == trace.actor.tolist()
     assert [e["accepted"] for e in events] == trace.accepted.tolist()
     assert [e["lambda"] for e in events] == trace.lam.tolist()
-    if kind in ("best_response", "substitutable", "exhaustive"):
+    if kind in ("best_response", "substitutable"):
         # these return the state they end in
         assert events[-1]["strategies"] == m.strategies
 
@@ -1013,14 +1013,3 @@ class TestSolveDispatcher:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             rm.SolverConfig(kind="simulated_annealing")
-
-    def test_exhaustive_kind_wraps_trace(self):
-        topo, profiles, caps = make_instance(19, num_sources=2, num_relays=2,
-                                             source_radios=1)
-        m, tr = rm.solve(topo, profiles, caps, rm.SolverConfig(kind="exhaustive"),
-                         np.random.default_rng(0))
-        assert tr.convergence_iteration == 1
-        assert list(tr.iteration) == [1] and list(tr.actor) == [-1]
-        assert list(tr.accepted) == [True]
-        assert tr.lam[-1] == tr.initial_lambda == pytest.approx(
-            rm.global_satisfaction(m, profiles, caps))

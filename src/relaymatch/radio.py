@@ -34,6 +34,11 @@ class PathLossModel:
     shadowing_sigma_db: float = 0.0
     min_distance_m: float = 1.0
 
+    def check(self) -> None:
+        """Refuse a negative shadowing sigma, which would draw no shadowing."""
+        if self.shadowing_sigma_db < 0:
+            raise ConfigurationError("path_loss.shadowing_sigma_db must be >= 0")
+
     def loss_db(self, distance_m: float) -> float:
         d = max(float(distance_m), self.min_distance_m)
         return self.intercept_db + self.slope_db * math.log10(d / 1000.0)
@@ -205,8 +210,7 @@ class TopologyParams:
             raise ConfigurationError("area side must be positive")
         if self.bandwidth_hz <= 0:
             raise ConfigurationError("bandwidth must be positive")
-        if self.path_loss.shadowing_sigma_db < 0:
-            raise ConfigurationError("path_loss.shadowing_sigma_db must be >= 0")
+        self.path_loss.check()
         if self.relay_radius_m <= 0 or self.relay_radius_m > self.area_side_m / 2:
             raise ConfigurationError("relay placement radius must fit inside the area")
         lo, hi = self.source_annulus
@@ -334,11 +338,13 @@ def topology_from_dict(doc: dict) -> tuple:
     from_fields' key and type errors, a quota below 1, an id that is not the
     node's position (radios counted in relay order), a repeated radio channel
     or gain tables that do not fit the nodes raise ConfigurationError: every
-    solver indexes sources, relays and radios by position."""
+    solver indexes sources, relays and radios by position. So does a negative
+    shadowing sigma, as in TopologyParams.validate."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"a topology file must hold a JSON object, not {doc!r}")
     gains = from_fields(LinkGainTable, doc.get("gains", {}))
     topo = from_fields(Topology, {k: v for k, v in doc.items() if k != "gains"})
+    topo.path_loss.check()
     if any(s.num_radios < 1 for s in topo.sources):
         raise ConfigurationError("every source needs a quota of at least 1")
     for kind, nodes in (("SourceNode", topo.sources), ("RelayNode", topo.relays),

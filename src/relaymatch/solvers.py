@@ -206,6 +206,9 @@ def pma_propose(attractiveness: Sequence[float], quota: int, rng,
     as `table`; attractiveness is then not read.
     """
     idx, p, nonzero, cdf = table or proposal_table(attractiveness)
+    if size == 1 and nonzero:
+        # the first round's one draw, as random(1) would give it
+        return (idx[bisect_right(cdf, rng.random())],)
     if not idx:
         log.info("all relay radios unattractive; proposing the empty set")
         return ()
@@ -269,6 +272,10 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng, observer=None):
 
     lam = state.lam
     trace = IterationTrace(lam, observer)
+    # without an observer the columns are appended here, as record() would
+    iterations, actors, accepts, lams = (trace.iteration, trace.actor,
+                                         trace.accepted, trace.lam)
+    integers, random, utility = draws.integers, draws.random, state.utility
     best_lam = lam
     best_strategies = list(strategies)
     last_improve = 0
@@ -281,8 +288,7 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng, observer=None):
         for k in range(1, config.max_iterations + 1):
             for n in draws.permutation(n_src):
                 activations += 1
-                current = strategies[n]
-                size = draws.integers(0, quotas[n] + 1)
+                size = integers(0, quotas[n] + 1)
                 if size == 0:
                     candidate = ()
                 else:
@@ -292,10 +298,18 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng, observer=None):
                         table = tables[n] = proposal_table(state.share(n))
                     candidate = pma_propose(None, quotas[n], draws, size=size,
                                             table=table)
-                u_old = state.utility(n, current)
-                u_new = state.utility(n, candidate) if candidate else alone[n]
-                accepted = draws.random() < pma_accept(u_new, u_old, beta(activations))
-                if accepted and candidate != current:
+                # utility(n, strategies[n]), read off the mover baseline;
+                # move() rebinds _baselines, so it is looked up each time
+                u_old = (state._baselines[n] or state._remove(n))[2]
+                u_new = utility(n, candidate) if candidate else alone[n]
+                # pma_accept is >= 0.5 exactly when u_new >= u_old, so a
+                # draw on that side of 0.5 decides without it
+                r = random()
+                if (r < 0.5) == (u_new >= u_old):
+                    accepted = r < 0.5
+                else:
+                    accepted = r < pma_accept(u_new, u_old, beta(activations))
+                if accepted and candidate != strategies[n]:
                     state.move(n, candidate)
                     kept = tables[n]
                     tables = [None] * n_src
@@ -306,9 +320,14 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng, observer=None):
                     if lam > best_lam + SATISFACTION_TOL:
                         best_lam = lam
                         best_strategies = list(strategies)
-                event = None if observer is None else {
-                    "candidate": candidate, "u_old": u_old, "u_new": u_new}
-                trace.record(k, n, accepted, lam, strategies, event)
+                if observer is None:
+                    iterations.append(k)
+                    actors.append(n)
+                    accepts.append(accepted)
+                    lams.append(lam)
+                else:
+                    trace.record(k, n, accepted, lam, strategies, {
+                        "candidate": candidate, "u_old": u_old, "u_new": u_new})
             if k - last_improve >= STOP_WINDOW:
                 converged = last_improve
                 break

@@ -1,9 +1,11 @@
 """Tests for bench/ab.py's pair summary and run loop, bench/collect.py's
-run record and a smoke run of bench/ab_inproc.py; no perfbench runs."""
+run record, bench/trajectory.py's rounds and worktrees, and a smoke run of
+bench/ab_inproc.py; no perfbench runs."""
 
 import importlib
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -143,6 +145,64 @@ def test_run_record_says_whether_the_sources_were_clean(monkeypatch, tmp_path):
     git(repo, "commit", "-q", "-am", "edit")
     (repo / "src" / "relaymatch" / "new.py").write_text("")
     assert clean() is False
+
+
+# reads the tree's `speed`, logs it, and reports it as the rate; a negative
+# speed prints no result
+TRAJECTORY_STUB = """import json, pathlib
+speed = pathlib.Path("speed").read_text().strip()
+with open({log!r}, "a") as fh:
+    fh.write(speed + "\\n")
+if float(speed) >= 0:
+    print(json.dumps({{"record": {{"src_sha256": "digest " + speed}}}}))
+    print(json.dumps({{"correct": True, "metrics": {{
+        "replications_per_s": {{"unit": "1/s", "value": float(speed)}}}}}}))
+"""
+
+
+def test_trajectory_interleaves_worktrees_and_always_removes_them(monkeypatch,
+                                                                   tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    trajectory = importlib.import_module("trajectory")
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    repo, log = tmp_path / "repo", tmp_path / "runs.log"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text(TRAJECTORY_STUB.format(log=str(log)))
+    git(repo, "init", "-q")
+    for speed in ("1.0", "2.0", "-1"):
+        (repo / "speed").write_text(speed + "\n")
+        git(repo, "add", ".")
+        git(repo, "commit", "-q", "-m", f"speed {speed}")
+    (repo / "speed").write_text("9.0\n")       # uncommitted: not measured
+
+    def worktrees():
+        out = subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=repo,
+                             capture_output=True, text=True, check=True).stdout
+        return out.count("worktree ")
+
+    session = trajectory.measure(repo, ["HEAD~2", "HEAD~1"], ["w"], 3, 1, 0)
+    # the order flips every round
+    assert log.read_text().split() == ["1.0", "2.0", "2.0", "1.0", "1.0", "2.0"]
+    slow, fast = session["trees"]
+    assert slow["tree"] == "HEAD~2" and len(slow["commit"]) == 40
+    assert slow["src_sha256"] == "digest 1.0" and fast["src_sha256"] == "digest 2.0"
+    assert [run["round"] for run in fast["runs"]] == [1, 2, 3]
+    assert all(run["workload"] == "w" and run["exit_code"] == 0 for run in fast["runs"])
+    assert fast["summary"]["w"]["replications_per_s"] == {
+        "unit": "1/s", "median": 2.0, "q1": 2.0, "q3": 2.0}
+    assert session["rounds"] == 3 and session["workloads"] == ["w"]
+    assert worktrees() == 1 and not any(scratch.iterdir())
+
+    # a run without a result stops the session; the worktrees still go
+    with pytest.raises(RuntimeError, match="without a result"):
+        trajectory.measure(repo, ["HEAD~1", "HEAD"], ["w"], 1, 1, 0)
+    assert worktrees() == 1 and not any(scratch.iterdir())
+    with pytest.raises(subprocess.CalledProcessError):
+        trajectory.measure(repo, ["HEAD", "no-such-commit"], ["w"], 1, 1, 0)
+    assert worktrees() == 1
 
 
 @pytest.mark.parametrize("solver,n", [("exhaustive", 3), ("best_response", 4)])

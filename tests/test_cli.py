@@ -299,6 +299,24 @@ class TestRun:
         assert code == 1
         assert "must hold a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "verify", "oracle"])
+    def test_negative_shadowing_sigma_in_topology_file_exits_one(self, tmp_path,
+                                                                 capsys, command):
+        # such a file used to load, and rebuilding its gains drew no shadowing
+        path = make_topology_file(tmp_path)
+        matching = tmp_path / "matching.json"
+        assert main(["oracle", "--topology", str(path), "--out", str(matching)]) == 0
+        doc = json.loads(path.read_text())
+        doc["path_loss"]["shadowing_sigma_db"] = -4.0
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        extra = ["--matching", str(matching)] if command == "verify" else []
+        code = main([command, "--topology", str(path), *extra])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "configuration error" in captured.err
+        assert "path_loss.shadowing_sigma_db must be >= 0" in captured.err
+
     def test_exhaustive_is_no_solver_kind(self, tmp_path, capsys):
         # the oracle is exhaustive_search and `relaymatch oracle`
         with pytest.raises(rm.ConfigurationError, match="unknown solver kind"):

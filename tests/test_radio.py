@@ -240,6 +240,18 @@ class TestSerialization:
         assert topo2.num_sources == topo.num_sources
         assert topo2.quotas == topo.quotas
 
+    def test_negative_shadowing_sigma_is_refused_on_load(self, tmp_path):
+        # TopologyParams.validate refuses it; a loaded Topology with it would
+        # build its gains without shadowing
+        topo = rm.generate_topology(rm.TopologyParams(num_sources=3), 1)
+        doc = topology_to_dict(topo)
+        doc["path_loss"]["shadowing_sigma_db"] = -4.0
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError,
+                           match=r"path_loss\.shadowing_sigma_db must be >= 0"):
+            rm.load_topology(path)
+
     def test_dict_round_trip(self):
         topo = rm.generate_topology(rm.TopologyParams(num_sources=3), 1)
         doc = topology_to_dict(topo)

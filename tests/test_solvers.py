@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import relaymatch as rm
 from relaymatch import solvers
@@ -45,6 +45,32 @@ class TestAcceptanceRule:
     def test_negative_beta_rejected(self):
         with pytest.raises(ConfigurationError):
             rm.pma_accept(0.0, 0.0, beta=-1.0)
+
+    @settings(max_examples=500, deadline=None)
+    @example(r=0.5, u_new=1.0, u_old=math.nextafter(1.0, 2.0), beta=5e-324)
+    @example(r=0.5 - 2 ** -53, u_new=math.nextafter(1.0, 2.0), u_old=1.0,
+             beta=5e-324)
+    @given(r=st.one_of(st.sampled_from([0.0, 0.5 - 2 ** -53, 0.5, 1 - 2 ** -53]),
+                       st.integers(0, 2 ** 53 - 1).map(lambda i: i * 2.0 ** -53)),
+           u_new=st.floats(allow_nan=False, allow_infinity=False),
+           u_old=st.one_of(st.none(), st.sampled_from([-1, 1]),
+                           st.floats(allow_nan=False, allow_infinity=False)),
+           beta=st.one_of(
+               st.floats(min_value=5e-324, max_value=solvers.BETA_MAX,
+                         allow_subnormal=True),
+               st.floats(min_value=5e-324, max_value=1e-300, allow_subnormal=True)))
+    def test_the_draw_decides_on_its_side_of_one_half(self, r, u_new, u_old, beta):
+        """run_pma takes r < 0.5 as the answer whenever (r < 0.5) ==
+        (u_new >= u_old): pma_accept is >= 0.5 exactly when u_new >= u_old,
+        also when beta times the gap underflows to +-0. u_old None draws
+        equal utilities, -1 and 1 utilities one ulp apart."""
+        if u_old is None:
+            u_old = u_new
+        elif u_old in (-1, 1):
+            u_old = math.nextafter(u_new, u_old * math.inf)
+            assume(math.isfinite(u_old))
+        assume((r < 0.5) == (u_new >= u_old))
+        assert (r < rm.pma_accept(u_new, u_old, beta)) == (r < 0.5)
 
 
 class TestProposalRule:
@@ -581,6 +607,35 @@ def test_observer_events_match_trace_columns(kind, small_instance):
     if kind in ("best_response", "substitutable"):
         # these return the state they end in
         assert events[-1]["strategies"] == m.strategies
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["pma", "many_to_one"]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       num_sources=st.integers(min_value=1, max_value=8),
+       num_relays=st.integers(min_value=1, max_value=3),
+       radios_per_relay=st.integers(min_value=1, max_value=2))
+def test_observer_and_plain_runs_record_alike(kind, seed, num_sources, num_relays,
+                                              radios_per_relay):
+    """Without an observer run_pma appends the trace columns itself, with
+    one it calls record(); both give the same run, columns and stream."""
+    topo, profiles, caps = make_instance(seed, num_sources=num_sources,
+                                         num_relays=num_relays,
+                                         radios_per_relay=radios_per_relay,
+                                         source_radios=None)
+    runs = []
+    for observer in (None, lambda event: None):
+        rng = np.random.default_rng(seed)
+        m, trace = rm.solve(topo, profiles, caps, rm.SolverConfig(kind=kind), rng,
+                            observer=observer)
+        runs.append((m, trace, rng.bit_generator.state))
+    (m, trace, state), (m_obs, trace_obs, state_obs) = runs
+    assert m == m_obs
+    assert trace.convergence_iteration == trace_obs.convergence_iteration
+    for column in ("iteration", "actor", "accepted", "lam"):
+        a, b = getattr(trace, column), getattr(trace_obs, column)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column
+    assert state == state_obs
 
 
 class TestManyToOne:

@@ -244,7 +244,11 @@ class _MatchingState:
         That utility is utility()'s arithmetic for candidate == current,
         in the same order: the own term is sat[n], since loads0[l] + 1 is
         loads[l], and the neighbour drops are summed in the same pass that
-        finds the neighbours."""
+        finds the neighbours.
+
+        Outside this class, solvers.run_pma reads that utility as index 2
+        of `_baselines[n] or _remove(n)`; a change to the tuple's layout
+        must change it there too."""
         cur = self.strategies[n]
         loads0 = self.loads.copy()
         for l in cur:

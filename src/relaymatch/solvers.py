@@ -217,9 +217,6 @@ def pma_propose(attractiveness: Sequence[float], quota: int, rng,
     size = min(size, len(idx))
     if nonzero < size:
         raise ValueError("fewer nonzero probabilities than the sample size")
-    if size == 1:
-        # the first round's one draw, as random(1) would give it
-        return (idx[bisect_right(cdf, rng.random())],)
     found = []
     while len(found) < size:
         if found:
@@ -272,9 +269,7 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng, observer=None):
 
     lam = state.lam
     trace = IterationTrace(lam, observer)
-    # without an observer the columns are appended here, as record() would
-    iterations, actors, accepts, lams = (trace.iteration, trace.actor,
-                                         trace.accepted, trace.lam)
+    record = trace.record
     integers, random, utility = draws.integers, draws.random, state.utility
     best_lam = lam
     best_strategies = list(strategies)
@@ -298,8 +293,9 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng, observer=None):
                         table = tables[n] = proposal_table(state.share(n))
                     candidate = pma_propose(None, quotas[n], draws, size=size,
                                             table=table)
-                # utility(n, strategies[n]), read off the mover baseline;
-                # move() rebinds _baselines, so it is looked up each time
+                # utility(n, strategies[n]), read off the mover baseline
+                # (slot 2, see _MatchingState._remove); move() rebinds
+                # _baselines, so it is looked up each time
                 u_old = (state._baselines[n] or state._remove(n))[2]
                 u_new = utility(n, candidate) if candidate else alone[n]
                 # pma_accept is >= 0.5 exactly when u_new >= u_old, so a
@@ -320,14 +316,9 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng, observer=None):
                     if lam > best_lam + SATISFACTION_TOL:
                         best_lam = lam
                         best_strategies = list(strategies)
-                if observer is None:
-                    iterations.append(k)
-                    actors.append(n)
-                    accepts.append(accepted)
-                    lams.append(lam)
-                else:
-                    trace.record(k, n, accepted, lam, strategies, {
-                        "candidate": candidate, "u_old": u_old, "u_new": u_new})
+                event = None if observer is None else {
+                    "candidate": candidate, "u_old": u_old, "u_new": u_new}
+                record(k, n, accepted, lam, strategies, event)
             if k - last_improve >= STOP_WINDOW:
                 converged = last_improve
                 break

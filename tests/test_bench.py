@@ -3,6 +3,7 @@ run record, bench/trajectory.py's rounds and worktrees, and a smoke run of
 bench/ab_inproc.py; no perfbench runs."""
 
 import importlib
+import json
 import subprocess
 import sys
 import tempfile
@@ -183,25 +184,39 @@ def test_trajectory_interleaves_worktrees_and_always_removes_them(monkeypatch,
                              capture_output=True, text=True, check=True).stdout
         return out.count("worktree ")
 
-    session = trajectory.measure(repo, ["HEAD~2", "HEAD~1"], ["w"], 3, 1, 0)
+    out = tmp_path / "TRAJECTORY.json"
+    # an odd round count would run the trees given last later on average
+    with pytest.raises(ValueError, match="even"):
+        trajectory.measure(repo, ["HEAD~2", "HEAD~1"], ["w"], 3, out)
+    assert not log.exists() and not out.exists() and worktrees() == 1
+
+    session = trajectory.measure(repo, ["HEAD~2", "HEAD~1"], ["w"], 4, out)
     # the order flips every round
-    assert log.read_text().split() == ["1.0", "2.0", "2.0", "1.0", "1.0", "2.0"]
+    assert log.read_text().split() == ["1.0", "2.0", "2.0", "1.0"] * 2
     slow, fast = session["trees"]
     assert slow["tree"] == "HEAD~2" and len(slow["commit"]) == 40
     assert slow["src_sha256"] == "digest 1.0" and fast["src_sha256"] == "digest 2.0"
-    assert [run["round"] for run in fast["runs"]] == [1, 2, 3]
+    assert [run["round"] for run in fast["runs"]] == [1, 2, 3, 4]
     assert all(run["workload"] == "w" and run["exit_code"] == 0 for run in fast["runs"])
     assert fast["summary"]["w"]["replications_per_s"] == {
         "unit": "1/s", "median": 2.0, "q1": 2.0, "q3": 2.0}
-    assert session["rounds"] == 3 and session["workloads"] == ["w"]
+    assert session["rounds"] == 4 and session["workloads"] == ["w"]
+    assert session["seed"] == 1 and session["complete"]
+    assert json.loads(out.read_text()) == session
     assert worktrees() == 1 and not any(scratch.iterdir())
 
-    # a run without a result stops the session; the worktrees still go
+    # a run without a result stops the session; the runs before it are
+    # written and the worktrees still go
     with pytest.raises(RuntimeError, match="without a result"):
-        trajectory.measure(repo, ["HEAD~1", "HEAD"], ["w"], 1, 1, 0)
+        trajectory.measure(repo, ["HEAD~1", "HEAD"], ["w"], 2, out)
+    partial = json.loads(out.read_text())
+    assert not partial["complete"]
+    assert [len(entry["runs"]) for entry in partial["trees"]] == [1, 0]
+    assert partial["trees"][0]["summary"]["w"]["replications_per_s"]["median"] == 2.0
+    assert partial["trees"][1]["src_sha256"] is None
     assert worktrees() == 1 and not any(scratch.iterdir())
     with pytest.raises(subprocess.CalledProcessError):
-        trajectory.measure(repo, ["HEAD", "no-such-commit"], ["w"], 1, 1, 0)
+        trajectory.measure(repo, ["HEAD", "no-such-commit"], ["w"], 2, out)
     assert worktrees() == 1
 
 

@@ -85,7 +85,10 @@ class IterationTrace:
                event: Optional[dict] = None) -> None:
         """Log one activation and pass it, with the solver's extra event
         fields, to the observer if one is attached. `event` is read only
-        then, so a solver builds it only when it has an observer."""
+        then, so a solver builds it only when it has an observer.
+
+        run_pma without an observer appends to the four columns itself,
+        in this order; a change to them must change it there too."""
         self.iteration.append(iteration)
         self.actor.append(actor)
         self.accepted.append(accepted)
@@ -269,7 +272,9 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng, observer=None):
 
     lam = state.lam
     trace = IterationTrace(lam, observer)
-    record = trace.record
+    # without an observer the columns are appended here, as record() would
+    iterations, actors, accepts, lams = (trace.iteration, trace.actor,
+                                         trace.accepted, trace.lam)
     integers, random, utility = draws.integers, draws.random, state.utility
     best_lam = lam
     best_strategies = list(strategies)
@@ -316,9 +321,14 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng, observer=None):
                     if lam > best_lam + SATISFACTION_TOL:
                         best_lam = lam
                         best_strategies = list(strategies)
-                event = None if observer is None else {
-                    "candidate": candidate, "u_old": u_old, "u_new": u_new}
-                record(k, n, accepted, lam, strategies, event)
+                if observer is None:
+                    iterations.append(k)
+                    actors.append(n)
+                    accepts.append(accepted)
+                    lams.append(lam)
+                else:
+                    trace.record(k, n, accepted, lam, strategies, {
+                        "candidate": candidate, "u_old": u_old, "u_new": u_new})
             if k - last_improve >= STOP_WINDOW:
                 converged = last_improve
                 break

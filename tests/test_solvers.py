@@ -617,9 +617,8 @@ def test_observer_events_match_trace_columns(kind, small_instance):
        radios_per_relay=st.integers(min_value=1, max_value=2))
 def test_observer_and_plain_runs_record_alike(kind, seed, num_sources, num_relays,
                                               radios_per_relay):
-    """An observer only watches: run_pma builds its event and calls it,
-    and the run, the trace columns and the stream stay those of a run
-    without one."""
+    """Without an observer run_pma appends the trace columns itself, with
+    one it calls record(); both give the same run, columns and stream."""
     topo, profiles, caps = make_instance(seed, num_sources=num_sources,
                                          num_relays=num_relays,
                                          radios_per_relay=radios_per_relay,

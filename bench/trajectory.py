@@ -1,29 +1,28 @@
-"""Measure several commits on benchmark workloads in one session.
+"""Measure several trees on benchmark workloads in one session.
 
     python3 bench/trajectory.py TREE... --workload W [--workload W2 ...]
-        --rounds R
+        --rounds R [--seed 1] [--trace 0|1] [--out TRAJECTORY.json]
 
-Each TREE names a commit of this repository. Each is checked out with
-`git worktree add --detach` into one temporary directory, and when the
-script ends, also on an error, every worktree is removed and `git worktree
-prune` is run. A round runs `perfbench/run.py` once per workload in every
-tree through `collect.run_one`, at the benchmark's seed 1: in the order
-given on odd rounds and in reverse on even ones. R must be even, so every
-tree's mean position in the session is the same and a drift of machine
-speed that is linear in time falls on all trees alike (Kalibera and Jones,
-"Rigorous benchmarking in reasonable time", ISMM 2013); with an odd R the
-trees given last would run later on average. Each tree is measured by its
-own `perfbench/`.
+A TREE naming a directory is measured in place, uncommitted changes
+included; any other TREE is a commit, checked out by `git worktree add
+--detach` into a temporary directory that is deleted, and `git worktree
+prune` run, when the script ends, also on an error. Round r runs each
+tree's own `perfbench/run.py` once per workload through `collect.run_one`,
+the trees in the order given on odd rounds and reversed on even ones. R
+must be even, so every tree's mean position is the same and a drift of
+machine speed linear in time falls on all trees alike (Kalibera and Jones,
+"Rigorous benchmarking in reasonable time", ISMM 2013). Give one tree
+twice for an A/A control.
 
-The session is written to TRAJECTORY.json at the root of this script's
-checkout, again after every run, so a run that fails or a session that is
-stopped leaves the runs done so far with `"complete": false`. Per tree it
-holds the name given, the full commit, its `src_sha256` (perfbench's
-digest of `src/relaymatch`, from the runs' records), every run as
-`collect.run_one` returns it plus its round and workload, and per workload
-and BENCHMARK.json end-to-end metric the median and quartiles over the
-rounds. Timings are reports, not checks: the script fails only when a run
-prints no result.
+The session goes to `--out` after every run, `"complete": false` until the
+last: per tree the name given, the commit (a directory's `git rev-parse
+HEAD`, or null), `src_sha256`, every run with its round and workload, and
+per workload the median and quartiles of each BENCHMARK.json metric
+(per-layer with `--trace 1`, else end-to-end). With two trees, base and
+change, it then prints a verdict per workload and metric over the pairs
+(round i's two runs) and the pairs with equal record `fingerprint`s. It
+raises when a run prints no result, and exits 1, after writing the
+session, when any run is not `correct` or exits non-zero.
 """
 
 from __future__ import annotations
@@ -40,12 +39,20 @@ import numpy as np
 from collect import ROOT, SECONDS, run_one
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
-SEED = 1
+METRICS = {0: BENCHMARK["end_to_end"], 1: BENCHMARK["per_layer"]}    # by --trace
 
 
 def git(repo: Path, *args) -> str:
     return subprocess.run(["git", *args], cwd=repo, capture_output=True, text=True,
                           check=True).stdout.strip()
+
+
+def head(directory: Path):
+    """The commit checked out in `directory`, None outside a repository."""
+    try:
+        return git(directory, "rev-parse", "--verify", "HEAD")
+    except subprocess.CalledProcessError:
+        return None
 
 
 def quartiles(runs: list, metrics: list) -> dict:
@@ -67,60 +74,133 @@ def write(session: dict, out: Path) -> None:
         runs = entry["runs"]
         entry["src_sha256"] = runs[0].get("record", {}).get("src_sha256") if runs else None
         entry["summary"] = {w: quartiles([run for run in runs if run["workload"] == w],
-                                         BENCHMARK["end_to_end"])
+                                         METRICS[session["trace"]])
                             for w in session["workloads"]}
     out.write_text(json.dumps(session, indent=1, sort_keys=True) + "\n")
 
 
-def measure(repo: Path, trees: list, workloads: list, rounds: int, out: Path) -> dict:
-    """Run the interleaved rounds over worktrees of `repo`, writing the
-    session to `out` after every run, and return it."""
+def measure(repo: Path, trees: list, workloads: list, rounds: int, out: Path,
+            seed: int, trace: int) -> dict:
+    """Run the interleaved rounds over `trees`, commits of `repo` or
+    directories, writing the session to `out` after every run."""
     if rounds < 2 or rounds % 2:
         raise ValueError(f"rounds must be even and positive, not {rounds}")
-    commits = [git(repo, "rev-parse", "--verify", f"{tree}^{{commit}}") for tree in trees]
-    session = {"workloads": workloads, "rounds": rounds, "seed": SEED,
+    checkouts = [Path(tree).resolve() if Path(tree).is_dir() else None for tree in trees]
+    commits = [head(checkout) if checkout else
+               git(repo, "rev-parse", "--verify", f"{tree}^{{commit}}")
+               for tree, checkout in zip(trees, checkouts)]
+    session = {"workloads": workloads, "rounds": rounds, "seed": seed, "trace": trace,
                "seconds": SECONDS, "complete": False,
                "trees": [{"tree": tree, "commit": commit, "runs": []}
                          for tree, commit in zip(trees, commits)]}
     entries = session["trees"]
-    with tempfile.TemporaryDirectory(prefix="trajectory-") as tmp:
-        checkouts = []
-        try:
+    try:
+        with tempfile.TemporaryDirectory(prefix="trajectory-") as tmp:
             for i, commit in enumerate(commits):
-                checkout = Path(tmp) / f"{i}-{commit[:12]}"
-                git(repo, "worktree", "add", "--detach", str(checkout), commit)
-                checkouts.append(checkout)
+                if checkouts[i] is None:
+                    checkouts[i] = Path(tmp) / f"{i}-{commit[:12]}"
+                    git(repo, "worktree", "add", "--detach", str(checkouts[i]), commit)
             for r in range(rounds):
                 order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
                 for i in order:
                     for workload in workloads:
-                        run = run_one(checkouts[i], workload, SEED, 0)
+                        run = run_one(checkouts[i], workload, seed, trace)
                         print(f"round {r + 1} {trees[i]} {workload}: "
                               f"exit {run['exit_code']}", file=sys.stderr)
                         entries[i]["runs"].append({**run, "round": r + 1,
                                                    "workload": workload})
                         write(session, out)
-        finally:
-            for checkout in checkouts:
-                subprocess.run(["git", "worktree", "remove", "--force", str(checkout)],
-                               cwd=repo, capture_output=True, check=False)
-            subprocess.run(["git", "worktree", "prune"], cwd=repo,
-                           capture_output=True, check=False)
+    finally:    # the worktrees' directories are gone: drop their records
+        subprocess.run(["git", "worktree", "prune"], cwd=repo, capture_output=True,
+                       check=False)
     session["complete"] = True
     write(session, out)
     return session
 
 
+def summarize(base: list, change: list, metrics: list) -> list:
+    """One row per metric present in every run: base[i] and change[i] map
+    metric names to values for pair i; metrics are BENCHMARK.json entries."""
+    rows = []
+    for m in metrics:
+        name = m["name"]
+        if not all(name in run for run in base + change):
+            continue
+        b = [run[name] for run in base]
+        c = [run[name] for run in change]
+        sign = 1.0 if m["better"] == "higher" else -1.0
+        bq, cq = np.percentile(b, [25, 50, 75]), np.percentile(c, [25, 50, 75])
+        gain = sign * (cq[1] - bq[1])
+        rows.append({
+            "name": name, "unit": m["unit"],
+            "base": bq.tolist(), "change": cq.tolist(),
+            "pct": 100.0 * (cq[1] - bq[1]) / bq[1] if bq[1] else float("nan"),
+            "won": sum(sign * (y - x) > 0 for x, y in zip(b, c)),
+            "pairs": len(b),
+            "clears_iqr": bool(gain > bq[2] - bq[0]),
+        })
+    return rows
+
+
+def format_rows(rows: list) -> str:
+    out = []
+    for r in rows:
+        (b1, b, b3), (c1, c, c3) = r["base"], r["change"]
+        out.append(f"{r['name']:<40} {b:.4g} [{b1:.4g}-{b3:.4g}] -> "
+                   f"{c:.4g} [{c1:.4g}-{c3:.4g}] {r['unit']}  {r['pct']:+.1f} %  "
+                   f"won {r['won']}/{r['pairs']}"
+                   f"{'  clears IQR' if r['clears_iqr'] else ''}")
+    return "\n".join(out)
+
+
+def fingerprint_line(base: list, change: list) -> str:
+    """How many pairs have equal record fingerprints; base[i] and change[i]
+    are pair i's fingerprints, None where a run printed none."""
+    compared = [(b, c) for b, c in zip(base, change)
+                if b is not None and c is not None]
+    equal = sum(b == c for b, c in compared)
+    missing = len(base) - len(compared)
+    return (f"stream fingerprints equal in {equal}/{len(base)} pairs"
+            + (f" ({missing} not compared)" if missing else ""))
+
+
+def verdict(session: dict, workload: str) -> str:
+    """The two-tree block for one workload; pair i is round i's two runs."""
+    sides = [[run for run in entry["runs"] if run["workload"] == workload]
+             for entry in session["trees"]]
+    values = [[{k: v["value"] for k, v in run["metrics"].items()} for run in side]
+              for side in sides]
+    fingerprints = [[run.get("record", {}).get("fingerprint") for run in side]
+                    for side in sides]
+    base, change = (entry["tree"] for entry in session["trees"])
+    return "\n".join([
+        f"{workload} seed {session['seed']}, {session['rounds']} pairs, "
+        f"trace {session['trace']}, {session['seconds']} s per run; "
+        f"median [q1-q3] {base} -> {change}",
+        format_rows(summarize(*values, METRICS[session["trace"]])),
+        fingerprint_line(*fingerprints)])
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("trees", nargs="+", help="commits to measure, oldest first")
+    p.add_argument("trees", nargs="+", help="commits or directories, oldest first")
     p.add_argument("--workload", required=True, action="append",
                    help="repeat for several workloads")
     p.add_argument("--rounds", type=int, required=True, help="an even number")
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    p.add_argument("--out", type=Path, default=ROOT / "TRAJECTORY.json")
     args = p.parse_args(argv)
-    out = ROOT / "TRAJECTORY.json"
-    measure(ROOT, args.trees, args.workload, args.rounds, out)
-    print(out)
+    session = measure(ROOT, args.trees, args.workload, args.rounds, args.out,
+                      args.seed, args.trace)
+    if len(args.trees) == 2:
+        for workload in args.workload:
+            print(verdict(session, workload))
+    print(args.out)
+    if not all(run["correct"] and run["exit_code"] == 0
+               for entry in session["trees"] for run in entry["runs"]):
+        print("error: a run failed its checks or exited non-zero", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,6 +1,6 @@
-"""Tests for bench/ab.py's pair summary and run loop, bench/collect.py's
-run record, bench/trajectory.py's rounds and worktrees, and a smoke run of
-bench/ab_inproc.py; no perfbench runs."""
+"""Tests for bench/trajectory.py's rounds, trees and two-tree verdict,
+bench/collect.py's run record, a smoke run of bench/ab_inproc.py, and every
+bench script's parser; no perfbench runs."""
 
 import importlib
 import json
@@ -18,34 +18,44 @@ P50 = {"name": "rep_ms_p50", "unit": "ms", "better": "lower"}
 
 
 @pytest.fixture
-def ab(monkeypatch):
+def trajectory(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
-    return importlib.import_module("ab")
+    return importlib.import_module("trajectory")
 
 
-def test_summary_medians_quartiles_and_pairs_won(ab):
+@pytest.fixture
+def sides(monkeypatch, tmp_path):
+    """Two directory trees, base and change, outside any repository."""
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    for name in ("base", "change"):
+        (tmp_path / name).mkdir()
+    return [str(tmp_path / "base"), str(tmp_path / "change")]
+
+
+def test_summary_medians_quartiles_and_pairs_won(trajectory):
     base = [{"replications_per_s": x, "rep_ms_p50": y}
             for x, y in ((10.0, 5.0), (11.0, 6.0), (12.0, 7.0))]
     change = [{"replications_per_s": x, "rep_ms_p50": y}
               for x, y in ((12.0, 6.0), (13.0, 5.0), (14.0, 8.0))]
-    rate, p50 = ab.summarize(base, change, [RATE, P50])
+    rate, p50 = trajectory.summarize(base, change, [RATE, P50])
     assert rate["base"] == [10.5, 11.0, 11.5]
     assert rate["change"] == [12.5, 13.0, 13.5]
     assert rate["pct"] == pytest.approx(100 * 2 / 11)
     assert (rate["won"], rate["pairs"], rate["clears_iqr"]) == (3, 3, True)
     # lower is better: only the second pair's change is faster
     assert p50["won"] == 1 and p50["pct"] == 0.0 and not p50["clears_iqr"]
-    assert "won 3/3  clears IQR" in ab.format_rows([rate])
+    assert "won 3/3  clears IQR" in trajectory.format_rows([rate])
 
 
-def test_summary_needs_the_gain_to_clear_the_base_spread(ab):
+def test_summary_needs_the_gain_to_clear_the_base_spread(trajectory):
     base = [{"rep_ms_p50": x} for x in (30.0, 34.0, 38.0, 42.0)]
     change = [{"rep_ms_p50": x} for x in (29.0, 33.0, 37.0, 41.0)]
-    (row,) = ab.summarize(base, change, [RATE, P50])   # no rate in the runs
+    (row,) = trajectory.summarize(base, change, [RATE, P50])   # no rate in the runs
     assert row["won"] == 4 and not row["clears_iqr"]
 
 
-def test_pairs_alternate_and_a_failed_check_exits_one(ab, monkeypatch, capsys):
+def test_pairs_alternate_and_a_failed_check_exits_one(trajectory, sides, monkeypatch,
+                                                      tmp_path, capsys):
     calls = []
 
     def fake_run_one(checkout, workload, seed, trace):
@@ -54,14 +64,25 @@ def test_pairs_alternate_and_a_failed_check_exits_one(ab, monkeypatch, capsys):
         return {"correct": len(calls) != 3, "exit_code": 0,
                 "metrics": {"replications_per_s": {"unit": "1/s", "value": value}}}
 
-    monkeypatch.setattr(ab, "run_one", fake_run_one)
-    assert ab.main(["base", "change", "--workload", "w", "--pairs", "3"]) == 1
-    assert calls == ["base", "change", "change", "base", "base", "change"]
-    out = capsys.readouterr().out
-    assert "replications_per_s" in out and "won 3/3" in out
+    monkeypatch.setattr(trajectory, "run_one", fake_run_one)
+    committed = (BENCH.parent / "TRAJECTORY.json").read_bytes()
+    out = tmp_path / "ab.json"
+    argv = [*sides, "--workload", "w", "--rounds", "4", "--out", str(out)]
+    assert trajectory.main(argv) == 1
+    assert calls == ["base", "change", "change", "base"] * 2
+    printed = capsys.readouterr().out
+    assert "replications_per_s" in printed and "won 4/4" in printed
+    # the failed run is kept in a complete session, written to --out only
+    session = json.loads(out.read_text())
+    assert session["complete"] and session["seed"] == 1 and session["trace"] == 0
+    base, change = session["trees"]
+    assert base["tree"] == sides[0] and base["commit"] is None
+    assert [run["correct"] for run in change["runs"]] == [True, False, True, True]
+    assert (BENCH.parent / "TRAJECTORY.json").read_bytes() == committed
 
 
-def test_fingerprints_compared_per_pair(ab, monkeypatch, capsys):
+def test_fingerprints_compared_per_pair(trajectory, sides, monkeypatch, tmp_path,
+                                        capsys):
     # pair 1 equal, pair 2 unequal, pair 3 equal, pair 4's change printed
     # no record
     runs = iter([("base", "a"), ("change", "a"), ("change", "c"), ("base", "b"),
@@ -76,35 +97,73 @@ def test_fingerprints_compared_per_pair(ab, monkeypatch, capsys):
             run["record"] = {"fingerprint": fingerprint}
         return run
 
-    monkeypatch.setattr(ab, "run_one", fake_run_one)
-    assert ab.main(["base", "change", "--workload", "w", "--pairs", "4"]) == 0
+    monkeypatch.setattr(trajectory, "run_one", fake_run_one)
+    argv = [*sides, "--workload", "w", "--rounds", "4", "--out", str(tmp_path / "s")]
+    assert trajectory.main(argv) == 0
     out = capsys.readouterr().out
     assert "stream fingerprints equal in 2/4 pairs (1 not compared)" in out
-    assert ab.fingerprint_line(["x"] * 10, ["x"] * 10) == \
+    assert trajectory.fingerprint_line(["x"] * 10, ["x"] * 10) == \
         "stream fingerprints equal in 10/10 pairs"
 
 
-def test_one_block_per_workload_and_any_failure_exits_one(ab, monkeypatch, capsys):
+def test_one_block_per_workload_and_any_failure_exits_one(trajectory, sides,
+                                                          monkeypatch, tmp_path,
+                                                          capsys):
     calls = []
 
     def fake_run_one(checkout, workload, seed, trace):
         calls.append((workload, checkout.name))
         rate = {"w1": 1.0, "w2": 3.0}[workload] * (2 if checkout.name == "change" else 1)
-        # only the first workload's last run fails
-        return {"correct": len(calls) != 4, "exit_code": 0,
+        # only the first workload's last run fails, by its exit code
+        return {"correct": True, "exit_code": int(len(calls) == 7),
                 "metrics": {"replications_per_s": {"unit": "1/s", "value": rate}},
                 "record": {"fingerprint": workload}}
 
-    monkeypatch.setattr(ab, "run_one", fake_run_one)
-    argv = ["base", "change", "--workload", "w1", "--workload", "w2", "--pairs", "2"]
-    assert ab.main(argv) == 1
-    assert calls == [("w1", "base"), ("w1", "change"), ("w1", "change"), ("w1", "base"),
-                     ("w2", "base"), ("w2", "change"), ("w2", "change"), ("w2", "base")]
+    monkeypatch.setattr(trajectory, "run_one", fake_run_one)
+    argv = [*sides, "--workload", "w1", "--workload", "w2", "--rounds", "2",
+            "--out", str(tmp_path / "s")]
+    assert trajectory.main(argv) == 1
+    assert calls == [("w1", "base"), ("w2", "base"), ("w1", "change"), ("w2", "change"),
+                     ("w1", "change"), ("w2", "change"), ("w1", "base"), ("w2", "base")]
     blocks = capsys.readouterr().out.split("w2 seed 1")
     assert len(blocks) == 2 and blocks[0].startswith("w1 seed 1, 2 pairs")
     for block, (b, c) in zip(blocks, (("1", "2"), ("3", "6"))):
         assert "replications_per_s" in block and f" {b} [{b}-{b}] -> {c} [" in block
         assert "stream fingerprints equal in 2/2 pairs" in block
+
+
+def test_seed_and_trace_reach_every_run(trajectory, sides, monkeypatch, tmp_path,
+                                        capsys):
+    seen = []
+
+    def fake_run_one(checkout, workload, seed, trace):
+        seen.append((seed, trace))
+        us = 5.0 if checkout.name == "base" else 4.0
+        return {"correct": True, "exit_code": 0, "metrics": {
+            "solvers.pma.us_per_activation": {"unit": "us", "value": us},
+            "replications_per_s": {"unit": "1/s", "value": 1.0}}}
+
+    monkeypatch.setattr(trajectory, "run_one", fake_run_one)
+    out = tmp_path / "traced.json"
+    argv = [*sides, "--workload", "w", "--rounds", "2", "--seed", "2", "--trace", "1",
+            "--out", str(out)]
+    assert trajectory.main(argv) == 0
+    assert seen == [(2, 1)] * 4
+    # --trace 1 summarises BENCHMARK.json's per-layer metrics only
+    printed = capsys.readouterr().out
+    assert printed.startswith("w seed 2, 2 pairs, trace 1")
+    assert "solvers.pma.us_per_activation" in printed and "won 2/2" in printed
+    assert "replications_per_s" not in printed
+    session = json.loads(out.read_text())
+    assert (session["seed"], session["trace"]) == (2, 1)
+    assert list(session["trees"][1]["summary"]["w"]) == ["solvers.pma.us_per_activation"]
+
+
+@pytest.mark.parametrize("script", ["collect.py", "trajectory.py", "ab_inproc.py"])
+def test_bench_script_parses_help(script):
+    proc = subprocess.run([sys.executable, str(BENCH / script), "--help"],
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
 
 
 STUB_RUN = """import json
@@ -148,12 +207,12 @@ def test_run_record_says_whether_the_sources_were_clean(monkeypatch, tmp_path):
     assert clean() is False
 
 
-# reads the tree's `speed`, logs it, and reports it as the rate; a negative
-# speed prints no result
-TRAJECTORY_STUB = """import json, pathlib
+# reads the tree's `speed`, logs it with the directory it ran in, and
+# reports it as the rate; a negative speed prints no result
+TRAJECTORY_STUB = """import json, os, pathlib
 speed = pathlib.Path("speed").read_text().strip()
 with open({log!r}, "a") as fh:
-    fh.write(speed + "\\n")
+    fh.write(speed + " " + os.getcwd() + "\\n")
 if float(speed) >= 0:
     print(json.dumps({{"record": {{"src_sha256": "digest " + speed}}}}))
     print(json.dumps({{"correct": True, "metrics": {{
@@ -161,10 +220,9 @@ if float(speed) >= 0:
 """
 
 
-def test_trajectory_interleaves_worktrees_and_always_removes_them(monkeypatch,
+def test_trajectory_interleaves_worktrees_and_always_removes_them(trajectory,
+                                                                   monkeypatch,
                                                                    tmp_path):
-    monkeypatch.syspath_prepend(str(BENCH))
-    trajectory = importlib.import_module("trajectory")
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
     scratch = tmp_path / "tmp"
     scratch.mkdir()
@@ -177,22 +235,26 @@ def test_trajectory_interleaves_worktrees_and_always_removes_them(monkeypatch,
         (repo / "speed").write_text(speed + "\n")
         git(repo, "add", ".")
         git(repo, "commit", "-q", "-m", f"speed {speed}")
-    (repo / "speed").write_text("9.0\n")       # uncommitted: not measured
+    (repo / "speed").write_text("9.0\n")       # uncommitted: only in place
 
     def worktrees():
         out = subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=repo,
                              capture_output=True, text=True, check=True).stdout
         return out.count("worktree ")
 
+    def ran():
+        """Each run's speed and directory, in order."""
+        return [tuple(line.split(" ", 1)) for line in log.read_text().splitlines()]
+
     out = tmp_path / "TRAJECTORY.json"
     # an odd round count would run the trees given last later on average
     with pytest.raises(ValueError, match="even"):
-        trajectory.measure(repo, ["HEAD~2", "HEAD~1"], ["w"], 3, out)
+        trajectory.measure(repo, ["HEAD~2", "HEAD~1"], ["w"], 3, out, 1, 0)
     assert not log.exists() and not out.exists() and worktrees() == 1
 
-    session = trajectory.measure(repo, ["HEAD~2", "HEAD~1"], ["w"], 4, out)
+    session = trajectory.measure(repo, ["HEAD~2", "HEAD~1"], ["w"], 4, out, 1, 0)
     # the order flips every round
-    assert log.read_text().split() == ["1.0", "2.0", "2.0", "1.0"] * 2
+    assert [speed for speed, _ in ran()] == ["1.0", "2.0", "2.0", "1.0"] * 2
     slow, fast = session["trees"]
     assert slow["tree"] == "HEAD~2" and len(slow["commit"]) == 40
     assert slow["src_sha256"] == "digest 1.0" and fast["src_sha256"] == "digest 2.0"
@@ -208,7 +270,7 @@ def test_trajectory_interleaves_worktrees_and_always_removes_them(monkeypatch,
     # a run without a result stops the session; the runs before it are
     # written and the worktrees still go
     with pytest.raises(RuntimeError, match="without a result"):
-        trajectory.measure(repo, ["HEAD~1", "HEAD"], ["w"], 2, out)
+        trajectory.measure(repo, ["HEAD~1", "HEAD"], ["w"], 2, out, 1, 0)
     partial = json.loads(out.read_text())
     assert not partial["complete"]
     assert [len(entry["runs"]) for entry in partial["trees"]] == [1, 0]
@@ -216,8 +278,30 @@ def test_trajectory_interleaves_worktrees_and_always_removes_them(monkeypatch,
     assert partial["trees"][1]["src_sha256"] is None
     assert worktrees() == 1 and not any(scratch.iterdir())
     with pytest.raises(subprocess.CalledProcessError):
-        trajectory.measure(repo, ["HEAD", "no-such-commit"], ["w"], 2, out)
+        trajectory.measure(repo, ["HEAD", "no-such-commit"], ["w"], 2, out, 1, 0)
     assert worktrees() == 1
+
+    # a directory runs in place, its uncommitted edit included, with no
+    # worktree of its own; given twice, as an A/A control, it keeps two
+    # entries
+    log.unlink()
+    session = trajectory.measure(repo, ["HEAD~1", str(repo), str(repo)], ["w"], 2,
+                                 out, 1, 0)
+    assert [speed for speed, _ in ran()] == ["2.0", "9.0", "9.0", "9.0", "9.0", "2.0"]
+    directories = {speed: cwd for speed, cwd in ran()}
+    assert directories["9.0"] == str(repo.resolve())
+    assert Path(directories["2.0"]).parent.parent == scratch
+    commit, first, second = session["trees"]
+    assert commit["commit"] == subprocess.run(
+        ["git", "rev-parse", "HEAD~1"], cwd=repo, capture_output=True, text=True,
+        check=True).stdout.strip()
+    assert first["tree"] == second["tree"] == str(repo)
+    assert first["commit"] == second["commit"] == subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True, text=True,
+        check=True).stdout.strip()
+    assert len(first["runs"]) == len(second["runs"]) == 2
+    assert first["summary"]["w"]["replications_per_s"]["median"] == 9.0
+    assert worktrees() == 1 and not any(scratch.iterdir())
 
 
 @pytest.mark.parametrize("solver,n", [("exhaustive", 3), ("best_response", 4)])

@@ -40,6 +40,11 @@ from collect import ROOT, SECONDS, run_one
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = {0: BENCHMARK["end_to_end"], 1: BENCHMARK["per_layer"]}    # by --trace
+# A gain is claimed only from at least ten pairs of runs, better in nine of
+# them and in the median by more than the base's interquartile range; with
+# fewer pairs the quartiles are a handful of runs pulled together, so
+# "clears IQR" is not marked.
+MIN_CLAIM_PAIRS = 10
 
 
 def git(repo: Path, *args) -> str:
@@ -137,7 +142,7 @@ def summarize(base: list, change: list, metrics: list) -> list:
             "pct": 100.0 * (cq[1] - bq[1]) / bq[1] if bq[1] else float("nan"),
             "won": sum(sign * (y - x) > 0 for x, y in zip(b, c)),
             "pairs": len(b),
-            "clears_iqr": bool(gain > bq[2] - bq[0]),
+            "clears_iqr": len(b) >= MIN_CLAIM_PAIRS and bool(gain > bq[2] - bq[0]),
         })
     return rows
 

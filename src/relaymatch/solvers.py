@@ -68,45 +68,35 @@ def beta(activations: int) -> float:
 class IterationTrace:
     """Per-activation record of one solver run.
 
-    A solver starts the record with IterationTrace(initial_lambda, observer),
-    calls record() once per acting source and close() when it stops.
+    A solver starts the record with IterationTrace(initial_lambda), calls
+    record() once per acting source and close() when it stops.
     `iteration` holds the 1-based iteration index of each entry (several
     sources act within one PMA iteration). initial_lambda is the value of
     the initial state.
     """
 
-    def __init__(self, initial_lambda: float, observer=None):
+    def __init__(self, initial_lambda: float):
         self.initial_lambda = initial_lambda
         self.convergence_iteration = None
         self.iteration, self.actor, self.accepted, self.lam = [], [], [], []
-        self._observer = observer
 
-    def record(self, iteration, actor, accepted, lam, strategies,
-               event: Optional[dict] = None) -> None:
-        """Log one activation and pass it, with the solver's extra event
-        fields, to the observer if one is attached. `event` is read only
-        then, so a solver builds it only when it has an observer.
+    def record(self, iteration, actor, accepted, lam) -> None:
+        """Log one activation.
 
-        run_pma without an observer appends to the four columns itself,
-        in this order; a change to them must change it there too."""
+        run_pma appends to the four columns itself, in this order; a
+        change to them must change it there too."""
         self.iteration.append(iteration)
         self.actor.append(actor)
         self.accepted.append(accepted)
         self.lam.append(lam)
-        if self._observer is not None:
-            self._observer({"iteration": iteration, "actor": actor,
-                            "accepted": accepted, "lambda": lam,
-                            "strategies": tuple(strategies), **(event or {})})
 
     def close(self, convergence_iteration: Optional[int]) -> "IterationTrace":
-        """End the record: the columns become arrays and the observer is
-        released."""
+        """End the record: the columns become arrays."""
         self.iteration = np.array(self.iteration, dtype=np.int64)
         self.actor = np.array(self.actor, dtype=np.int64)
         self.accepted = np.array(self.accepted, dtype=bool)
         self.lam = np.array(self.lam, dtype=np.float64)
         self.convergence_iteration = convergence_iteration
-        self._observer = None
         return self
 
     def __len__(self):
@@ -247,7 +237,7 @@ def _random_initial(quotas, num_radios, rng):
     return strategies
 
 
-def run_pma(topology, profiles, caps, config: SolverConfig, rng, observer=None):
+def run_pma(topology, profiles, caps, config: SolverConfig, rng):
     """Potential matching: per iteration, every source (in random order)
     proposes a weighted random radio set — or a full withdrawal — which the
     relay side accepts with Boltzmann probability at the annealed inverse
@@ -271,8 +261,9 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng, observer=None):
     alone = [p.evaluate(0.0) for p in profiles]
 
     lam = state.lam
-    trace = IterationTrace(lam, observer)
-    # without an observer the columns are appended here, as record() would
+    trace = IterationTrace(lam)
+    # the columns are appended here, as record() would: a bound record()
+    # call per activation costs PMA 1-2 %
     iterations, actors, accepts, lams = (trace.iteration, trace.actor,
                                          trace.accepted, trace.lam)
     integers, random, utility = draws.integers, draws.random, state.utility
@@ -321,14 +312,10 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng, observer=None):
                     if lam > best_lam + SATISFACTION_TOL:
                         best_lam = lam
                         best_strategies = list(strategies)
-                if observer is None:
-                    iterations.append(k)
-                    actors.append(n)
-                    accepts.append(accepted)
-                    lams.append(lam)
-                else:
-                    trace.record(k, n, accepted, lam, strategies, {
-                        "candidate": candidate, "u_old": u_old, "u_new": u_new})
+                iterations.append(k)
+                actors.append(n)
+                accepts.append(accepted)
+                lams.append(lam)
             if k - last_improve >= STOP_WINDOW:
                 converged = last_improve
                 break
@@ -336,17 +323,15 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng, observer=None):
     return Matching(best_strategies, n_radio), trace.close(converged)
 
 
-def run_many_to_one(topology, profiles, caps, config: SolverConfig, rng,
-                    observer=None):
+def run_many_to_one(topology, profiles, caps, config: SolverConfig, rng):
     """PMA on a copy of the topology with every source's quota set to one
     radio. run_pma is looked up at call time, so wrappers of it see this."""
     one_radio = replace(topology, sources=tuple(
         replace(s, num_radios=1) for s in topology.sources))
-    return run_pma(one_radio, profiles, caps, config, rng=rng, observer=observer)
+    return run_pma(one_radio, profiles, caps, config, rng=rng)
 
 
-def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
-                      observer=None):
+def run_best_response(topology, profiles, caps, config: SolverConfig, rng):
     """Round-robin sweeps where the acting source adopts its utility-maximizing
     feasible radio set; terminates once a full sweep changes nothing.
 
@@ -371,7 +356,7 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
     strategies = state.strategies
 
     lam = state.lam
-    trace = IterationTrace(lam, observer)
+    trace = IterationTrace(lam)
     last_improve = 0
     idle = [False] * n_src     # n would score an unchanged state
 
@@ -393,8 +378,7 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
             idle = [False] * n_src
         else:
             idle[n] = True
-        event = None if observer is None else {"candidate": best_set}
-        trace.record(iteration, n, accepted, lam, strategies, event)
+        trace.record(iteration, n, accepted, lam)
         # at a sweep's end, all idle means the sweep changed nothing
         if n == n_src - 1 and all(idle):
             break
@@ -403,8 +387,7 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng,
             trace.close(last_improve if all(idle) else None))
 
 
-def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
-                      observer=None):
+def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None):
     """Deferred-acceptance baseline with substitutable radios.
 
     Sources propose one radio at a time in preference order (per-pair AF
@@ -423,7 +406,7 @@ def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
     state = _MatchingState([()] * n_src, caps_rows, profiles, n_radio)
     strategies = state.strategies
 
-    trace = IterationTrace(state.lam, observer)
+    trace = IterationTrace(state.lam)
     queue = deque(range(n_src))
     iteration = 0
 
@@ -447,7 +430,7 @@ def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None,
             if evicted == n:
                 accepted = False
         iteration += 1
-        trace.record(iteration, n, accepted, state.lam, strategies)
+        trace.record(iteration, n, accepted, state.lam)
 
     truncated = any(cursor[k] < n_radio for k in queue)
     return (Matching(strategies, n_radio),
@@ -573,17 +556,14 @@ def exhaustive_search(topology, profiles, caps, cap: int = ENUMERATION_CAP):
             best_lam)
 
 
-def solve(topology, profiles, caps, config: SolverConfig, rng, observer=None):
+def solve(topology, profiles, caps, config: SolverConfig, rng):
     """Dispatch a solver by config.kind; always returns (Matching, trace)."""
     if config.kind == "pma":
-        return run_pma(topology, profiles, caps, config, rng, observer=observer)
+        return run_pma(topology, profiles, caps, config, rng)
     if config.kind == "best_response":
-        return run_best_response(topology, profiles, caps, config, rng,
-                                 observer=observer)
+        return run_best_response(topology, profiles, caps, config, rng)
     if config.kind == "many_to_one":
-        return run_many_to_one(topology, profiles, caps, config, rng,
-                               observer=observer)
+        return run_many_to_one(topology, profiles, caps, config, rng)
     if config.kind == "substitutable":
-        return run_substitutable(topology, profiles, caps, config, rng,
-                                 observer=observer)
+        return run_substitutable(topology, profiles, caps, config, rng)
     raise ConfigurationError(f"unknown solver kind {config.kind!r}")

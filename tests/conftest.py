@@ -105,7 +105,7 @@ def _reference_best_response(topology, profiles, caps, config, rng):
                 state.move(n, best_set)
                 changed = True
                 last_improve = iteration
-            trace.record(iteration, n, accepted, state.lam, state.strategies)
+            trace.record(iteration, n, accepted, state.lam)
         if not changed:
             converged = last_improve
             break
@@ -188,7 +188,7 @@ def _reference_pma(topology, profiles, caps, config, rng, quota_override=None):
                     last_improve = k
                 if state.lam > best_lam + SATISFACTION_TOL:
                     best_lam, best = state.lam, list(state.strategies)
-            trace.record(k, n, accepted, state.lam, state.strategies)
+            trace.record(k, n, accepted, state.lam)
         if k - last_improve >= solvers.STOP_WINDOW:
             converged = last_improve
             break

@@ -41,10 +41,18 @@ def test_summary_medians_quartiles_and_pairs_won(trajectory):
     assert rate["base"] == [10.5, 11.0, 11.5]
     assert rate["change"] == [12.5, 13.0, 13.5]
     assert rate["pct"] == pytest.approx(100 * 2 / 11)
-    assert (rate["won"], rate["pairs"], rate["clears_iqr"]) == (3, 3, True)
+    # three pairs are too few to mark a gain, however clear
+    assert (rate["won"], rate["pairs"], rate["clears_iqr"]) == (3, 3, False)
     # lower is better: only the second pair's change is faster
     assert p50["won"] == 1 and p50["pct"] == 0.0 and not p50["clears_iqr"]
-    assert "won 3/3  clears IQR" in trajectory.format_rows([rate])
+    assert "won 3/3" in trajectory.format_rows([rate])
+    assert "clears IQR" not in trajectory.format_rows([rate])
+    # ten pairs, the claim rule's minimum, are enough
+    base = [{"replications_per_s": 10.0 + i / 10} for i in range(10)]
+    change = [{"replications_per_s": 12.0 + i / 10} for i in range(10)]
+    (rate,) = trajectory.summarize(base, change, [RATE])
+    assert (rate["won"], rate["pairs"], rate["clears_iqr"]) == (10, 10, True)
+    assert "won 10/10  clears IQR" in trajectory.format_rows([rate])
 
 
 def test_summary_needs_the_gain_to_clear_the_base_spread(trajectory):

@@ -326,37 +326,51 @@ def _check_pma_tables(topo, profiles, caps, seed, max_iterations):
     no other source's move has reached since its last proposal proposes
     from the very table it used then, its own moves included. Returns how
     many proposals came after the proposer's own move, with no other move
-    in between."""
-    rows = caps.tolist()
-    propose, passed, events = solvers.pma_propose, [], []
+    in between.
 
-    def spy(attractiveness, quota, rng, size=None, table=None):
-        passed.append(table)
+    The run's state is caught as it is built; each activation starts with
+    one size draw, where the strategies before it are read, and a proposal
+    is tied to the activation that draw opened."""
+    rows = caps.tolist()
+    init, integers, propose = (_MatchingState.__init__, Draws.integers,
+                               solvers.pma_propose)
+    states, befores, tables = [], [], {}
+
+    def init_spy(self, *args):
+        init(self, *args)
+        states.append(self)
+
+    def size_spy(self, low, high):
+        befores.append(tuple(states[0].strategies))
+        return integers(self, low, high)
+
+    def propose_spy(attractiveness, quota, rng, size=None, table=None):
+        tables[len(befores) - 1] = table
         return propose(attractiveness, quota, rng, size=size, table=table)
 
-    def observer(event):
-        events.append((event, passed.pop() if passed else None))
-
-    with mock.patch.object(solvers, "pma_propose", spy):
-        rm.run_pma(topo, profiles, caps, rm.SolverConfig(max_iterations=max_iterations),
-                   np.random.default_rng(seed), observer=observer)
-    assert events
-    before, last, after_own_move, mover = None, {}, 0, None
-    for event, table in events:
-        n = event["actor"]
+    with mock.patch.object(_MatchingState, "__init__", init_spy), \
+            mock.patch.object(Draws, "integers", size_spy), \
+            mock.patch.object(solvers, "pma_propose", propose_spy):
+        _, trace = rm.run_pma(topo, profiles, caps,
+                              rm.SolverConfig(max_iterations=max_iterations),
+                              np.random.default_rng(seed))
+    (state,) = states
+    assert befores and len(befores) == len(trace)
+    afters = befores[1:] + [tuple(state.strategies)]
+    last, after_own_move, mover = {}, 0, None
+    for i, (n, before, after) in enumerate(zip(trace.actor.tolist(), befores, afters)):
+        table = tables.get(i)
         if table is not None:
             if n in last:
                 assert table is last[n]
                 after_own_move += mover == n
-            if before is not None:
-                fresh = _MatchingState(before, rows, profiles, topo.num_radios)
-                idx, p, nonzero, cdf = table
-                assert (idx, p, nonzero, cdf) == solvers.proposal_table(fresh.share(n))
+            fresh = _MatchingState(before, rows, profiles, topo.num_radios)
+            idx, p, nonzero, cdf = table
+            assert (idx, p, nonzero, cdf) == solvers.proposal_table(fresh.share(n))
             last[n] = table
-        if before is not None and event["strategies"] != before:
+        if after != before:
             mover = n
             last = {n: last[n]} if n in last else {}
-        before = event["strategies"]
     return after_own_move
 
 
@@ -384,8 +398,8 @@ class TestIterationTrace:
     def test_default_iteration_index(self):
         # each recorded activation keeps its iteration; close() types the columns
         tr = IterationTrace(0.5)
-        tr.record(1, 0, True, 1.0, [(0,), ()])
-        tr.record(2, 1, False, 2.0, [(0,), ()])
+        tr.record(1, 0, True, 1.0)
+        tr.record(2, 1, False, 2.0)
         assert tr.close(2) is tr
         assert list(tr.iteration) == [1, 2]
         assert [a.dtype for a in (tr.iteration, tr.actor, tr.accepted, tr.lam)] == [
@@ -397,7 +411,7 @@ class TestIterationTrace:
     def test_per_iteration_series_takes_last_value(self):
         tr = IterationTrace(0.0)
         for k, actor, lam in ((1, 0, 1.0), (1, 1, 1.5), (2, 0, 2.0)):
-            tr.record(k, actor, True, lam, [(), ()])
+            tr.record(k, actor, True, lam)
         tr.close(None)
         assert list(tr.lambda_per_iteration()) == [1.5, 2.0]
         assert IterationTrace(0.5).close(None).lambda_per_iteration().shape == (0,)
@@ -414,15 +428,11 @@ class TestIterationTrace:
             x.hex() for x in expected]
 
     def test_csv_format(self):
-        events = []
-        tr = IterationTrace(1.0, observer=events.append)
-        tr.record(1, 3, True, 1.25, [(0,)], {"candidate": (0,)})
+        tr = IterationTrace(1.0)
+        tr.record(1, 3, True, 1.25)
         buf = io.StringIO()
         tr.close(1).write_csv(buf)
         assert buf.getvalue() == "iteration,lambda,actor,accepted\n1,1.25,3,1\n"
-        assert events == [{"iteration": 1, "actor": 3, "accepted": True,
-                           "lambda": 1.25, "strategies": ((0,),),
-                           "candidate": (0,)}]
 
 
 class TestPma:
@@ -465,31 +475,56 @@ class TestPma:
 
 
 @pytest.mark.parametrize("kind", ["pma", "many_to_one"])
-def test_observer_sees_true_lambda_and_potential_identity(kind, mid_instance):
-    """Every observed event carries the true global satisfaction, and the
-    utility gap the solver used equals the change of global satisfaction
-    that the proposed deviation would cause."""
+def test_walk_sees_true_lambda_and_potential_identity(kind, mid_instance):
+    """At every proposal the walk's state carries the true global
+    satisfaction, and the utility gap the walk reads (u_old off the mover
+    baseline, u_new from utility) equals the change of global satisfaction
+    that the proposed deviation would cause; where the draw does not decide
+    alone, that gap is the one passed to pma_accept. Calls are keyed by
+    activation, counted by its one size draw."""
     topo, profiles, caps = mid_instance
-    events = []
-    _, trace = rm.solve(topo, profiles, caps, rm.SolverConfig(kind=kind),
-                        np.random.default_rng(12), observer=events.append)
-    assert len(events) == len(trace)
+    integers, utility, accept = (Draws.integers, _MatchingState.utility,
+                                 solvers.pma_accept)
+    activations, calls, accepts = [], {}, []
+
+    def size_spy(self, low, high):
+        activations.append(low)
+        return integers(self, low, high)
+
+    def utility_spy(self, n, candidate):
+        u_new = utility(self, n, candidate)
+        calls[len(activations)] = (tuple(self.strategies), self.lam, n, candidate,
+                                   self._baselines[n][2], u_new)
+        return u_new
+
+    def accept_spy(u_new, u_old, beta):
+        accepts.append((len(activations), u_old, u_new))
+        return accept(u_new, u_old, beta)
+
+    with mock.patch.object(Draws, "integers", size_spy), \
+            mock.patch.object(_MatchingState, "utility", utility_spy), \
+            mock.patch.object(solvers, "pma_accept", accept_spy):
+        _, trace = rm.solve(topo, profiles, caps, rm.SolverConfig(kind=kind),
+                            np.random.default_rng(12))
+    assert calls
+    # withdrawals call no utility; their u_new is evaluate(0.0)
+    passed = [(k, u_old, u_new) for k, u_old, u_new in accepts if k in calls]
+    assert passed
+    for k, u_old, u_new in passed:
+        assert (u_old, u_new) == calls[k][4:]
     quotas = [1] * topo.num_sources if kind == "many_to_one" else topo.quotas
     # the initial state is the first thing a solver draws from its stream
-    before = _random_initial(quotas, topo.num_radios, np.random.default_rng(12))
-    lam_before = rm.global_satisfaction(rm.Matching(before, topo.num_radios),
-                                        profiles, caps)
-    assert lam_before == pytest.approx(trace.initial_lambda, abs=1e-10)
-    for event in events:
-        after = rm.Matching(event["strategies"], topo.num_radios)
-        lam = rm.global_satisfaction(after, profiles, caps)
-        assert event["lambda"] == pytest.approx(lam, abs=1e-10)
-        n = event["actor"]
-        deviated = rm.Matching(before, topo.num_radios).with_strategy(
-            n, event["candidate"])
-        gain = rm.global_satisfaction(deviated, profiles, caps) - lam_before
-        assert event["u_new"] - event["u_old"] == pytest.approx(gain, abs=1e-10)
-        before, lam_before = event["strategies"], lam
+    initial = _random_initial(quotas, topo.num_radios, np.random.default_rng(12))
+    assert rm.global_satisfaction(rm.Matching(initial, topo.num_radios),
+                                  profiles, caps) == pytest.approx(
+        trace.initial_lambda, abs=1e-10)
+    for strategies, lam, n, candidate, u_old, u_new in calls.values():
+        before = rm.Matching(strategies, topo.num_radios)
+        lam_before = rm.global_satisfaction(before, profiles, caps)
+        assert lam == pytest.approx(lam_before, abs=1e-10)
+        gain = rm.global_satisfaction(before.with_strategy(n, candidate),
+                                      profiles, caps) - lam_before
+        assert u_new - u_old == pytest.approx(gain, abs=1e-10)
 
 
 def _run_digest(matching, trace):
@@ -558,13 +593,13 @@ class _StopRun(Exception):
 
 # sha256 of rng.bit_generator.state after solve at seed 1 on the
 # pinned-digest instance, recorded while every draw went through numpy's
-# Generator calls; "pma, observer raises" stops the run at its 50th event
+# Generator calls; "pma, run raises" stops the run right after activation 50
 PINNED_GENERATOR_END_STATES = {
     "pma": "943f3e5e46deaaddf9150c3eed70a3e6d8bc73c50bb26de29c663a084664c87e",
     "many_to_one": "399e230def2f30507c22f07defc722defaf53c87f69cbe17a5266858f3ae2246",
     "best_response": "e6000fca49d62b86bebe8c5283189d024dc6cd5eb4700737707e368459ad7407",
     "substitutable": "b9645886707002752a06918073f34884490f2bc380253be96f39f725cd1e22c2",
-    "pma, observer raises":
+    "pma, run raises":
         "df4072cf7f601247839e226636ddea4891fec5562d7418ce39329d41ae06e22d",
 }
 
@@ -574,68 +609,23 @@ def test_pinned_generator_end_state(case):
     topo, profiles, caps = make_instance(2026, num_sources=8, num_relays=5,
                                          radios_per_relay=2, source_radios=(2, 3))
     rng = np.random.default_rng(1)
-    if case == "pma, observer raises":
-        events = []
+    if case == "pma, run raises":
+        integers, calls = Draws.integers, []
 
-        def observer(event):
-            events.append(event)
-            if len(events) == 50:
+        def spy(self, low, high):
+            # one size draw opens each activation; the 51st raises before it
+            # draws
+            calls.append(low)
+            if len(calls) == 51:
                 raise _StopRun
+            return integers(self, low, high)
 
-        with pytest.raises(_StopRun):
-            rm.solve(topo, profiles, caps, rm.SolverConfig(kind="pma"), rng,
-                     observer=observer)
+        with mock.patch.object(Draws, "integers", spy), pytest.raises(_StopRun):
+            rm.solve(topo, profiles, caps, rm.SolverConfig(kind="pma"), rng)
     else:
         rm.solve(topo, profiles, caps, rm.SolverConfig(kind=case), rng)
     digest = hashlib.sha256(repr(rng.bit_generator.state).encode()).hexdigest()
     assert digest == PINNED_GENERATOR_END_STATES[case]
-
-
-@pytest.mark.parametrize("kind", solvers.SOLVER_KINDS)
-def test_observer_events_match_trace_columns(kind, small_instance):
-    """Every solver reports each trace entry to the observer exactly once,
-    with the same iteration, actor, acceptance and lambda."""
-    topo, profiles, caps = small_instance
-    events = []
-    m, trace = rm.solve(topo, profiles, caps, rm.SolverConfig(kind=kind),
-                        np.random.default_rng(3), observer=events.append)
-    assert len(events) == len(trace) > 0
-    assert [e["iteration"] for e in events] == trace.iteration.tolist()
-    assert [e["actor"] for e in events] == trace.actor.tolist()
-    assert [e["accepted"] for e in events] == trace.accepted.tolist()
-    assert [e["lambda"] for e in events] == trace.lam.tolist()
-    if kind in ("best_response", "substitutable"):
-        # these return the state they end in
-        assert events[-1]["strategies"] == m.strategies
-
-
-@settings(max_examples=30, deadline=None)
-@given(kind=st.sampled_from(["pma", "many_to_one"]),
-       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
-       num_sources=st.integers(min_value=1, max_value=8),
-       num_relays=st.integers(min_value=1, max_value=3),
-       radios_per_relay=st.integers(min_value=1, max_value=2))
-def test_observer_and_plain_runs_record_alike(kind, seed, num_sources, num_relays,
-                                              radios_per_relay):
-    """Without an observer run_pma appends the trace columns itself, with
-    one it calls record(); both give the same run, columns and stream."""
-    topo, profiles, caps = make_instance(seed, num_sources=num_sources,
-                                         num_relays=num_relays,
-                                         radios_per_relay=radios_per_relay,
-                                         source_radios=None)
-    runs = []
-    for observer in (None, lambda event: None):
-        rng = np.random.default_rng(seed)
-        m, trace = rm.solve(topo, profiles, caps, rm.SolverConfig(kind=kind), rng,
-                            observer=observer)
-        runs.append((m, trace, rng.bit_generator.state))
-    (m, trace, state), (m_obs, trace_obs, state_obs) = runs
-    assert m == m_obs
-    assert trace.convergence_iteration == trace_obs.convergence_iteration
-    for column in ("iteration", "actor", "accepted", "lam"):
-        a, b = getattr(trace, column), getattr(trace_obs, column)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column
-    assert state == state_obs
 
 
 class TestManyToOne:
@@ -779,13 +769,16 @@ class TestSubstitutable:
 
     def test_truncated_run_reports_no_convergence(self, mid_instance):
         topo, profiles, caps = mid_instance
-        _, full = rm.run_substitutable(topo, profiles, caps,
+        m, full = rm.run_substitutable(topo, profiles, caps,
                                        rm.SolverConfig(kind="substitutable"))
         assert full.convergence_iteration == len(full) > 3
         cut = rm.SolverConfig(kind="substitutable", max_iterations=3)
-        _, trace = rm.run_substitutable(topo, profiles, caps, cut)
+        m_cut, trace = rm.run_substitutable(topo, profiles, caps, cut)
         assert len(trace) == 3
         assert trace.convergence_iteration is None
+        # either run returns the state its last trace entry ends in
+        for matching, tr in ((m, full), (m_cut, trace)):
+            assert tr.lam[-1] == rm.global_satisfaction(matching, profiles, caps)
 
 
 class TestExhaustive:

@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, EnumerationLimitError, from_fields
-from .experiments import (OUT_DIR_ENV, ExperimentConfig, _resolve_out_dir,
-                          run_ensemble, run_sweep)
+from .experiments import ExperimentConfig, run_ensemble, run_sweep
 from .matching import (Matching, default_profiles, enumerate_strategies,
                        global_satisfaction, is_feasible, is_stable, relay_utility)
 from .radio import (PATH_LOSS_PRESETS, TopologyParams, build_capacity_table,
@@ -139,17 +138,11 @@ def _cmd_ensemble(args) -> int:
         if not kept:
             raise ConfigurationError(f"config has no solver of kind {args.solver!r}")
         config.solvers = kept
-    out = _resolve_out_dir(config, args.out)
-    if out is None:
-        # run_ensemble keeps results in memory without one; here they would be lost
-        raise ConfigurationError(
-            f"no output directory: pass --out, set {OUT_DIR_ENV} or give out_dir "
-            "in the config")
     if config.sweep_num_sources is not None:
-        run_sweep(config, out_dir=out)
+        run_sweep(config, out_dir=args.out)
     else:
-        run_ensemble(config, out_dir=out)
-    print(f"ensemble complete; results in {out}")
+        run_ensemble(config, out_dir=args.out)
+    print(f"ensemble complete; results in {args.out}")
     return 0
 
 
@@ -225,7 +218,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=None, help="override master seed")
     p.add_argument("--solver", choices=SOLVER_KINDS, default=None,
                    help="restrict to one solver from the config")
-    p.add_argument("--out", type=Path, default=None)
+    p.add_argument("--out", type=Path, required=True,
+                   help="results directory")
     p.set_defaults(func=_cmd_ensemble)
 
     p = sub.add_parser("verify", help="stability and potential-identity audit")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -28,7 +27,6 @@ from .radio import (TopologyParams, build_capacity_table, build_gain_table,
                     generate_topology)
 from .solvers import IterationTrace, SolverConfig, solve
 
-OUT_DIR_ENV = "RELAYMATCH_OUT"
 METRICS = ("runs", "cdf", "trace")
 #: module constants that change results, recorded in every manifest
 RESULT_CONSTANTS = ((solvers, ("ANNEAL_SCALE", "BETA_MAX", "STOP_WINDOW",
@@ -43,7 +41,6 @@ class ExperimentConfig:
     replications: int = 1
     master_seed: int = 0
     metrics: tuple[str, ...] = ("runs", "cdf")
-    out_dir: Optional[str] = None
     workers: int = 1
     store_traces: bool = True
     sweep_num_sources: Optional[list[int]] = None
@@ -79,10 +76,10 @@ class ExperimentConfig:
         return asdict(self)
 
     def _recorded(self) -> dict:
-        """Every setting that changes results: to_dict() without workers
-        and out_dir, which change only where and how fast they are produced."""
+        """Every setting that changes results: to_dict() without workers,
+        which changes only how fast they are produced."""
         doc = self.to_dict()
-        del doc["workers"], doc["out_dir"]
+        del doc["workers"]
         return doc
 
     @classmethod
@@ -224,8 +221,8 @@ def satisfaction_vs_n(results: Sequence) -> list:
 
 def run_ensemble(config: ExperimentConfig, out_dir=None) -> EnsembleResult:
     """Run every configured solver on every replication's topology (shared
-    within a replication) and optionally persist CSVs plus a manifest. The
-    config is checked before any replication runs; one that sets
+    within a replication); with out_dir, persist CSVs plus a manifest there.
+    The config is checked before any replication runs; one that sets
     sweep_num_sources belongs to run_sweep."""
     if config.sweep_num_sources is not None:
         raise ConfigurationError(
@@ -248,7 +245,6 @@ def run_ensemble(config: ExperimentConfig, out_dir=None) -> EnsembleResult:
     records = [r for chunk in chunks for r in chunk]
     result = EnsembleResult(config=config, records=records)
 
-    out_dir = _resolve_out_dir(config, out_dir)
     if out_dir is not None:
         write_result(result, out_dir)
     return result
@@ -256,17 +252,17 @@ def run_ensemble(config: ExperimentConfig, out_dir=None) -> EnsembleResult:
 
 def run_sweep(config: ExperimentConfig, out_dir=None) -> list:
     """Run one ensemble per entry of sweep_num_sources; each N gets its own
-    deterministic seed root derived from (master_seed, N). Every size's
-    config is checked before the first replication runs."""
+    deterministic seed root derived from (master_seed, N); with out_dir,
+    each size writes under out_dir/n<N>. Every size's config is checked
+    before the first replication runs."""
     if not config.sweep_num_sources:
         raise ConfigurationError("sweep_num_sources is empty")
-    out_dir = _resolve_out_dir(config, out_dir)
     out = None if out_dir is None else Path(out_dir)
     subs = [(n, replace(
         config, topology=replace(config.topology, num_sources=n),
         master_seed=int(np.random.SeedSequence(
             (config.master_seed, n)).generate_state(1)[0]),
-        sweep_num_sources=None, out_dir=None))
+        sweep_num_sources=None))
         for n in map(int, config.sweep_num_sources)]
     for _, sub in subs:
         sub.topology.validate()
@@ -281,15 +277,6 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list:
         _write_manifest(config, out, sweep=[n for n, _ in subs],
                         master_seeds={str(n): sub.master_seed for n, sub in subs})
     return results
-
-
-def _resolve_out_dir(config: ExperimentConfig, out_dir):
-    if out_dir is not None:
-        return out_dir
-    env = os.environ.get(OUT_DIR_ENV)
-    if env:
-        return env
-    return config.out_dir
 
 
 @cache

@@ -176,17 +176,12 @@ def sv_rate(m: Matching, source: int, caps: np.ndarray) -> float:
     """Achieved rate of one source: sum of its equal time shares (bit/s)."""
     if not 0 <= source < m.num_sources:
         raise ConfigurationError(f"unknown source id {source}")
-    loads = m.loads()
-    row = caps[source]
-    # added in radio order; built-in sum() is compensated on Python 3.12+
-    rate = 0.0
-    for l in m.radios_of(source):
-        rate += row[l] / loads[l]
-    return float(rate)
+    return float(_rate(caps[source], m.radios_of(source), m.loads()))
 
 
 def _rate(row, radios, loads) -> float:
-    """Sum of the equal time shares row[l] / loads[l], added in radio order."""
+    """Sum of the equal time shares row[l] / loads[l], added in radio order
+    (built-in sum() is compensated on Python 3.12+)."""
     rate = 0.0
     for l in radios:
         rate += row[l] / loads[l]

@@ -558,6 +558,9 @@ def exhaustive_search(topology, profiles, caps, cap: int = ENUMERATION_CAP):
 
 def solve(topology, profiles, caps, config: SolverConfig, rng):
     """Dispatch a solver by config.kind; always returns (Matching, trace)."""
+    # the run_* names are looked up at call time, so a wrapper set on the
+    # module (perfbench's traced spans) sees every call; a dict built at
+    # import would keep the unwrapped functions
     if config.kind == "pma":
         return run_pma(topology, profiles, caps, config, rng)
     if config.kind == "best_response":

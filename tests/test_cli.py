@@ -363,11 +363,14 @@ class TestEnsembleCommand:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(config.to_dict()))
         code = main(["ensemble", "--config", str(path),
-                     "--solver", "best_response"])
+                     "--solver", "best_response", "--out", str(tmp_path / "r")])
         assert code == 1
+        assert not (tmp_path / "r").exists()
 
-    def test_unknown_config_exits_one(self, capsys):
-        assert main(["ensemble", "--config", "no-such-preset"]) == 1
+    def test_unknown_config_exits_one(self, tmp_path, capsys):
+        assert main(["ensemble", "--config", "no-such-preset",
+                     "--out", str(tmp_path / "r")]) == 1
+        assert "no-such-preset" in capsys.readouterr().err
 
     def test_removed_solver_setting_exits_one(self, tmp_path, capsys):
         # the annealing schedule is fixed; an old config that sets it fails
@@ -377,32 +380,30 @@ class TestEnsembleCommand:
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
 
-    def test_prints_directory_written(self, tmp_path, capsys, monkeypatch):
-        # with no --out the results go to RELAYMATCH_OUT, and the message says so
+    def test_prints_directory_written(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({
             "topology": {"num_sources": 2, "num_relays": 2},
             "solvers": [{"kind": "pma"}], "metrics": ["runs"]}))
-        env_out = tmp_path / "env_out"
-        monkeypatch.setenv("RELAYMATCH_OUT", str(env_out))
-        assert main(["ensemble", "--config", str(path)]) == 0
-        assert capsys.readouterr().out == f"ensemble complete; results in {env_out}\n"
-        assert (env_out / "runs.csv").exists()
+        out = tmp_path / "results"
+        assert main(["ensemble", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"ensemble complete; results in {out}\n"
+        assert (out / "runs.csv").exists()
 
     def test_no_output_directory_exits_one_before_running(self, tmp_path, capsys,
                                                           monkeypatch):
-        # no --out, no RELAYMATCH_OUT, no out_dir: the results would be lost
+        # without --out the results would have nowhere to go
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({
             "topology": {"num_sources": 2, "num_relays": 2},
             "solvers": [{"kind": "pma"}], "metrics": ["runs"]}))
-        monkeypatch.delenv("RELAYMATCH_OUT", raising=False)
         ran = []
         monkeypatch.setattr(experiments, "solve", lambda *a, **k: ran.append(a))
-        assert main(["ensemble", "--config", str(path)]) == 1
+        with pytest.raises(SystemExit) as err:
+            main(["ensemble", "--config", str(path)])
+        assert err.value.code == 1
         captured = capsys.readouterr()
-        assert "configuration error" in captured.err
-        assert "no output directory" in captured.err
+        assert "the following arguments are required: --out" in captured.err
         assert captured.out == "" and ran == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
 

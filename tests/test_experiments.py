@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 import relaymatch as rm
 from relaymatch import experiments, matching, solvers
 from relaymatch.errors import ConfigurationError
-from relaymatch.experiments import (OUT_DIR_ENV, _replication_seeds,
-                                    run_ensemble, run_sweep, write_result)
+from relaymatch.experiments import (_replication_seeds, run_ensemble,
+                                    run_sweep, write_result)
 
 
 def small_config(**overrides):
@@ -52,9 +52,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             small_config(workers=0)
 
-    def test_hash_ignores_workers_and_out_dir(self, tmp_path):
+    def test_hash_ignores_workers(self, tmp_path):
+        # the output directory is the caller's argument, never a config key
+        with pytest.raises(ConfigurationError, match="out_dir"):
+            rm.ExperimentConfig.from_dict({"out_dir": str(tmp_path)})
         config = small_config()
-        assert small_config(out_dir=str(tmp_path)).config_hash() == config.config_hash()
+        assert small_config(workers=2).config_hash() == config.config_hash()
         assert small_config(master_seed=78).config_hash() != config.config_hash()
         for workers in (1, 2):
             run_ensemble(small_config(workers=workers, replications=2),
@@ -279,10 +282,14 @@ class TestPersistence:
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
 
-    def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "env_out"))
-        run_ensemble(small_config())
-        assert (tmp_path / "env_out" / "runs.csv").exists()
+    def test_library_writes_nothing_without_out_dir(self, tmp_path, monkeypatch):
+        # the environment names no output directory: without out_dir a run
+        # stays in memory
+        monkeypatch.setenv("RELAYMATCH_OUT", str(tmp_path))
+        run_ensemble(small_config(replications=1))
+        assert list(tmp_path.iterdir()) == []
+        run_sweep(small_config(sweep_num_sources=[2], replications=1))
+        assert list(tmp_path.iterdir()) == []
 
     def test_aggregate_csv_cells_are_plain_numbers(self, tmp_path):
         run_ensemble(small_config(), out_dir=tmp_path)
@@ -335,10 +342,10 @@ class TestSweep:
         assert [r["num_sources"] for r in rows] == [2, 3]
         assert all(0.0 <= r["proportion"] <= 1.0 for r in rows)
 
-    def test_env_out_dir_gets_only_the_sweep_layout(self, tmp_path, monkeypatch):
+    def test_sweep_writes_only_the_sweep_layout(self, tmp_path):
         # each size writes under n<N>/ only, never at the top of the directory
-        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
-        run_sweep(small_config(sweep_num_sources=[2, 3], replications=2))
+        run_sweep(small_config(sweep_num_sources=[2, 3], replications=2),
+                  out_dir=tmp_path)
         per_size = ["runs.csv", "manifest.json", "cdf_pma.csv",
                     "cdf_substitutable.csv", "mean_trace_pma.csv",
                     "mean_trace_substitutable.csv"]

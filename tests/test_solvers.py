@@ -1061,3 +1061,21 @@ class TestSolveDispatcher:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             rm.SolverConfig(kind="simulated_annealing")
+
+    def test_module_level_run_pma_is_what_solve_calls(self, monkeypatch,
+                                                      mid_instance):
+        # perfbench traces the solvers by replacing the module's run_*
+        # functions; dispatch bound at import would bypass the replacement
+        topo, profiles, caps = mid_instance
+        seen = []
+
+        def patched(topology, profiles, caps, config, rng):
+            seen.append((config.kind, max(topology.quotas)))
+            return "patched"
+
+        monkeypatch.setattr(solvers, "run_pma", patched)
+        for kind in ("pma", "many_to_one"):
+            assert rm.solve(topo, profiles, caps, rm.SolverConfig(kind=kind),
+                            np.random.default_rng(0)) == "patched"
+        assert seen == [("pma", max(topo.quotas)), ("many_to_one", 1)]
+        assert max(topo.quotas) > 1

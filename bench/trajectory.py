@@ -1,7 +1,7 @@
 """Measure several trees on benchmark workloads in one session.
 
     python3 bench/trajectory.py TREE... --workload W [--workload W2 ...]
-        --rounds R [--seed 1] [--trace 0|1] [--out TRAJECTORY.json]
+        --rounds R [--seed 1] [--trace 0|1] --out SESSION.json
 
 A TREE naming a directory is measured in place, uncommitted changes
 included; any other TREE is a commit, checked out by `git worktree add
@@ -194,7 +194,7 @@ def main(argv=None) -> int:
     p.add_argument("--rounds", type=int, required=True, help="an even number")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--out", type=Path, default=ROOT / "TRAJECTORY.json")
+    p.add_argument("--out", type=Path, required=True, help="session JSON to write")
     args = p.parse_args(argv)
     session = measure(ROOT, args.trees, args.workload, args.rounds, args.out,
                       args.seed, args.trace)

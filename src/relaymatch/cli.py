@@ -36,16 +36,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_topology_flags(p):
-    p.add_argument("--sources", type=int, default=None, help="number of source UAVs")
-    p.add_argument("--relays", type=int, default=None, help="number of relay UAVs")
-    p.add_argument("--radios-per-relay", type=int, default=None)
-    p.add_argument("--path-loss", choices=sorted(PATH_LOSS_PRESETS),
-                   default=None, help="path-loss preset")
-    p.add_argument("--config", type=Path, default=None,
-                   help="JSON file with topology parameters")
-
-
 def _non_negative(name):
     """argparse type for an int >= 0; the error names the value as name."""
     def non_negative_int(text) -> int:
@@ -57,18 +47,6 @@ def _non_negative(name):
 
 
 _seed = _non_negative("seed")
-
-
-def _topology_params(args) -> TopologyParams:
-    doc = {}
-    if args.config is not None:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    flags = {"num_sources": args.sources, "num_relays": args.relays,
-             "radios_per_relay": args.radios_per_relay,
-             "path_loss": PATH_LOSS_PRESETS.get(args.path_loss)}
-    return replace(from_fields(TopologyParams, doc),
-                   **{k: v for k, v in flags.items() if v is not None})
 
 
 def _load_instance(path):
@@ -94,7 +72,15 @@ def _resolve_config(path_or_name) -> ExperimentConfig:
 
 
 def _cmd_gen(args) -> int:
-    params = _topology_params(args)
+    doc = {}
+    if args.config is not None:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+    flags = {"num_sources": args.sources, "num_relays": args.relays,
+             "radios_per_relay": args.radios_per_relay,
+             "path_loss": PATH_LOSS_PRESETS.get(args.path_loss)}
+    params = replace(from_fields(TopologyParams, doc),
+                     **{k: v for k, v in flags.items() if v is not None})
     topology = generate_topology(params, args.seed)
     gains = build_gain_table(topology)
     save_topology(args.out, topology, gains)
@@ -104,18 +90,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.topology is not None:
-        given = [f"--{dest.replace('_', '-')}" for dest in
-                 ("sources", "relays", "radios_per_relay", "path_loss", "config")
-                 if getattr(args, dest) is not None]
-        if given:
-            raise ConfigurationError(
-                f"--topology fixes the instance; {', '.join(given)} would be ignored")
-        topology, caps, profiles = _load_instance(args.topology)
-    else:
-        topology = generate_topology(_topology_params(args), args.seed)
-        caps = build_capacity_table(topology)
-        profiles = default_profiles(topology)
+    topology, caps, profiles = _load_instance(args.topology)
     config = SolverConfig(kind=args.solver)
     matching, trace = solve(topology, profiles, caps, config,
                             np.random.default_rng(args.seed))
@@ -198,17 +173,22 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate and save a seeded topology")
-    _add_topology_flags(p)
+    p.add_argument("--sources", type=int, default=None, help="number of source UAVs")
+    p.add_argument("--relays", type=int, default=None, help="number of relay UAVs")
+    p.add_argument("--radios-per-relay", type=int, default=None)
+    p.add_argument("--path-loss", choices=sorted(PATH_LOSS_PRESETS),
+                   default=None, help="path-loss preset")
+    p.add_argument("--config", type=Path, default=None,
+                   help="JSON file with topology parameters")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("run", help="run one solver on one instance")
-    _add_topology_flags(p)
-    p.add_argument("--topology", type=Path, default=None,
-                   help="topology JSON (otherwise generated from flags)")
+    p.add_argument("--topology", type=Path, required=True,
+                   help="topology JSON written by gen")
     p.add_argument("--solver", choices=SOLVER_KINDS, default="pma")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, default=0, help="seeds the solver only")
     p.add_argument("--out", type=Path, default=None, help="write final matching JSON")
     p.set_defaults(func=_cmd_run)
 

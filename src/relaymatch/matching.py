@@ -160,16 +160,20 @@ class Matching:
 
     @classmethod
     def from_dict(cls, doc: dict, num_radios: int) -> "Matching":
-        """Inverse of to_dict; any other document, a source id such as "00"
-        included, raises ConfigurationError."""
+        """Inverse of to_dict, the source ids 0..N-1 in any order; any other
+        document, a source id such as "00" or a gap in the ids included,
+        raises ConfigurationError."""
         if not (isinstance(doc, dict) and all(
                 k.isdecimal() and k == str(int(k)) and isinstance(v, list)
                 and all(type(l) is int for l in v) for k, v in doc.items())):
             raise ConfigurationError(
                 f"a matching maps source ids to lists of radio ids, not {doc!r}")
         held = {int(k): v for k, v in doc.items()}
-        return cls([held.get(n, []) for n in range(max(held, default=-1) + 1)],
-                   num_radios)
+        missing = [n for n in range(max(held, default=-1) + 1) if n not in held]
+        if missing:
+            raise ConfigurationError(f"matching source ids must run "
+                                     f"0..{max(held)} without a gap; missing {missing}")
+        return cls([held[n] for n in range(len(held))], num_radios)
 
 
 def sv_rate(m: Matching, source: int, caps: np.ndarray) -> float:

@@ -35,9 +35,12 @@ class PathLossModel:
     min_distance_m: float = 1.0
 
     def check(self) -> None:
-        """Refuse a negative shadowing sigma, which would draw no shadowing."""
+        """Refuse a negative shadowing sigma, which would draw no shadowing,
+        and a minimum distance that cannot clamp a coincident link."""
         if self.shadowing_sigma_db < 0:
             raise ConfigurationError("path_loss.shadowing_sigma_db must be >= 0")
+        if self.min_distance_m <= 0:
+            raise ConfigurationError("path_loss.min_distance_m must be > 0")
 
     def loss_db(self, distance_m: float) -> float:
         d = max(float(distance_m), self.min_distance_m)

@@ -167,6 +167,21 @@ def test_seed_and_trace_reach_every_run(trajectory, sides, monkeypatch, tmp_path
     assert list(session["trees"][1]["summary"]["w"]) == ["solvers.pma.us_per_activation"]
 
 
+def test_session_without_out_exits_before_any_run(trajectory, sides, monkeypatch,
+                                                  capsys):
+    # a default --out would overwrite the committed TRAJECTORY.json
+    def no_measure(*args):
+        raise AssertionError("measure was reached")
+
+    monkeypatch.setattr(trajectory, "measure", no_measure)
+    committed = (BENCH.parent / "TRAJECTORY.json").read_bytes()
+    with pytest.raises(SystemExit) as err:
+        trajectory.main([*sides, "--workload", "w", "--rounds", "2"])
+    assert err.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+    assert (BENCH.parent / "TRAJECTORY.json").read_bytes() == committed
+
+
 @pytest.mark.parametrize("script", ["collect.py", "trajectory.py", "ab_inproc.py"])
 def test_bench_script_parses_help(script):
     proc = subprocess.run([sys.executable, str(BENCH / script), "--help"],

@@ -11,6 +11,9 @@ from relaymatch import cli, experiments
 from relaymatch.cli import main
 from relaymatch.matching import _MatchingState, count_strategies
 
+from conftest import make_instance
+from test_solvers import PINNED_CSV_DIGESTS
+
 
 def make_topology_file(tmp_path, name="topo.json", **params):
     defaults = dict(num_sources=3, num_relays=2, radios_per_relay=1,
@@ -106,11 +109,15 @@ class TestGen:
         ({"bandwidth_hz": 0}, "bandwidth must be positive"),
         ({"path_loss": {"shadowing_sigma_db": -1.0}},
          "path_loss.shadowing_sigma_db must be >= 0"),
-    ], ids=["zero-bandwidth", "negative-shadowing"])
+        ({"path_loss": {"min_distance_m": 0.0}}, "path_loss.min_distance_m must be > 0"),
+        ({"path_loss": {"min_distance_m": -3.0}}, "path_loss.min_distance_m must be > 0"),
+    ], ids=["zero-bandwidth", "negative-shadowing", "zero-min-distance",
+            "negative-min-distance"])
     def test_invalid_topology_exits_one_before_writing(self, tmp_path, capsys,
                                                        doc, named):
         # a zero bandwidth was written and only refused by `run --topology`;
-        # a negative sigma silently meant no shadowing
+        # a negative sigma silently meant no shadowing; a min distance <= 0
+        # cannot clamp a coincident link, whose gain math.log10 then refuses
         cfg = tmp_path / "params.json"
         cfg.write_text(json.dumps(doc))
         code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "t.json")])
@@ -143,7 +150,7 @@ class TestGen:
 
 @pytest.mark.parametrize("argv", [
     ["gen", "--out", "t.json"],
-    ["run", "--sources", "2"],
+    ["run", "--topology", "t.json"],
     ["ensemble", "--config", "fig2", "--out", "r"],
     ["verify", "--topology", "t.json", "--matching", "m.json"],
 ], ids=["gen", "run", "ensemble", "verify"])
@@ -207,12 +214,14 @@ class TestRun:
                                       ["--path-loss", "macro"],
                                       ["--config", "params.json"]])
     def test_topology_file_rejects_instance_flags(self, tmp_path, capsys, flag):
-        # the file fixes the instance, so these flags would be ignored
+        # the file fixes the instance; only gen takes these flags
         topo = make_topology_file(tmp_path)
-        code = main(["run", "--topology", str(topo), *flag])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "configuration error" in err and flag[0] in err
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--topology", str(topo), *flag])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("corrupt,named", [
         (lambda doc: doc["path_loss"].update(slope=20.0),
@@ -332,10 +341,31 @@ class TestRun:
         assert err.value.code == 1
         assert "invalid choice: 'exhaustive'" in capsys.readouterr().err
 
-    def test_generated_instance_without_file(self, capsys):
-        code = main(["run", "--sources", "2", "--relays", "2",
-                     "--solver", "substitutable", "--seed", "1"])
+    def test_topology_file_is_required(self, tmp_path, capsys, monkeypatch):
+        # the instance comes only from a topology file written by gen
+        ran = []
+        monkeypatch.setattr(cli, "solve", lambda *a, **k: ran.append(a))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--solver", "substitutable", "--seed", "1"])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert "the following arguments are required: --topology" in captured.err
+        assert captured.out == "" and ran == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_CSV_DIGESTS))
+    def test_topology_file_replays_pinned_trace(self, tmp_path, capsys, kind):
+        # the same instance saved by save_topology gives the library's
+        # pinned trace CSV at seed 1, byte for byte
+        topology, _, _ = make_instance(2026, num_sources=8, num_relays=5,
+                                       radios_per_relay=2, source_radios=(2, 3))
+        path = tmp_path / "topo.json"
+        rm.save_topology(path, topology)
+        code = main(["run", "--topology", str(path), "--solver", kind, "--seed", "1"])
         assert code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CSV_DIGESTS[kind]
 
 
 class TestEnsembleCommand:
@@ -565,9 +595,10 @@ class TestVerify:
         assert len(built) == 25 + 1
 
     @pytest.mark.parametrize("doc", [{"a": [1]}, [[0]], {"0": "x", "1": [0]},
-                                     {"-1": [0]}, {"0": [0], "00": [1], "2": []}],
+                                     {"-1": [0]}, {"0": [0], "00": [1], "2": []},
+                                     {"0": [1], "2": [0]}],
                              ids=["key-not-int", "list", "radios-not-list",
-                                  "negative-key", "non-canonical-key"])
+                                  "negative-key", "non-canonical-key", "gap-in-ids"])
     def test_malformed_matching_exits_one(self, tmp_path, capsys, doc):
         topo_path = make_topology_file(tmp_path)
         matching_path = tmp_path / "bad.json"

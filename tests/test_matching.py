@@ -128,6 +128,17 @@ class TestMatchingState:
         doc = m.to_dict()
         assert rm.Matching.from_dict(doc, 2) == m
 
+    def test_from_dict_needs_every_source_id(self):
+        # a gap would read the missing source 1 as holding no radio
+        with pytest.raises(ConfigurationError, match=r"0\.\.2 without a gap; missing \[1\]"):
+            rm.Matching.from_dict({"0": [1], "2": [0]}, 3)
+        with pytest.raises(ConfigurationError, match=r"missing \[0, 2\]"):
+            rm.Matching.from_dict({"1": [0], "3": []}, 3)
+        # json.dump(sort_keys=True) writes "10" before "2"
+        m = rm.Matching([(n % 3,) for n in range(11)], 3)
+        assert rm.Matching.from_dict(dict(sorted(m.to_dict().items())), 3) == m
+        assert rm.Matching.from_dict({}, 3) == rm.Matching([], 3)
+
 
 class TestRates:
     def make_caps(self):

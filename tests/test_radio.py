@@ -171,6 +171,13 @@ class TestTopologyGeneration:
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
             params.validate()
 
+    @pytest.mark.parametrize("distance", [0.0, -3.0])
+    def test_non_positive_min_distance_rejected(self, distance):
+        params = rm.TopologyParams(path_loss=rm.PathLossModel(min_distance_m=distance))
+        with pytest.raises(ConfigurationError,
+                           match=r"path_loss\.min_distance_m must be > 0"):
+            params.validate()
+
     def test_link_count_bounded(self):
         # 10 x 10 x 10 links at the limit pass; one source more is refused
         scale = round(MAX_LINKS ** (1 / 3))
@@ -250,6 +257,19 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigurationError,
                            match=r"path_loss\.shadowing_sigma_db must be >= 0"):
+            rm.load_topology(path)
+
+    @pytest.mark.parametrize("distance", [0.0, -3.0])
+    def test_non_positive_min_distance_is_refused_on_load(self, tmp_path, distance):
+        # path_gain clamps a coincident link to this distance; at or below 0
+        # math.log10 refuses it
+        topo = rm.generate_topology(rm.TopologyParams(num_sources=3), 1)
+        doc = topology_to_dict(topo)
+        doc["path_loss"]["min_distance_m"] = distance
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError,
+                           match=r"path_loss\.min_distance_m must be > 0"):
             rm.load_topology(path)
 
     def test_dict_round_trip(self):

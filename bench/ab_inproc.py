@@ -47,6 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
+from work import load_workloads
+
 WALKS = ("pma", "best_response", "many_to_one", "substitutable")
 
 
@@ -95,14 +97,7 @@ def solve_timed(rm, instance, kind):
 class Audit:
     """One side's `oracle_audit` workload, run unit by unit."""
 
-    def __init__(self, rm, seed):
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = sys.modules.get(spec.name)
-        if workloads is None:
-            workloads = importlib.util.module_from_spec(spec)
-            sys.modules[spec.name] = workloads
-            spec.loader.exec_module(workloads)
+    def __init__(self, rm, workloads, seed):
         self.workload = workloads.OracleAudit(seed, smoke=False)
         self.workload.setup(rm, None)
 
@@ -132,7 +127,8 @@ def main(argv=None) -> int:
     sides = {"base": load(args.base.resolve(), "relaymatch_base"),
              "change": load(args.change.resolve(), "relaymatch_change")}
     if audit:
-        run = {side: Audit(rm, args.seed).timed for side, rm in sides.items()}
+        workloads = load_workloads()
+        run = {side: Audit(rm, workloads, args.seed).timed for side, rm in sides.items()}
     else:
         seeds = []
         for child in np.random.SeedSequence(args.seed).spawn(args.instances):

@@ -1,33 +1,45 @@
 """Measure several trees on benchmark workloads in one session.
 
     python3 bench/trajectory.py TREE... --workload W [--workload W2 ...]
-        --rounds R [--seed 1] [--trace 0|1] --out SESSION.json
+        --rounds R [--seed 1] [--trace 0|1 ...] --out SESSION.json
 
 A TREE naming a directory is measured in place, uncommitted changes
 included; any other TREE is a commit, checked out by `git worktree add
 --detach` into a temporary directory that is deleted, and `git worktree
-prune` run, when the script ends, also on an error. Round r runs each
-tree's own `perfbench/run.py` once per workload through `collect.run_one`,
-the trees in the order given on odd rounds and reversed on even ones. R
-must be even, so every tree's mean position is the same and a drift of
-machine speed linear in time falls on all trees alike (Kalibera and Jones,
-"Rigorous benchmarking in reasonable time", ISMM 2013). Give one tree
-twice for an A/A control.
+prune` run, when the script ends, also on an error. Round r runs, in every
+tree, the tree's own
 
-The session goes to `--out` after every run, `"complete": false` until the
-last: per tree the name given, the commit (a directory's `git rev-parse
-HEAD`, or null), `src_sha256`, every run with its round and workload, and
-per workload the median and quartiles of each BENCHMARK.json metric
-(per-layer with `--trace 1`, else end-to-end). With two trees, base and
-change, it then prints a verdict per workload and metric over the pairs
-(round i's two runs) and the pairs with equal record `fingerprint`s. It
-raises when a run prints no result, and exits 1, after writing the
-session, when any run is not `correct` or exits non-zero.
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace X
+
+once per workload and per `--trace` given (default 0; 1 gives the
+per-layer metrics), T being BENCHMARK.json's `run_seconds`; the trees go
+in the order given on odd rounds and reversed on even ones. R must be
+even, so every tree's mean position is the same and a drift of machine
+speed linear in time falls on all trees alike (Kalibera and Jones,
+"Rigorous benchmarking in reasonable time", ISMM 2013). Give one tree
+twice for an A/A control. A committed BENCH_<tag>.json is a one-tree
+session: `. --workload paired_n13 --workload sweep_n8_n20 --workload
+oracle_audit --trace 0 --trace 1 --rounds 2 --out BENCH_<tag>.json`.
+
+A run keeps the merge of the two JSON lines perfbench prints last, its
+`record` and its result (`metrics`, `correct`, ...), plus `exit_code`,
+`clean` (whether `git status --porcelain -- src/relaymatch` printed
+nothing before the run; null without git), its round, workload and trace.
+The session goes to `--out` after every run, `"complete": false` until
+the last: per tree the name given, the commit (a directory's `git
+rev-parse HEAD`, or null), `src_sha256`, every run, and per workload the
+median and quartiles of each BENCHMARK.json metric (end-to-end from trace
+0 runs, per-layer from trace 1 runs). With two trees, base and change, it
+then prints a verdict per workload and trace over the pairs (round i's
+two runs) and the pairs with equal record `fingerprint`s. It raises when
+a run prints no result, and exits 1, after writing the session, when any
+run is not `correct` or exits non-zero.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import subprocess
 import sys
@@ -36,9 +48,9 @@ from pathlib import Path
 
 import numpy as np
 
-from collect import ROOT, SECONDS, run_one
-
+ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+SECONDS = BENCHMARK["run_seconds"]
 METRICS = {0: BENCHMARK["end_to_end"], 1: BENCHMARK["per_layer"]}    # by --trace
 # A gain is claimed only from at least ten pairs of runs, better in nine of
 # them and in the median by more than the base's interquartile range; with
@@ -60,6 +72,32 @@ def head(directory: Path):
         return None
 
 
+def tree_clean(checkout: Path):
+    """True when git sees no change to src/relaymatch in the checkout, False
+    when it does, None when the checkout has no git."""
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--", "src/relaymatch"],
+                              cwd=checkout, capture_output=True, text=True,
+                              check=False)
+    except FileNotFoundError:     # no git installed
+        return None
+    return None if proc.returncode else proc.stdout == ""
+
+
+def run_one(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    clean = tree_clean(checkout)
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          check=False)
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
+    if len(lines) < 2:
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode} without "
+                           f"a result:\n{proc.stderr[-2000:]}")
+    return {**json.loads(lines[-2]), **json.loads(lines[-1]),
+            "exit_code": proc.returncode, "clean": clean}
+
+
 def quartiles(runs: list, metrics: list) -> dict:
     """Per metric present in every run, its unit and the runs' median and
     quartiles."""
@@ -73,51 +111,66 @@ def quartiles(runs: list, metrics: list) -> dict:
     return out
 
 
+def runs_of(runs: list, workload: str, trace: int) -> list:
+    return [run for run in runs if run["workload"] == workload and run["trace"] == trace]
+
+
 def write(session: dict, out: Path) -> None:
     """Summarise every tree's runs so far and write the session to `out`."""
     for entry in session["trees"]:
         runs = entry["runs"]
         entry["src_sha256"] = runs[0].get("record", {}).get("src_sha256") if runs else None
-        entry["summary"] = {w: quartiles([run for run in runs if run["workload"] == w],
-                                         METRICS[session["trace"]])
+        entry["summary"] = {w: {name: q for t in session["traces"]
+                                for name, q in quartiles(runs_of(runs, w, t),
+                                                         METRICS[t]).items()}
                             for w in session["workloads"]}
     out.write_text(json.dumps(session, indent=1, sort_keys=True) + "\n")
 
 
+@contextlib.contextmanager
+def checkouts(repo: Path, trees: list):
+    """Yield one (directory, commit) per tree, commits of `repo` or
+    directories: a directory as given, with its HEAD or None; a commit
+    checked out in a temporary worktree, which is gone on exit."""
+    directories = [Path(tree).resolve() if Path(tree).is_dir() else None
+                   for tree in trees]
+    commits = [head(directory) if directory else
+               git(repo, "rev-parse", "--verify", f"{tree}^{{commit}}")
+               for tree, directory in zip(trees, directories)]
+    try:
+        with tempfile.TemporaryDirectory(prefix="trajectory-") as tmp:
+            for i, commit in enumerate(commits):
+                if directories[i] is None:
+                    directories[i] = Path(tmp) / f"{i}-{commit[:12]}"
+                    git(repo, "worktree", "add", "--detach", str(directories[i]), commit)
+            yield list(zip(directories, commits))
+    finally:    # the worktrees' directories are gone: drop their records
+        subprocess.run(["git", "worktree", "prune"], cwd=repo, capture_output=True,
+                       check=False)
+
+
 def measure(repo: Path, trees: list, workloads: list, rounds: int, out: Path,
-            seed: int, trace: int) -> dict:
+            seed: int, traces: list) -> dict:
     """Run the interleaved rounds over `trees`, commits of `repo` or
     directories, writing the session to `out` after every run."""
     if rounds < 2 or rounds % 2:
         raise ValueError(f"rounds must be even and positive, not {rounds}")
-    checkouts = [Path(tree).resolve() if Path(tree).is_dir() else None for tree in trees]
-    commits = [head(checkout) if checkout else
-               git(repo, "rev-parse", "--verify", f"{tree}^{{commit}}")
-               for tree, checkout in zip(trees, checkouts)]
-    session = {"workloads": workloads, "rounds": rounds, "seed": seed, "trace": trace,
-               "seconds": SECONDS, "complete": False,
-               "trees": [{"tree": tree, "commit": commit, "runs": []}
-                         for tree, commit in zip(trees, commits)]}
-    entries = session["trees"]
-    try:
-        with tempfile.TemporaryDirectory(prefix="trajectory-") as tmp:
-            for i, commit in enumerate(commits):
-                if checkouts[i] is None:
-                    checkouts[i] = Path(tmp) / f"{i}-{commit[:12]}"
-                    git(repo, "worktree", "add", "--detach", str(checkouts[i]), commit)
-            for r in range(rounds):
-                order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
-                for i in order:
-                    for workload in workloads:
-                        run = run_one(checkouts[i], workload, seed, trace)
-                        print(f"round {r + 1} {trees[i]} {workload}: "
+    with checkouts(repo, trees) as places:
+        session = {"workloads": workloads, "rounds": rounds, "seed": seed,
+                   "traces": traces, "seconds": SECONDS, "complete": False,
+                   "trees": [{"tree": tree, "commit": commit, "runs": []}
+                             for tree, (_, commit) in zip(trees, places)]}
+        for r in range(rounds):
+            order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
+            for i in order:
+                for workload in workloads:
+                    for trace in traces:
+                        run = run_one(places[i][0], workload, seed, trace)
+                        print(f"round {r + 1} {trees[i]} {workload} trace {trace}: "
                               f"exit {run['exit_code']}", file=sys.stderr)
-                        entries[i]["runs"].append({**run, "round": r + 1,
-                                                   "workload": workload})
+                        session["trees"][i]["runs"].append(
+                            {**run, "round": r + 1, "workload": workload, "trace": trace})
                         write(session, out)
-    finally:    # the worktrees' directories are gone: drop their records
-        subprocess.run(["git", "worktree", "prune"], cwd=repo, capture_output=True,
-                       check=False)
     session["complete"] = True
     write(session, out)
     return session
@@ -169,10 +222,10 @@ def fingerprint_line(base: list, change: list) -> str:
             + (f" ({missing} not compared)" if missing else ""))
 
 
-def verdict(session: dict, workload: str) -> str:
-    """The two-tree block for one workload; pair i is round i's two runs."""
-    sides = [[run for run in entry["runs"] if run["workload"] == workload]
-             for entry in session["trees"]]
+def verdict(session: dict, workload: str, trace: int) -> str:
+    """The two-tree block for one workload and trace; pair i is round i's
+    two runs."""
+    sides = [runs_of(entry["runs"], workload, trace) for entry in session["trees"]]
     values = [[{k: v["value"] for k, v in run["metrics"].items()} for run in side]
               for side in sides]
     fingerprints = [[run.get("record", {}).get("fingerprint") for run in side]
@@ -180,9 +233,9 @@ def verdict(session: dict, workload: str) -> str:
     base, change = (entry["tree"] for entry in session["trees"])
     return "\n".join([
         f"{workload} seed {session['seed']}, {session['rounds']} pairs, "
-        f"trace {session['trace']}, {session['seconds']} s per run; "
+        f"trace {trace}, {session['seconds']} s per run; "
         f"median [q1-q3] {base} -> {change}",
-        format_rows(summarize(*values, METRICS[session["trace"]])),
+        format_rows(summarize(*values, METRICS[trace])),
         fingerprint_line(*fingerprints)])
 
 
@@ -193,14 +246,16 @@ def main(argv=None) -> int:
                    help="repeat for several workloads")
     p.add_argument("--rounds", type=int, required=True, help="an even number")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    p.add_argument("--trace", type=int, choices=(0, 1), action="append",
+                   help="repeat to run both; default 0")
     p.add_argument("--out", type=Path, required=True, help="session JSON to write")
     args = p.parse_args(argv)
     session = measure(ROOT, args.trees, args.workload, args.rounds, args.out,
-                      args.seed, args.trace)
+                      args.seed, args.trace or [0])
     if len(args.trees) == 2:
         for workload in args.workload:
-            print(verdict(session, workload))
+            for trace in session["traces"]:
+                print(verdict(session, workload, trace))
     print(args.out)
     if not all(run["correct"] and run["exit_code"] == 0
                for entry in session["trees"] for run in entry["runs"]):

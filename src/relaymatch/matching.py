@@ -51,7 +51,8 @@ class SatisfactionProfile:
                 raise ConfigurationError(
                     f"satisfaction {name} must be finite, not {getattr(self, name)!r}")
         if self.required_rate_bps <= 0:
-            raise ConfigurationError("required rate must be positive")
+            raise ConfigurationError(f"satisfaction required_rate_bps must be positive, "
+                                     f"not {self.required_rate_bps!r}")
         if self.slope_per_bps <= 0:
             raise ConfigurationError("satisfaction slope must be positive")
         if self.offset <= 7:

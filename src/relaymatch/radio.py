@@ -287,8 +287,10 @@ class LinkGainTable:
     relay_to_destination: np.ndarray  # (M,)
 
     def __post_init__(self):
-        if (self.source_to_relay <= 0).any() or (self.relay_to_destination <= 0).any():
-            raise ConfigurationError("all link gains must be positive")
+        for name in ("source_to_relay", "relay_to_destination"):
+            if (getattr(self, name) <= 0).any():
+                raise ConfigurationError(
+                    f"gains.{name}: every link gain must be positive")
 
 
 def build_gain_table(topology: Topology) -> LinkGainTable:
@@ -311,19 +313,63 @@ def build_gain_table(topology: Topology) -> LinkGainTable:
 
 
 def build_capacity_table(topology: Topology, gains: LinkGainTable | None = None) -> np.ndarray:
-    """(N, L) array of AF capacities for every (source, relay radio) pair."""
+    """(N, L) array of AF capacities for every (source, relay radio) pair.
+
+    The solvers read a topology's powers, gains and bandwidths only through
+    this table, so this is the one place they are refused: a power that
+    overflows in watts, a bandwidth or noise power that is not positive, or
+    an SNR or capacity that is not finite raises ConfigurationError naming
+    the first such link's source, radio and inputs."""
     gains = gains or build_gain_table(topology)
     caps = np.empty((topology.num_sources, topology.num_radios))
     owner = topology.radio_owner
-    for l, radio in enumerate(topology.radios):
-        m = owner[l]
-        relay = topology.relays[m]
+    with np.errstate(over="ignore", invalid="ignore"):     # refused below, by name
+        try:
+            for l, radio in enumerate(topology.radios):
+                m = owner[l]
+                relay = topology.relays[m]
+                sigma2 = noise_power(radio.bandwidth_hz, topology.noise_density_dbm_hz)
+                g_rd = snr(relay.tx_power_dbm, gains.relay_to_destination[m], sigma2)
+                for i, src in enumerate(topology.sources):
+                    g_sr = snr(src.tx_power_dbm, gains.source_to_relay[i, m], sigma2)
+                    caps[i, l] = af_capacity(g_sr, g_rd, radio.bandwidth_hz)
+        except (ConfigurationError, OverflowError):
+            pass
+        else:
+            if np.isfinite(caps).all():
+                return caps
+        raise ConfigurationError(next(
+            fault for l in range(topology.num_radios) for i in range(topology.num_sources)
+            if (fault := _link_fault(topology, gains, i, l))))
+
+
+def _link_fault(topology: Topology, gains: LinkGainTable, i: int, l: int):
+    """Why source i's link through radio l has no finite capacity, with the
+    link's inputs, or None when it has one."""
+    m = topology.radio_owner[l]
+    source, relay, radio = topology.sources[i], topology.relays[m], topology.radios[l]
+    g_source, g_relay = gains.source_to_relay[i, m], gains.relay_to_destination[m]
+    try:
         sigma2 = noise_power(radio.bandwidth_hz, topology.noise_density_dbm_hz)
-        g_rd = snr(relay.tx_power_dbm, gains.relay_to_destination[m], sigma2)
-        for i, src in enumerate(topology.sources):
-            g_sr = snr(src.tx_power_dbm, gains.source_to_relay[i, m], sigma2)
-            caps[i, l] = af_capacity(g_sr, g_rd, radio.bandwidth_hz)
-    return caps
+        g_sr = snr(source.tx_power_dbm, g_source, sigma2)
+        g_rd = snr(relay.tx_power_dbm, g_relay, sigma2)
+        cap = af_capacity(g_sr, g_rd, radio.bandwidth_hz)
+    except OverflowError:
+        reason = "a power in dBm overflows in watts"
+    except ConfigurationError as exc:
+        reason = str(exc)
+    else:
+        if math.isfinite(g_sr) and math.isfinite(g_rd) and math.isfinite(cap):
+            return None
+        reason = (f"SNRs {float(g_sr)!r} (source-relay) and {float(g_rd)!r} "
+                  f"(relay-destination) give capacity {cap!r}")
+    return (f"source {i}, radio {l}: {reason}; its inputs are "
+            f"sources[{i}].tx_power_dbm = {source.tx_power_dbm!r}, "
+            f"gains.source_to_relay[{i}][{m}] = {float(g_source)!r}, "
+            f"relays[{m}].tx_power_dbm = {relay.tx_power_dbm!r}, "
+            f"gains.relay_to_destination[{m}] = {float(g_relay)!r}, "
+            f"noise_density_dbm_hz = {topology.noise_density_dbm_hz!r} and "
+            f"radios[{l}].bandwidth_hz = {radio.bandwidth_hz!r}")
 
 
 # --- JSON import/export -----------------------------------------------------
@@ -349,7 +395,8 @@ def topology_from_dict(doc: dict) -> tuple:
     topo = from_fields(Topology, {k: v for k, v in doc.items() if k != "gains"})
     topo.path_loss.check()
     if any(s.num_radios < 1 for s in topo.sources):
-        raise ConfigurationError("every source needs a quota of at least 1")
+        raise ConfigurationError(f"SourceNode key 'num_radios': every source needs a "
+                                 f"quota of at least 1, not {list(topo.quotas)}")
     for kind, nodes in (("SourceNode", topo.sources), ("RelayNode", topo.relays),
                         ("RelayRadio", topo.radios)):
         ids = [node.id for node in nodes]

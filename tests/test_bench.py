@@ -1,9 +1,11 @@
-"""Tests for bench/trajectory.py's rounds, trees and two-tree verdict,
-bench/collect.py's run record, a smoke run of bench/ab_inproc.py, and every
+"""Tests for bench/trajectory.py's rounds, trees, run record and two-tree
+verdict, smoke runs of bench/ab_inproc.py and bench/work.py, and every
 bench script's parser; no perfbench runs."""
 
 import importlib
 import json
+import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -82,7 +84,7 @@ def test_pairs_alternate_and_a_failed_check_exits_one(trajectory, sides, monkeyp
     assert "replications_per_s" in printed and "won 4/4" in printed
     # the failed run is kept in a complete session, written to --out only
     session = json.loads(out.read_text())
-    assert session["complete"] and session["seed"] == 1 and session["trace"] == 0
+    assert session["complete"] and session["seed"] == 1 and session["traces"] == [0]
     base, change = session["trees"]
     assert base["tree"] == sides[0] and base["commit"] is None
     assert [run["correct"] for run in change["runs"]] == [True, False, True, True]
@@ -163,7 +165,7 @@ def test_seed_and_trace_reach_every_run(trajectory, sides, monkeypatch, tmp_path
     assert "solvers.pma.us_per_activation" in printed and "won 2/2" in printed
     assert "replications_per_s" not in printed
     session = json.loads(out.read_text())
-    assert (session["seed"], session["trace"]) == (2, 1)
+    assert (session["seed"], session["traces"]) == (2, [1])
     assert list(session["trees"][1]["summary"]["w"]) == ["solvers.pma.us_per_activation"]
 
 
@@ -182,16 +184,21 @@ def test_session_without_out_exits_before_any_run(trajectory, sides, monkeypatch
     assert (BENCH.parent / "TRAJECTORY.json").read_bytes() == committed
 
 
-@pytest.mark.parametrize("script", ["collect.py", "trajectory.py", "ab_inproc.py"])
+@pytest.mark.parametrize("script", ["trajectory.py", "ab_inproc.py", "work.py"])
 def test_bench_script_parses_help(script):
     proc = subprocess.run([sys.executable, str(BENCH / script), "--help"],
                           capture_output=True, text=True, timeout=60, check=False)
     assert proc.returncode == 0, proc.stderr
 
 
-STUB_RUN = """import json
-print(json.dumps({"record": {"fingerprint": "f"}}))
-print(json.dumps({"correct": True}))
+# reports the end-to-end rate at --trace 0 and a per-layer time at --trace 1
+STUB_RUN = """import json, sys
+trace = sys.argv[sys.argv.index("--trace") + 1]
+metric = {"0": ("replications_per_s", "1/s"),
+          "1": ("solvers.pma.us_per_activation", "us")}
+name, unit = metric[trace]
+print(json.dumps({"record": {"fingerprint": "f", "src_sha256": "s"}}))
+print(json.dumps({"correct": True, "metrics": {name: {"unit": unit, "value": 1.0}}}))
 """
 
 
@@ -200,21 +207,25 @@ def git(repo, *args):
                     *args], cwd=repo, check=True, capture_output=True)
 
 
-def test_run_record_says_whether_the_sources_were_clean(monkeypatch, tmp_path):
-    # a stub perfbench/run.py stands in for the benchmark
-    monkeypatch.syspath_prepend(str(BENCH))
-    collect = importlib.import_module("collect")
-    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+def stub_checkout(tmp_path):
+    """A checkout whose perfbench/run.py is STUB_RUN, outside any repository."""
     repo = tmp_path / "checkout"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "src" / "relaymatch").mkdir(parents=True)
     (repo / "perfbench" / "run.py").write_text(STUB_RUN)
+    return repo
+
+
+def test_run_record_says_whether_the_sources_were_clean(trajectory, monkeypatch,
+                                                        tmp_path):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    repo = stub_checkout(tmp_path)
     source = repo / "src" / "relaymatch" / "kernel.py"
     source.write_text("x = 1\n")
 
     def clean():
-        run = collect.run_one(repo, "w", 1, 0)
-        assert run["correct"] and run["record"] == {"fingerprint": "f"}
+        run = trajectory.run_one(repo, "w", 1, 0)
+        assert run["correct"] and run["record"]["fingerprint"] == "f"
         return run["clean"]
 
     assert clean() is None                      # no git
@@ -228,6 +239,29 @@ def test_run_record_says_whether_the_sources_were_clean(monkeypatch, tmp_path):
     git(repo, "commit", "-q", "-am", "edit")
     (repo / "src" / "relaymatch" / "new.py").write_text("")
     assert clean() is False
+
+
+def test_one_tree_session_with_both_traces_is_a_bench_file(trajectory, monkeypatch,
+                                                          tmp_path):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    repo = stub_checkout(tmp_path)
+    out = tmp_path / "BENCH_t.json"
+    argv = [str(repo), "--workload", "w", "--trace", "0", "--trace", "1",
+            "--rounds", "2", "--out", str(out)]
+    assert trajectory.main(argv) == 0
+    session = json.loads(out.read_text())
+    assert session["complete"] and session["traces"] == [0, 1]
+    (tree,) = session["trees"]
+    assert [(run["round"], run["trace"]) for run in tree["runs"]] == [
+        (1, 0), (1, 1), (2, 0), (2, 1)]
+    for run in tree["runs"]:
+        # the fields every committed BENCH run has
+        assert {"record", "metrics", "correct", "exit_code", "clean"} <= set(run)
+        assert run["clean"] is None and run["exit_code"] == 0
+    # end-to-end metrics from the untraced runs, per-layer from the traced
+    assert sorted(tree["summary"]["w"]) == ["replications_per_s",
+                                            "solvers.pma.us_per_activation"]
+    assert tree["src_sha256"] == "s"
 
 
 # reads the tree's `speed`, logs it with the directory it ran in, and
@@ -272,10 +306,10 @@ def test_trajectory_interleaves_worktrees_and_always_removes_them(trajectory,
     out = tmp_path / "TRAJECTORY.json"
     # an odd round count would run the trees given last later on average
     with pytest.raises(ValueError, match="even"):
-        trajectory.measure(repo, ["HEAD~2", "HEAD~1"], ["w"], 3, out, 1, 0)
+        trajectory.measure(repo, ["HEAD~2", "HEAD~1"], ["w"], 3, out, 1, [0])
     assert not log.exists() and not out.exists() and worktrees() == 1
 
-    session = trajectory.measure(repo, ["HEAD~2", "HEAD~1"], ["w"], 4, out, 1, 0)
+    session = trajectory.measure(repo, ["HEAD~2", "HEAD~1"], ["w"], 4, out, 1, [0])
     # the order flips every round
     assert [speed for speed, _ in ran()] == ["1.0", "2.0", "2.0", "1.0"] * 2
     slow, fast = session["trees"]
@@ -293,7 +327,7 @@ def test_trajectory_interleaves_worktrees_and_always_removes_them(trajectory,
     # a run without a result stops the session; the runs before it are
     # written and the worktrees still go
     with pytest.raises(RuntimeError, match="without a result"):
-        trajectory.measure(repo, ["HEAD~1", "HEAD"], ["w"], 2, out, 1, 0)
+        trajectory.measure(repo, ["HEAD~1", "HEAD"], ["w"], 2, out, 1, [0])
     partial = json.loads(out.read_text())
     assert not partial["complete"]
     assert [len(entry["runs"]) for entry in partial["trees"]] == [1, 0]
@@ -301,7 +335,7 @@ def test_trajectory_interleaves_worktrees_and_always_removes_them(trajectory,
     assert partial["trees"][1]["src_sha256"] is None
     assert worktrees() == 1 and not any(scratch.iterdir())
     with pytest.raises(subprocess.CalledProcessError):
-        trajectory.measure(repo, ["HEAD", "no-such-commit"], ["w"], 2, out, 1, 0)
+        trajectory.measure(repo, ["HEAD", "no-such-commit"], ["w"], 2, out, 1, [0])
     assert worktrees() == 1
 
     # a directory runs in place, its uncommitted edit included, with no
@@ -309,7 +343,7 @@ def test_trajectory_interleaves_worktrees_and_always_removes_them(trajectory,
     # entries
     log.unlink()
     session = trajectory.measure(repo, ["HEAD~1", str(repo), str(repo)], ["w"], 2,
-                                 out, 1, 0)
+                                 out, 1, [0])
     assert [speed for speed, _ in ran()] == ["2.0", "9.0", "9.0", "9.0", "9.0", "2.0"]
     directories = {speed: cwd for speed, cwd in ran()}
     assert directories["9.0"] == str(repo.resolve())
@@ -360,3 +394,22 @@ def test_inproc_ab_audit_units_on_both_sides():
     refused = subprocess.run(command + ["--n", "4"], capture_output=True, text=True,
                              timeout=300, check=False)
     assert refused.returncode == 2 and "--n and --quota" in refused.stderr
+
+
+def test_work_counts_are_equal_in_two_processes(tmp_path):
+    reports = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"work{hash_seed}.json"
+        proc = subprocess.run(
+            [sys.executable, str(BENCH / "work.py"), str(BENCH.parent),
+             "--workload", "oracle_audit", "--units", "1", "--out", str(out)],
+            capture_output=True, text=True, timeout=300, check=False,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.loads(out.read_text()))
+    assert reports[0] == reports[1]
+    (tree,) = reports[0]["trees"]
+    (unit,) = tree["units"]
+    assert unit["instructions"] > unit["c_calls"] > unit["exp_calls"] > 0
+    assert len(unit["top"]) == 10 and tree["mean"]["instructions"] == unit["instructions"]
+    assert reports[0]["python"] == platform.python_version()

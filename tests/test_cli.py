@@ -3,8 +3,10 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import relaymatch as rm
 from relaymatch import cli, experiments
@@ -15,14 +17,22 @@ from conftest import make_instance
 from test_solvers import PINNED_CSV_DIGESTS
 
 
+SMALL = dict(num_sources=3, num_relays=2, radios_per_relay=1, source_radios=(1, 2),
+             path_loss=rm.AIR_TO_AIR)
+
+
 def make_topology_file(tmp_path, name="topo.json", **params):
-    defaults = dict(num_sources=3, num_relays=2, radios_per_relay=1,
-                    source_radios=(1, 2), path_loss=rm.AIR_TO_AIR)
-    defaults.update(params)
-    topology = rm.generate_topology(rm.TopologyParams(**defaults), 17)
+    topology = rm.generate_topology(rm.TopologyParams(**{**SMALL, **params}), 17)
     path = tmp_path / name
     rm.save_topology(path, topology)
     return path
+
+
+def set_leaf(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
 
 
 class TestGen:
@@ -290,11 +300,7 @@ class TestRun:
         # json reads NaN and Infinity; a NaN gain used to run and exit 0
         topo = make_topology_file(tmp_path)
         doc = json.loads(topo.read_text())
-        *parents, last = path
-        node = doc
-        for key in parents:
-            node = node[key]
-        node[last] = value
+        set_leaf(doc, path, value)
         topo.write_text(json.dumps(doc))
         code = main(["run", "--topology", str(topo)])
         captured = capsys.readouterr()
@@ -653,3 +659,81 @@ class TestOracle:
         assert err.value.code == 1
         captured = capsys.readouterr()
         assert "cap must be >= 0" in captured.err and captured.out == ""
+
+
+def numeric_leaves(doc, path=()):
+    """The path of every number in a JSON document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from numeric_leaves(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from numeric_leaves(value, path + (i,))
+    elif type(doc) in (int, float):
+        yield path
+
+
+# the numbers of make_topology_file's file
+LEAVES = list(numeric_leaves(json.loads(json.dumps(rm.radio.topology_to_dict(
+    rm.generate_topology(rm.TopologyParams(**SMALL), 17))))))
+EDGE_VALUES = [0, 1, -1, 1e300, -1e300, 1e-320, math.nan, math.inf, -math.inf]
+
+
+class TestFiniteOrRefused:
+    """Every number a topology file holds reaches the solvers only through
+    the capacity table, which refuses what would not be finite."""
+
+    @pytest.mark.parametrize("command", ["run", "oracle", "verify"])
+    @pytest.mark.parametrize("path,named", [
+        (("gains", "source_to_relay", 0, 0), "gains.source_to_relay[0][0] = 1e+300"),
+        (("sources", 0, "tx_power_dbm"), "sources[0].tx_power_dbm = 1e+300"),
+        (("noise_density_dbm_hz",), "noise_density_dbm_hz = 1e+300"),
+    ], ids=["gain", "tx-power", "noise-density"])
+    def test_overflowing_input_exits_one_naming_it(self, tmp_path, capsys, command,
+                                                    path, named):
+        # a gain of 1e300 used to make run print final_lambda,nan and exit 0
+        # and oracle exit 2 ("only int indices permitted"); a power of 1e300
+        # exited 2 with "(34, 'Numerical result out of range')"
+        topo = make_topology_file(tmp_path)
+        matching = tmp_path / "matching.json"
+        matching.write_text(json.dumps({"0": [0], "1": [1], "2": [0]}))
+        doc = json.loads(topo.read_text())
+        set_leaf(doc, path, 1e300)
+        topo.write_text(json.dumps(doc))
+        extra = ["--matching", str(matching)] if command == "verify" else []
+        code = main([command, "--topology", str(topo), *extra])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "configuration error: source 0, radio 0: " in captured.err
+        assert named in captured.err
+
+    def test_capacity_table_refuses_an_overflowing_power(self):
+        params = rm.TopologyParams(num_sources=2, num_relays=1, sv_tx_power_dbm=1e300)
+        topology = rm.generate_topology(params, 0)
+        with pytest.raises(rm.ConfigurationError, match=r"sources\[0\].tx_power_dbm"):
+            rm.build_capacity_table(topology)
+
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(LEAVES), value=st.sampled_from(EDGE_VALUES))
+    def test_every_number_is_finite_or_refused_by_name(self, tmp_path, capsys, path,
+                                                       value):
+        # each command that reads the file either refuses it, naming the key
+        # that was set, or prints only finite numbers
+        topo, matching = tmp_path / "topo.json", tmp_path / "matching.json"
+        matching.write_text(json.dumps({"0": [0], "1": [1], "2": [0]}))
+        doc = json.loads(make_topology_file(tmp_path, name="base.json").read_text())
+        set_leaf(doc, path, value)
+        topo.write_text(json.dumps(doc))
+        key = [part for part in path if isinstance(part, str)][-1]
+        for argv in (["run"], ["oracle"],
+                     ["verify", "--matching", str(matching), "--allow-unstable",
+                      "--samples", "20"]):
+            code = main([*argv, "--topology", str(topo)])
+            captured = capsys.readouterr()
+            if code == 1:
+                assert "configuration error" in captured.err and key in captured.err
+            else:
+                assert code == 0, captured.err
+                printed = captured.out + captured.err
+                assert not re.search(r"nan|inf", printed, re.IGNORECASE), printed

@@ -28,7 +28,11 @@ from .solvers import (ENUMERATION_CAP, SOLVER_KINDS, SolverConfig,
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage; the CLI contract wants 1."""
+    """argparse exits 2 on bad usage; the CLI contract wants 1. Here and in
+    every subcommand, a prefix of a flag is an unrecognized argument."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

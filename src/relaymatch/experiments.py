@@ -144,8 +144,8 @@ def _run_replication(config: ExperimentConfig, index: int, topo_seed: int,
             ))
         return records
     except Exception as exc:
-        raise RuntimeError(
-            f"replication {index} (topology seed {topo_seed}) failed: {exc}") from exc
+        kind = ConfigurationError if isinstance(exc, ConfigurationError) else RuntimeError
+        raise kind(f"replication {index} (topology seed {topo_seed}) failed: {exc}") from exc
 
 
 @dataclass

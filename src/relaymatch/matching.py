@@ -28,7 +28,7 @@ from .errors import ConfigurationError, EnumerationLimitError
 #: absolute tolerance for equality of satisfaction-scale quantities
 SATISFACTION_TOL = 1e-10
 
-#: most candidate strategies is_stable scores before refusing the check
+#: most candidate strategies is_stable scans before refusing the check
 STABILITY_CAP = 200_000
 
 
@@ -320,24 +320,25 @@ class _MatchingState:
             value += profiles[k].evaluate(base_rate - drop) - base_f
         return value
 
-    def scores(self, n, candidates, floor=-math.inf) -> list:
-        """[self.utility(n, c) for c in candidates], bit for bit, in one pass,
-        except that a candidate other than n's own set whose own term
-        evaluate(rate) is <= floor scores -inf, its neighbour terms skipped.
+    def improvements(self, n, candidates):
+        """Scans `candidates` in order from n's current utility, yielding each
+        (candidate, utility()) that beats the best so far by more than
+        SATISFACTION_TOL; n's own set scans as its current utility, bit for
+        bit. Best response keeps the last yield, is_stable the first.
 
         A utility adds to its own term at most N neighbour terms
         f_k(base - drop) - f_k(base), each <= 0 exactly and, as computed, at
         most one ulp of 1 (2.2e-16) above zero, so for N below a few
-        thousand it exceeds its own term by less than 1e-12. A caller that
-        takes only scores above u + SATISFACTION_TOL therefore loses no
-        candidate with floor = u + SATISFACTION_TOL - 1e-12.
+        thousand it exceeds its own term by less than 1e-12. So a candidate
+        whose own term evaluate(rate) is <= best + SATISFACTION_TOL - 1e-12,
+        a floor that rises with each yield, is skipped before its neighbours.
 
         Each radio's share and, for every neighbour k on every radio l, the
         term evaluate(base_rate - caps[k][l] * shrink_l) - base_f are
         computed once. A candidate adds the cached terms in utility()'s
         order; only a neighbour on two or more of its radios has its drops
         summed, in radio order, and its term evaluated again."""
-        loads0, absent, current = self._baselines[n] or self._remove(n)
+        loads0, absent, best = self._baselines[n] or self._remove(n)
         caps, profiles, rates, sat = self.caps, self.profiles, self.rates, self.sat
         share = self.share(n)
         # per radio: neighbour -> drop, the terms in occupant order, and the
@@ -358,12 +359,9 @@ class _MatchingState:
             drops.append(d)
             terms.append(t)
             masks.append(mask)
-        evaluate, held = profiles[n].evaluate, self.strategies[n]
-        out = []
+        evaluate = profiles[n].evaluate
+        floor = best + SATISFACTION_TOL - 1e-12
         for cand in candidates:
-            if cand == held:
-                out.append(current)
-                continue
             rate = 0.0
             seen = multi = 0
             for l in cand:
@@ -372,7 +370,6 @@ class _MatchingState:
                 seen |= masks[l]
             value = evaluate(rate)
             if value <= floor:
-                out.append(-math.inf)
                 continue
             if not multi:
                 for l in cand:
@@ -392,8 +389,10 @@ class _MatchingState:
                                     drop += drops[j][k]
                             base_rate, base_f = bases[k]
                             value += profiles[k].evaluate(base_rate - drop) - base_f
-            out.append(value)
-        return out
+            if value > best + SATISFACTION_TOL:
+                best = value
+                floor = best + SATISFACTION_TOL - 1e-12
+                yield cand, value
 
     def move(self, n, new_set) -> None:
         """Give source n the strategy new_set and update lam."""
@@ -491,12 +490,9 @@ def is_stable(m: Matching, topology, profiles: Sequence[SatisfactionProfile],
     Enumerates each source's full strategy space (subsets up to its quota,
     empty set included); raises EnumerationLimitError beyond STABILITY_CAP
     candidates rather than silently truncating. By the potential identity a
-    candidate raises global satisfaction by its relay-utility gain over the
-    current strategy, so one state scores each source's whole space in one
-    scores() pass, which skips a candidate whose own satisfaction cannot
-    reach that gain; the witness is the first candidate, in enumeration
-    order, whose gain exceeds SATISFACTION_TOL, best response's own stopping
-    rule.
+    candidate's relay-utility gain is its gain of global satisfaction, so the
+    witness is the first yield of _MatchingState.improvements, best
+    response's own rule, over each source's space in turn.
     """
     total = sum(count_strategies(topology.num_radios, q) for q in topology.quotas)
     if total > STABILITY_CAP:
@@ -504,10 +500,6 @@ def is_stable(m: Matching, topology, profiles: Sequence[SatisfactionProfile],
             f"stability check needs {total} strategy evaluations, cap is {STABILITY_CAP}")
     state = _state(m, profiles, caps)
     for n, q in enumerate(topology.quotas):
-        u_current = state.utility(n, m.radios_of(n))
-        space = enumerate_strategies(topology.num_radios, q)
-        floor = u_current + SATISFACTION_TOL - 1e-12
-        for cand, u in zip(space, state.scores(n, space, floor=floor)):
-            if u > u_current + SATISFACTION_TOL:
-                return StabilityResult(stable=False, witness=(n, cand))
+        for cand, _ in state.improvements(n, enumerate_strategies(topology.num_radios, q)):
+            return StabilityResult(stable=False, witness=(n, cand))
     return StabilityResult(stable=True)

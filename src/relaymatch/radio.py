@@ -72,7 +72,12 @@ def path_gain(a, b, model: PathLossModel) -> float:
         log.warning("link distance %.3g m below minimum, clamped to %.3g m",
                     d, model.min_distance_m)
         d = model.min_distance_m
-    return 10.0 ** (-model.loss_db(d) / 10.0)
+    try:
+        return 10.0 ** (-model.loss_db(d) / 10.0)
+    except OverflowError:
+        raise ConfigurationError(
+            f"path_loss.intercept_db = {model.intercept_db!r} and slope_db = "
+            f"{model.slope_db!r} give a gain that overflows at {d!r} m") from None
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -257,13 +262,16 @@ def generate_topology(params: TopologyParams, seed: int) -> Topology:
                                 radios=tuple(radios)))
 
     half_diag = half * math.sqrt(2.0)
-    r_lo, r_hi = (f * half_diag for f in params.source_annulus)
+    try:
+        lo2, hi2 = [(f * half_diag) ** 2 for f in params.source_annulus]
+    except OverflowError:
+        raise ConfigurationError(f"area_side_m = {params.area_side_m!r} is too large") from None
     alo, ahi = params._radio_range()
     sources = []
     for n in range(params.num_sources):
         # rejection-sample the annulus clipped to the square
         while True:
-            r = math.sqrt(rng.uniform(r_lo ** 2, r_hi ** 2))
+            r = math.sqrt(rng.uniform(lo2, hi2))
             theta = 2.0 * math.pi * rng.random()
             pos = (dest[0] + r * math.cos(theta), dest[1] + r * math.sin(theta))
             if 0 <= pos[0] <= params.area_side_m and 0 <= pos[1] <= params.area_side_m:

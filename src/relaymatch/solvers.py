@@ -335,13 +335,12 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng):
     """Round-robin sweeps where the acting source adopts its utility-maximizing
     feasible radio set; terminates once a full sweep changes nothing.
 
-    Each activation scores the source's whole space in one
-    _MatchingState.scores pass, which skips a candidate whose own
-    satisfaction cannot beat the current set. A source whose last
-    activation left it in place, with no move by anyone since, would score
-    the same state again, so it keeps its set unscored. All sources idle is
-    a stable state, the only one in which a run cut by max_iterations
-    reports convergence."""
+    Each activation adopts the last yield of _MatchingState.improvements
+    over the source's whole space, or keeps its set if nothing beats it. A
+    source whose last activation left it in place, with no move by anyone
+    since, would scan the same state again, so it keeps its set unscanned.
+    All sources idle is a stable state, the only one in which a run cut by
+    max_iterations reports convergence."""
     n_src, n_radio = topology.num_sources, topology.num_radios
     quotas = topology.quotas
     for q in quotas:
@@ -358,18 +357,14 @@ def run_best_response(topology, profiles, caps, config: SolverConfig, rng):
     lam = state.lam
     trace = IterationTrace(lam)
     last_improve = 0
-    idle = [False] * n_src     # n would score an unchanged state
+    idle = [False] * n_src     # n would scan an unchanged state
 
     for iteration in range(1, config.max_iterations + 1):
         n = (iteration - 1) % n_src
         best_set = strategies[n]
         if not idle[n]:
-            space = candidates[quotas[n]]
-            best_u = state.utility(n, best_set)
-            floor = best_u + SATISFACTION_TOL - 1e-12
-            for cand, u in zip(space, state.scores(n, space, floor=floor)):
-                if u > best_u + SATISFACTION_TOL:
-                    best_u, best_set = u, cand
+            for best_set, _ in state.improvements(n, candidates[quotas[n]]):
+                pass
         accepted = best_set != strategies[n]
         if accepted:
             state.move(n, best_set)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -156,6 +157,24 @@ class TestGen:
             main(["gen", "--path-loss", "underwater", "--out",
                   str(tmp_path / "t.json")])
         assert err.value.code == 1
+
+
+@pytest.mark.parametrize("argv,unknown", [
+    (["gen", "--sour", "3", "--rel", "2", "--out", "t.json"], "--sour 3 --rel 2"),
+    (["run", "--topology", "t.json", "--sol", "best_response", "--se", "3"],
+     "--sol best_response --se 3"),
+    (["--deb", "run", "--topology", "t.json"], "--deb"),
+], ids=["gen", "run", "debug"])
+def test_flag_prefix_exits_one(tmp_path, capsys, monkeypatch, argv, unknown):
+    # argparse used to take any unambiguous prefix of a flag
+    monkeypatch.chdir(tmp_path)
+    make_topology_file(tmp_path, name="t.json")
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert f"error: unrecognized arguments: {unknown}\n" in captured.err
+    assert captured.out == "" and sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -677,6 +696,13 @@ def numeric_leaves(doc, path=()):
 LEAVES = list(numeric_leaves(json.loads(json.dumps(rm.radio.topology_to_dict(
     rm.generate_topology(rm.TopologyParams(**SMALL), 17))))))
 EDGE_VALUES = [0, 1, -1, 1e300, -1e300, 1e-320, math.nan, math.inf, -math.inf]
+# a small ensemble config: 3 sources, 2 one-radio relays, one PMA replication
+CONFIG = rm.ExperimentConfig(
+    topology=rm.TopologyParams(num_sources=3, num_relays=2, radios_per_relay=1),
+    solvers=[rm.SolverConfig(kind="pma")], metrics=("runs",)).to_dict()
+CONFIG_LEAVES = list(numeric_leaves(json.loads(json.dumps(CONFIG))))
+MATCHING = {"0": [0], "1": [1], "2": [0]}
+NOT_FINITE = re.compile(r"\b(nan|-?inf(inity)?)\b", re.IGNORECASE)
 
 
 class TestFiniteOrRefused:
@@ -737,3 +763,45 @@ class TestFiniteOrRefused:
                 assert code == 0, captured.err
                 printed = captured.out + captured.err
                 assert not re.search(r"nan|inf", printed, re.IGNORECASE), printed
+
+    @settings(derandomize=True, max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(CONFIG_LEAVES), value=st.sampled_from(EDGE_VALUES))
+    def test_every_config_number_is_finite_or_refused(self, tmp_path, capsys, path,
+                                                      value):
+        # a refusal inside a replication used to exit 2 ("runtime error"):
+        # a power, noise density or path loss of ±1e300, a bandwidth of
+        # 1e-320, an area side of 1e300
+        doc = json.loads(json.dumps(CONFIG))
+        set_leaf(doc, path, value)
+        config, out = tmp_path / "exp.json", tmp_path / "r"
+        config.write_text(json.dumps(doc))
+        code = main(["ensemble", "--config", str(config), "--out", str(out)])
+        captured = capsys.readouterr()
+        if code == 1:
+            assert "configuration error" in captured.err, captured.err
+            assert not out.exists()
+        else:
+            assert code == 0, captured.err
+            written = [p.read_text() for p in sorted(out.iterdir())]
+            assert written and not NOT_FINITE.search(captured.out + "".join(written))
+        shutil.rmtree(out, ignore_errors=True)
+
+    @settings(derandomize=True, max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(source=st.sampled_from(sorted(MATCHING)), value=st.sampled_from(EDGE_VALUES))
+    def test_every_matching_number_is_an_id_or_refused(self, tmp_path, capsys, source,
+                                                       value):
+        topo, matching = tmp_path / "topo.json", tmp_path / "matching.json"
+        if not topo.exists():
+            make_topology_file(tmp_path, name="topo.json")
+        matching.write_text(json.dumps({**MATCHING, source: [value]}))
+        code = main(["verify", "--topology", str(topo), "--matching", str(matching),
+                     "--allow-unstable", "--samples", "20"])
+        captured = capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["matching.json", "topo.json"]
+        if code == 1:
+            assert "configuration error" in captured.err and captured.out == ""
+        else:
+            assert code == 0, captured.err
+            assert not NOT_FINITE.search(captured.out + captured.err), captured.out

@@ -436,6 +436,19 @@ class TestWorkerPool:
         np.testing.assert_array_equal(pooled.final_lambdas("pma"),
                                       serial.final_lambdas("pma"))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_refused_input_stays_a_configuration_error(self, tmp_path, workers):
+        # the capacity table refuses the power inside the replication, in
+        # this process or in a pool worker; it used to become a RuntimeError
+        config = small_config(workers=workers, replications=2,
+                              topology=rm.TopologyParams(num_sources=2, num_relays=1,
+                                                         sv_tx_power_dbm=1e300))
+        with pytest.raises(ConfigurationError,
+                           match=r"^replication 0 \(topology seed \d+\) failed: "
+                                 r"source 0, radio 0: .*sources\[0\]\.tx_power_dbm"):
+            run_ensemble(config, out_dir=tmp_path / "r")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("sweep", [None, [2, 3]])
     def test_output_bytes_identical_for_any_worker_count(self, tmp_path, sweep):
         run = run_sweep if sweep else run_ensemble

@@ -684,13 +684,13 @@ def _skippable(trace):
 def test_best_response_matches_reference_and_skips_unchanged_states(
         num_sources, monkeypatch):
     calls = []
-    scores = _MatchingState.scores
+    improvements = _MatchingState.improvements
 
-    def counted(self, n, candidates, **floor):
+    def counted(self, n, candidates):
         calls.append(n)
-        return scores(self, n, candidates, **floor)
+        return improvements(self, n, candidates)
 
-    monkeypatch.setattr(_MatchingState, "scores", counted)
+    monkeypatch.setattr(_MatchingState, "improvements", counted)
     cfg = rm.SolverConfig(kind="best_response")
     skipped = 0
     for topo_seed, seq in spawn_seeds(60 + num_sources, 20):

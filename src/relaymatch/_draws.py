@@ -70,6 +70,8 @@ class Draws:
         self._fetched += _BLOCK
 
     def _next32(self) -> int:
+        """The next 32-bit half. integers() and permutation() read the
+        buffer in place; integers() calls this for Lemire's rare redraw."""
         if self._has32:
             self._has32 = 0
             return self._u32
@@ -95,7 +97,16 @@ class Draws:
         if rng == 0:
             return low
         excl = rng + 1
-        m = self._next32() * excl
+        if self._has32:
+            self._has32 = 0
+            m = self._u32 * excl
+        else:
+            words = self._words
+            if not words:
+                self._refill()
+            word = words.pop()
+            self._has32, self._u32 = 1, word >> 32
+            m = (word & _MASK32) * excl
         if m & _MASK32 < excl:
             threshold = (_MASK32 - rng) % excl
             while m & _MASK32 < threshold:
@@ -105,10 +116,25 @@ class Draws:
     def permutation(self, n: int) -> list:
         """A random ordering of range(n)."""
         out = list(range(n))
+        words, has32, u32 = self._words, self._has32, self._u32
+        mask = (1 << (n - 1).bit_length()) - 1
         for i in range(n - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            j = self._next32() & mask
-            while j > i:
-                j = self._next32() & mask
+            # mask is i.bit_length() ones; i falls by one, so it loses a bit
+            # exactly when it equals the next narrower mask
+            if i == mask >> 1:
+                mask = i
+            while True:
+                if has32:
+                    has32 = 0
+                    j = u32 & mask
+                else:
+                    if not words:
+                        self._refill()     # extends `words` in place
+                    word = words.pop()
+                    has32, u32 = 1, word >> 32
+                    j = word & mask        # mask < 2**32: the low half's bits
+                if j <= i:
+                    break
             out[i], out[j] = out[j], out[i]
+        self._has32, self._u32 = has32, u32
         return out

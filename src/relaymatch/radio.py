@@ -67,17 +67,29 @@ def path_gain(a, b, model: PathLossModel) -> float:
 
     Coincident points are clamped to the model's minimum distance and logged.
     """
+    gain, clamped = _clamped_gain(a, b, model)
+    if clamped:
+        _log_clamped(1, model)
+    return gain
+
+
+def _clamped_gain(a, b, model: PathLossModel) -> tuple:
+    """path_gain's gain, unlogged, and whether the link was clamped."""
     d = math.hypot(a[0] - b[0], a[1] - b[1])
-    if d < model.min_distance_m:
-        log.warning("link distance %.3g m below minimum, clamped to %.3g m",
-                    d, model.min_distance_m)
+    clamped = d < model.min_distance_m
+    if clamped:
         d = model.min_distance_m
     try:
-        return 10.0 ** (-model.loss_db(d) / 10.0)
+        return 10.0 ** (-model.loss_db(d) / 10.0), clamped
     except OverflowError:
         raise ConfigurationError(
             f"path_loss.intercept_db = {model.intercept_db!r} and slope_db = "
             f"{model.slope_db!r} give a gain that overflows at {d!r} m") from None
+
+
+def _log_clamped(links: int, model: PathLossModel) -> None:
+    log.warning("%d link distance(s) below minimum, clamped to %.3g m",
+                links, model.min_distance_m)
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -309,14 +321,22 @@ def build_gain_table(topology: Topology) -> LinkGainTable:
     n, m = topology.num_sources, len(topology.relays)
     g_sr = np.empty((n, m))
     g_rd = np.empty(m)
+    clamped = 0
     for j, relay in enumerate(topology.relays):
-        g_rd[j] = path_gain(relay.position, topology.destination, model)
+        g_rd[j], c = _clamped_gain(relay.position, topology.destination, model)
+        clamped += c
         for i, src in enumerate(topology.sources):
-            g_sr[i, j] = path_gain(src.position, relay.position, model)
+            g_sr[i, j], c = _clamped_gain(src.position, relay.position, model)
+            clamped += c
+    if clamped:
+        _log_clamped(clamped, model)
     if model.shadowing_sigma_db > 0:
         rng = np.random.default_rng(np.random.SeedSequence((topology.seed, 0x5ad0)))
-        g_sr *= 10.0 ** (rng.normal(0, model.shadowing_sigma_db, g_sr.shape) / 10.0)
-        g_rd *= 10.0 ** (rng.normal(0, model.shadowing_sigma_db, g_rd.shape) / 10.0)
+        # a gain this makes 0 is refused by LinkGainTable, an infinite one
+        # by the capacity table, naming its link
+        with np.errstate(over="ignore"):
+            g_sr *= 10.0 ** (rng.normal(0, model.shadowing_sigma_db, g_sr.shape) / 10.0)
+            g_rd *= 10.0 ** (rng.normal(0, model.shadowing_sigma_db, g_rd.shape) / 10.0)
     return LinkGainTable(source_to_relay=g_sr, relay_to_destination=g_rd)
 
 

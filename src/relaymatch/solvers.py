@@ -83,8 +83,9 @@ class IterationTrace:
     def record(self, iteration, actor, accepted, lam) -> None:
         """Log one activation.
 
-        run_pma appends to the four columns itself, in this order; a
-        change to them must change it there too."""
+        run_pma fills the four columns itself: `iteration` and `actor` once
+        per iteration, `accepted` and `lam` per activation; a change to
+        them must change it there too."""
         self.iteration.append(iteration)
         self.actor.append(actor)
         self.accepted.append(accepted)
@@ -167,7 +168,19 @@ def proposal_table(attractiveness: Sequence[float]) -> tuple:
     idx = [i for i, x in enumerate(w) if x > 0]
     if not idx:
         return idx, [], 0, None
-    positive = w if len(idx) == len(w) else [w[i] for i in idx]
+    return _table(idx, w if len(idx) == len(w) else [w[i] for i in idx])
+
+
+def _share_table(w: list) -> tuple:
+    """proposal_table(w) for a list of non-negative floats, none NaN, as
+    share(n) lists are: when no weight is 0.0 there is nothing to convert
+    or drop."""
+    if 0.0 in w:
+        return proposal_table(w)
+    return _table(list(range(len(w))), w)
+
+
+def _table(idx, positive) -> tuple:
     # The normaliser is summed in numpy's order so p is bit-identical to
     # w[idx] / w[idx].sum(), and so is every draw it decides.
     total = _numpy_sum(positive)
@@ -199,9 +212,6 @@ def pma_propose(attractiveness: Sequence[float], quota: int, rng,
     as `table`; attractiveness is then not read.
     """
     idx, p, nonzero, cdf = table or proposal_table(attractiveness)
-    if size == 1 and nonzero:
-        # the first round's one draw, as random(1) would give it
-        return (idx[bisect_right(cdf, rng.random())],)
     if not idx:
         log.info("all relay radios unattractive; proposing the empty set")
         return ()
@@ -262,8 +272,10 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng):
 
     lam = state.lam
     trace = IterationTrace(lam)
-    # the columns are appended here, as record() would: a bound record()
-    # call per activation costs PMA 1-2 %
+    # the columns are filled here, as record() would: every iteration
+    # activates each source once, so `iteration` and `actor` grow once per
+    # iteration, `accepted` and `lam` per activation; a bound record() call
+    # per activation costs PMA 1-2 %
     iterations, actors, accepts, lams = (trace.iteration, trace.actor,
                                          trace.accepted, trace.lam)
     integers, random, utility = draws.integers, draws.random, state.utility
@@ -277,7 +289,10 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng):
     # numpy calls would have left it
     with draws:
         for k in range(1, config.max_iterations + 1):
-            for n in draws.permutation(n_src):
+            order = draws.permutation(n_src)
+            iterations.extend([k] * n_src)
+            actors.extend(order)
+            for n in order:
                 activations += 1
                 size = integers(0, quotas[n] + 1)
                 if size == 0:
@@ -286,9 +301,14 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng):
                     # a radio's share if n joined it; n's own radios keep theirs
                     table = tables[n]
                     if table is None:
-                        table = tables[n] = proposal_table(state.share(n))
-                    candidate = pma_propose(None, quotas[n], draws, size=size,
-                                            table=table)
+                        table = tables[n] = _share_table(state.share(n))
+                    idx, _, nonzero, cdf = table
+                    if size == 1 and nonzero:
+                        # pma_propose's one draw, as random(1) would give it
+                        candidate = (idx[bisect_right(cdf, random())],)
+                    else:
+                        candidate = pma_propose(None, quotas[n], draws, size=size,
+                                                table=table)
                 # utility(n, strategies[n]), read off the mover baseline
                 # (slot 2, see _MatchingState._remove); move() rebinds
                 # _baselines, so it is looked up each time
@@ -312,8 +332,6 @@ def run_pma(topology, profiles, caps, config: SolverConfig, rng):
                     if lam > best_lam + SATISFACTION_TOL:
                         best_lam = lam
                         best_strategies = list(strategies)
-                iterations.append(k)
-                actors.append(n)
                 accepts.append(accepted)
                 lams.append(lam)
             if k - last_improve >= STOP_WINDOW:

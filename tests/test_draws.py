@@ -9,10 +9,15 @@ from relaymatch import _draws
 from relaymatch._draws import Draws
 from relaymatch.errors import ConfigurationError
 
+# spans near 2**31 make Lemire's rejection redraw likely; permutations up
+# to 40 cross the masks of 1 to 6 bits
 _CALL = st.one_of(
     st.tuples(st.just("random"), st.none()),
-    st.tuples(st.just("integers"), st.tuples(st.integers(-5, 5), st.integers(1, 12))),
-    st.tuples(st.just("permutation"), st.integers(0, 12)),
+    st.tuples(st.just("integers"),
+              st.tuples(st.integers(-5, 5),
+                        st.one_of(st.integers(1, 12),
+                                  st.integers(2 ** 31 + 1, 2 ** 31 + 2 ** 29)))),
+    st.tuples(st.just("permutation"), st.integers(0, 40)),
 )
 
 
@@ -35,11 +40,18 @@ def test_same_values_and_end_state_as_numpy(seed, buffered, block, calls):
         want_rng.integers(0, 3)
         got_rng.integers(0, 3)
     assert want_rng.bit_generator.state["has_uint32"] == int(buffered)
-    want = [_call(want_rng, name, arg) for name, arg in calls]
+    want, got = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_draws, "_BLOCK", block)     # refills inside the sequence
         with Draws(got_rng) as draws:
-            got = [_call(draws, name, arg) for name, arg in calls]
+            for name, arg in calls:
+                want.append(_call(want_rng, name, arg))
+                got.append(_call(draws, name, arg))
+                # the mirror's 32-bit buffer is numpy's after every call
+                buffer = want_rng.bit_generator.state
+                assert draws._has32 == buffer["has_uint32"]
+                if draws._has32:
+                    assert draws._u32 == buffer["uinteger"]
     assert got == want
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 

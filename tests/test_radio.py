@@ -215,6 +215,23 @@ class TestGainAndCapacityTables:
         assert not np.allclose(shadowed.source_to_relay, plain.source_to_relay,
                                rtol=1e-6, atol=0.0)
 
+    def test_overflowing_shadowing_is_refused_without_numpy_warnings(self, recwarn):
+        model = rm.PathLossModel(shadowing_sigma_db=1e300)
+        topo = rm.generate_topology(rm.TopologyParams(num_sources=3, path_loss=model), 1)
+        with pytest.raises(ConfigurationError, match="gain must be positive"):
+            rm.build_capacity_table(topo)
+        assert not recwarn.list
+
+    def test_clamped_links_logged_once_per_table(self, caplog):
+        model = rm.PathLossModel(min_distance_m=1e5)      # clamps every link
+        params = rm.TopologyParams(num_sources=3, num_relays=2, path_loss=model)
+        topo = rm.generate_topology(params, 1)
+        with caplog.at_level(logging.WARNING, logger="relaymatch.radio"):
+            rm.build_gain_table(topo)
+        (record,) = caplog.records
+        assert record.getMessage() == (
+            "8 link distance(s) below minimum, clamped to 1e+05 m")
+
     def test_capacity_table_shape_and_positivity(self):
         params = rm.TopologyParams(num_sources=6, num_relays=4, radios_per_relay=2)
         topo = rm.generate_topology(params, 2)

@@ -177,6 +177,29 @@ class TestProposalRule:
         assert rm.pma_propose([0.0, 0.0], 2, gen, size=1,
                               table=solvers.proposal_table([0.0, 0.0])) == ()
 
+    def test_share_table_equals_proposal_table(self):
+        # run_pma's table builder skips proposal_table's float() and
+        # positive-index passes for a share list without 0.0, which takes
+        # the fallback; [1e308, 1e308, 1.0]'s total overflows
+        lists = [[0.0, 2.0, 5e-324], [0.0, 0.0], [2.0, 0.0], [1e308, 1e308, 1.0],
+                 [5e-324, 1e10], [7.0], []]
+        for seed in range(20):
+            topo, profiles, caps = make_instance(seed, num_sources=6, num_relays=3,
+                                                 radios_per_relay=2)
+            initial = _random_initial(topo.quotas, topo.num_radios,
+                                      np.random.default_rng(seed))
+            state = _MatchingState(initial, caps.tolist(), profiles, topo.num_radios)
+            lists += [state.share(n) for n in range(topo.num_sources)]
+
+        def hexed(table):
+            idx, p, nonzero, cdf = table
+            return (idx, [x.hex() for x in p], nonzero,
+                    cdf and [x.hex() for x in cdf])
+
+        for w in lists:
+            assert hexed(solvers._share_table(w)) == hexed(solvers.proposal_table(w)), w
+        assert solvers._share_table([1e308, 1e308, 1.0])[2:] == (0, None)
+
 
 def _numpy_propose(weights, size, rng):
     """Reference proposal: numpy's weighted sampling without replacement."""
@@ -324,17 +347,19 @@ def _check_pma_tables(topo, profiles, caps, seed, max_iterations):
     table equals proposal_table of the source's share vector on a state
     freshly built from the strategies before the activation, and a source
     no other source's move has reached since its last proposal proposes
-    from the very table it used then, its own moves included. Returns how
-    many proposals came after the proposer's own move, with no other move
-    in between.
+    from the very table it used then, its own moves included, building
+    none. Returns how many proposals came after the proposer's own move,
+    with no other move in between.
 
     The run's state is caught as it is built; each activation starts with
-    one size draw, where the strategies before it are read, and a proposal
-    is tied to the activation that draw opened."""
+    one size draw, where the strategies before it are read, and a table
+    built is tied to the activation that draw opened. An activation with a
+    positive size proposes, from the table it built or else the one its
+    source kept."""
     rows = caps.tolist()
-    init, integers, propose = (_MatchingState.__init__, Draws.integers,
-                               solvers.pma_propose)
-    states, befores, tables = [], [], {}
+    init, integers, build = (_MatchingState.__init__, Draws.integers,
+                             solvers._share_table)
+    states, befores, sizes, built = [], [], [], {}
 
     def init_spy(self, *args):
         init(self, *args)
@@ -342,15 +367,17 @@ def _check_pma_tables(topo, profiles, caps, seed, max_iterations):
 
     def size_spy(self, low, high):
         befores.append(tuple(states[0].strategies))
-        return integers(self, low, high)
+        sizes.append(integers(self, low, high))
+        return sizes[-1]
 
-    def propose_spy(attractiveness, quota, rng, size=None, table=None):
-        tables[len(befores) - 1] = table
-        return propose(attractiveness, quota, rng, size=size, table=table)
+    def build_spy(w):
+        assert len(befores) - 1 not in built
+        built[len(befores) - 1] = table = build(w)
+        return table
 
     with mock.patch.object(_MatchingState, "__init__", init_spy), \
             mock.patch.object(Draws, "integers", size_spy), \
-            mock.patch.object(solvers, "pma_propose", propose_spy):
+            mock.patch.object(solvers, "_share_table", build_spy):
         _, trace = rm.run_pma(topo, profiles, caps,
                               rm.SolverConfig(max_iterations=max_iterations),
                               np.random.default_rng(seed))
@@ -359,15 +386,18 @@ def _check_pma_tables(topo, profiles, caps, seed, max_iterations):
     afters = befores[1:] + [tuple(state.strategies)]
     last, after_own_move, mover = {}, 0, None
     for i, (n, before, after) in enumerate(zip(trace.actor.tolist(), befores, afters)):
-        table = tables.get(i)
-        if table is not None:
+        if sizes[i]:
             if n in last:
-                assert table is last[n]
+                assert i not in built
+                table = last[n]
                 after_own_move += mover == n
+            else:
+                table = built[i]
             fresh = _MatchingState(before, rows, profiles, topo.num_radios)
-            idx, p, nonzero, cdf = table
-            assert (idx, p, nonzero, cdf) == solvers.proposal_table(fresh.share(n))
+            assert table == solvers.proposal_table(fresh.share(n))
             last[n] = table
+        else:
+            assert i not in built
         if after != before:
             mover = n
             last = {n: last[n]} if n in last else {}
@@ -453,6 +483,17 @@ class TestPma:
         assert len(tr.lam) == len(tr.actor) == len(tr.accepted) == len(tr.iteration)
         assert tr.num_iterations == int(tr.iteration[-1])
         assert (np.diff(tr.iteration) >= 0).all()
+
+    @pytest.mark.parametrize("kind", ["pma", "many_to_one"])
+    def test_every_iteration_activates_each_source_once(self, kind, mid_instance):
+        topo, profiles, caps = mid_instance
+        n_src = topo.num_sources
+        _, tr = rm.solve(topo, profiles, caps, rm.SolverConfig(kind=kind),
+                         np.random.default_rng(6))
+        assert tr.iteration.tolist() == [k for k in range(1, tr.num_iterations + 1)
+                                         for _ in range(n_src)]
+        for order in tr.actor.reshape(-1, n_src).tolist():
+            assert sorted(order) == list(range(n_src))
 
     def test_returns_best_visited_satisfaction(self, mid_instance):
         topo, profiles, caps = mid_instance

@@ -15,7 +15,8 @@ round flips from round to round (a round's line names it). `--solver
 exhaustive` times the oracle, `exhaustive_search`, on the benchmark's
 `oracle_audit` shape (3 relays x 2 radios, air-to-air, quota 1 or 2); the
 walks run on its `paired_n13` shape (5 relays x 2 radios, air-to-air,
-quota 1 to 3). `--quota Q` gives every source quota Q. Run an A/A control
+quota 1 to 3). `--quota Q` gives every source quota Q. R, K and N below 1
+are refused before any package is loaded. Run an A/A control
 (the same checkout on both sides) next to every A/B reading: the spread it
 shows is what the setup itself gives.
 
@@ -47,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from work import load_workloads
+from work import load_workloads, positive
 
 WALKS = ("pma", "best_response", "many_to_one", "substitutable")
 
@@ -112,9 +113,9 @@ def main(argv=None) -> int:
     p.add_argument("base", type=Path)
     p.add_argument("change", type=Path)
     p.add_argument("--solver", required=True, choices=WALKS + ("exhaustive", "audit"))
-    p.add_argument("--n", type=int, help="number of sources")
-    p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--instances", type=int, default=10, help="per round")
+    p.add_argument("--n", type=positive, help="number of sources")
+    p.add_argument("--rounds", type=positive, required=True)
+    p.add_argument("--instances", type=positive, default=10, help="per round")
     p.add_argument("--quota", type=int, default=None)
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)

@@ -18,11 +18,13 @@ workload's clock, so its checks are left out) it counts:
 
 The counts depend on no clock, so two processes give equal counts on one
 CPython version, which WORK.json records with the counts per unit and
-their means per tree. sweep_n8_n20 runs with one worker, so the work of
-its pool is counted too. Tracing makes a unit of paired_n13 take about
-four seconds, and one of sweep_n8_n20 (48 replications) two and a half
-minutes. The script reports; it exits non-zero only when a unit
-fails its workload's checks.
+their means per unit per tree. The mean's `top` is per unit as well: each
+code object's instructions over all K units, divided by K. sweep_n8_n20
+runs with one worker, so the work of its pool is counted too. Tracing
+makes a unit of paired_n13 take about four seconds, and one of
+sweep_n8_n20 (48 replications) two and a half minutes. The script
+reports; it refuses a K below 1 and exits non-zero only when a unit fails
+its workload's checks.
 """
 
 from __future__ import annotations
@@ -149,7 +151,16 @@ def measure(workloads, directory: Path, workload: str, units: int) -> dict:
             total.update(meter.instructions)
     mean = {key: sum(unit[key] for unit in out) / units
             for key in ("instructions", "c_calls", "exp_calls")}
-    return {"units": out, "mean": {**mean, "top": top(total)}}
+    mean["top"] = [[name, n / units, share] for name, n, share in top(total)]
+    return {"units": out, "mean": mean}
+
+
+def positive(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -157,7 +168,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("trees", nargs="+", help="commits or directories")
     p.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
-    p.add_argument("--units", type=int, required=True)
+    p.add_argument("--units", type=positive, required=True)
     p.add_argument("--out", type=Path, required=True, help="WORK.json to write")
     args = p.parse_args(argv)
     report = {"python": platform.python_version(), "workload": args.workload,

@@ -347,57 +347,47 @@ def build_capacity_table(topology: Topology, gains: LinkGainTable | None = None)
     this table, so this is the one place they are refused: a power that
     overflows in watts, a bandwidth or noise power that is not positive, or
     an SNR or capacity that is not finite raises ConfigurationError naming
-    the first such link's source, radio and inputs."""
+    the first such link (radio by radio, then source by source), its
+    source, radio and inputs.
+
+    A radio's noise power and relay SNR are computed once, before its
+    links, and a fault in them is named at its first link. That link's
+    source SNR would fail the same way or not at all: LinkGainTable refuses
+    a gain of 0 or below, and an overflowing power reads alike for source
+    and relay."""
     gains = gains or build_gain_table(topology)
     caps = np.empty((topology.num_sources, topology.num_radios))
     owner = topology.radio_owner
     with np.errstate(over="ignore", invalid="ignore"):     # refused below, by name
-        try:
-            for l, radio in enumerate(topology.radios):
-                m = owner[l]
-                relay = topology.relays[m]
+        for l, radio in enumerate(topology.radios):
+            m = owner[l]
+            relay = topology.relays[m]
+            i = 0       # a fault of the radio's own terms is its first link's
+            try:
                 sigma2 = noise_power(radio.bandwidth_hz, topology.noise_density_dbm_hz)
                 g_rd = snr(relay.tx_power_dbm, gains.relay_to_destination[m], sigma2)
                 for i, src in enumerate(topology.sources):
                     g_sr = snr(src.tx_power_dbm, gains.source_to_relay[i, m], sigma2)
-                    caps[i, l] = af_capacity(g_sr, g_rd, radio.bandwidth_hz)
-        except (ConfigurationError, OverflowError):
-            pass
-        else:
-            if np.isfinite(caps).all():
-                return caps
-        raise ConfigurationError(next(
-            fault for l in range(topology.num_radios) for i in range(topology.num_sources)
-            if (fault := _link_fault(topology, gains, i, l))))
-
-
-def _link_fault(topology: Topology, gains: LinkGainTable, i: int, l: int):
-    """Why source i's link through radio l has no finite capacity, with the
-    link's inputs, or None when it has one."""
-    m = topology.radio_owner[l]
-    source, relay, radio = topology.sources[i], topology.relays[m], topology.radios[l]
-    g_source, g_relay = gains.source_to_relay[i, m], gains.relay_to_destination[m]
-    try:
-        sigma2 = noise_power(radio.bandwidth_hz, topology.noise_density_dbm_hz)
-        g_sr = snr(source.tx_power_dbm, g_source, sigma2)
-        g_rd = snr(relay.tx_power_dbm, g_relay, sigma2)
-        cap = af_capacity(g_sr, g_rd, radio.bandwidth_hz)
-    except OverflowError:
-        reason = "a power in dBm overflows in watts"
-    except ConfigurationError as exc:
-        reason = str(exc)
-    else:
-        if math.isfinite(g_sr) and math.isfinite(g_rd) and math.isfinite(cap):
-            return None
-        reason = (f"SNRs {float(g_sr)!r} (source-relay) and {float(g_rd)!r} "
-                  f"(relay-destination) give capacity {cap!r}")
-    return (f"source {i}, radio {l}: {reason}; its inputs are "
-            f"sources[{i}].tx_power_dbm = {source.tx_power_dbm!r}, "
-            f"gains.source_to_relay[{i}][{m}] = {float(g_source)!r}, "
-            f"relays[{m}].tx_power_dbm = {relay.tx_power_dbm!r}, "
-            f"gains.relay_to_destination[{m}] = {float(g_relay)!r}, "
-            f"noise_density_dbm_hz = {topology.noise_density_dbm_hz!r} and "
-            f"radios[{l}].bandwidth_hz = {radio.bandwidth_hz!r}")
+                    caps[i, l] = cap = af_capacity(g_sr, g_rd, radio.bandwidth_hz)
+                    if not math.isfinite(cap):      # a non-finite SNR makes it NaN
+                        raise ConfigurationError(
+                            f"SNRs {float(g_sr)!r} (source-relay) and {float(g_rd)!r} "
+                            f"(relay-destination) give capacity {cap!r}")
+                continue
+            except OverflowError:
+                reason = "a power in dBm overflows in watts"
+            except ConfigurationError as exc:
+                reason = str(exc)
+            raise ConfigurationError(
+                f"source {i}, radio {l}: {reason}; its inputs are "
+                f"sources[{i}].tx_power_dbm = {topology.sources[i].tx_power_dbm!r}, "
+                f"gains.source_to_relay[{i}][{m}] = {float(gains.source_to_relay[i, m])!r}, "
+                f"relays[{m}].tx_power_dbm = {relay.tx_power_dbm!r}, "
+                f"gains.relay_to_destination[{m}] = "
+                f"{float(gains.relay_to_destination[m])!r}, "
+                f"noise_density_dbm_hz = {topology.noise_density_dbm_hz!r} and "
+                f"radios[{l}].bandwidth_hz = {radio.bandwidth_hz!r}")
+    return caps
 
 
 # --- JSON import/export -----------------------------------------------------

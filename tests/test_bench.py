@@ -402,14 +402,45 @@ def test_work_counts_are_equal_in_two_processes(tmp_path):
         out = tmp_path / f"work{hash_seed}.json"
         proc = subprocess.run(
             [sys.executable, str(BENCH / "work.py"), str(BENCH.parent),
-             "--workload", "oracle_audit", "--units", "1", "--out", str(out)],
+             "--workload", "oracle_audit", "--units", "2", "--out", str(out)],
             capture_output=True, text=True, timeout=300, check=False,
             env={**os.environ, "PYTHONHASHSEED": hash_seed})
         assert proc.returncode == 0, proc.stderr
         reports.append(json.loads(out.read_text()))
     assert reports[0] == reports[1]
     (tree,) = reports[0]["trees"]
-    (unit,) = tree["units"]
-    assert unit["instructions"] > unit["c_calls"] > unit["exp_calls"] > 0
-    assert len(unit["top"]) == 10 and tree["mean"]["instructions"] == unit["instructions"]
+    units, mean = tree["units"], tree["mean"]
+    assert len(units) == 2
+    for unit in units:
+        assert unit["instructions"] > unit["c_calls"] > unit["exp_calls"] > 0
+        assert len(unit["top"]) == 10
+    assert mean["instructions"] == (units[0]["instructions"] + units[1]["instructions"]) / 2
+    # the mean's top counts are per unit too: each share is its count over
+    # the mean's instructions
+    assert len(mean["top"]) == 10
+    for _, count, share in mean["top"]:
+        assert share == pytest.approx(count / mean["instructions"], rel=1e-12)
     assert reports[0]["python"] == platform.python_version()
+
+
+@pytest.mark.parametrize("script,argv", [
+    ("work", [".", "--workload", "oracle_audit", "--units", "0", "--out", "w.json"]),
+    ("ab_inproc", [".", ".", "--solver", "pma", "--n", "4", "--rounds", "0"]),
+    ("ab_inproc", [".", ".", "--solver", "pma", "--n", "4", "--rounds", "2",
+                   "--instances", "0"]),
+    ("ab_inproc", [".", ".", "--solver", "pma", "--n", "0", "--rounds", "2"]),
+], ids=["work-units", "ab-rounds", "ab-instances", "ab-n"])
+def test_empty_runs_are_refused_before_any_setup(script, argv, monkeypatch, capsys):
+    # an empty run has no mean or median: argparse refuses it before the
+    # workload's set-up or the packages' loading
+    monkeypatch.syspath_prepend(str(BENCH))
+    module = importlib.import_module(script)
+
+    def no_setup(*args):
+        raise AssertionError("set-up was reached")
+
+    monkeypatch.setattr(module, "measure" if script == "work" else "load", no_setup)
+    with pytest.raises(SystemExit) as err:
+        module.main(argv)
+    assert err.value.code == 2
+    assert "must be at least 1, not 0" in capsys.readouterr().err

@@ -251,6 +251,66 @@ class TestGainAndCapacityTables:
             np.testing.assert_allclose(caps[:, cols[0]], caps[:, cols[1]])
 
 
+def two_by_two(source_power=20.0, relay_power=30.0, noise=-174.0, bandwidth=10e6,
+               source_to_relay=((1e-9, 2e-9), (3e-9, 4e-9))):
+    """Two sources and two one-radio relays with round gains. Source 0 gets
+    `source_power`, relay 1 `relay_power` and radio 1 `bandwidth`."""
+    sources = tuple(rm.SourceNode(id=n, position=(0.0, 0.0), num_radios=1,
+                                  tx_power_dbm=source_power if n == 0 else 20.0,
+                                  required_rate_bps=1e7) for n in range(2))
+    relays = tuple(rm.RelayNode(id=m, position=(0.0, 0.0),
+                                tx_power_dbm=relay_power if m == 1 else 30.0,
+                                radios=(rm.RelayRadio(id=m, channel=m, bandwidth_hz=(
+                                    bandwidth if m == 1 else 10e6)),))
+                   for m in range(2))
+    topology = rm.Topology(area_side_m=1000.0, destination=(0.0, 0.0), sources=sources,
+                           relays=relays, seed=0, noise_density_dbm_hz=noise)
+    return topology, rm.LinkGainTable(np.array(source_to_relay), np.array([5e-9, 6e-9]))
+
+
+def link_inputs(i, l, source_power=20.0, relay_power=30.0, noise=-174.0,
+                bandwidth=10000000.0):
+    gain = ((1e-9, 2e-9), (3e-9, 4e-9))[i][l]
+    return (f"its inputs are sources[{i}].tx_power_dbm = {source_power}, "
+            f"gains.source_to_relay[{i}][{l}] = {gain}, "
+            f"relays[{l}].tx_power_dbm = {relay_power}, "
+            f"gains.relay_to_destination[{l}] = {(5e-09, 6e-09)[l]}, "
+            f"noise_density_dbm_hz = {noise} and radios[{l}].bandwidth_hz = {bandwidth}")
+
+
+class TestCapacityCheckpoint:
+    """build_capacity_table refuses the first link without a finite
+    capacity, radio by radio and then source by source, naming its inputs."""
+
+    def test_first_failing_link_in_radio_then_source_order(self):
+        # (source 0, radio 1) comes first in source order, (1, 0) in radio order
+        topology, gains = two_by_two(source_to_relay=((1e-9, 1e300), (1e300, 4e-9)))
+        with pytest.raises(ConfigurationError) as err:
+            rm.build_capacity_table(topology, gains)
+        assert str(err.value).startswith(
+            "source 1, radio 0: SNRs inf (source-relay) and ")
+
+    @pytest.mark.parametrize("topology_args,message", [
+        (dict(source_power=1e300),
+         "source 0, radio 0: a power in dBm overflows in watts; "
+         + link_inputs(0, 0, source_power=1e+300)),
+        # a fault of the radio's own terms is named at its first source
+        (dict(relay_power=1e300),
+         "source 0, radio 1: a power in dBm overflows in watts; "
+         + link_inputs(0, 1, relay_power=1e+300)),
+        (dict(noise=-1e300),
+         "source 0, radio 0: noise power must be positive; "
+         + link_inputs(0, 0, noise=-1e+300)),
+        (dict(bandwidth=math.inf),
+         "source 0, radio 1: SNRs 0.0 (source-relay) and 0.0 (relay-destination) "
+         "give capacity nan; " + link_inputs(0, 1, bandwidth=math.inf)),
+    ], ids=["source-power", "relay-power", "noise-power", "capacity"])
+    def test_refusal_names_the_reason_and_every_input(self, topology_args, message):
+        with pytest.raises(ConfigurationError) as err:
+            rm.build_capacity_table(*two_by_two(**topology_args))
+        assert str(err.value) == message
+
+
 class TestSerialization:
     def test_round_trip_preserves_capacities(self, tmp_path):
         params = rm.TopologyParams(num_sources=5, path_loss=rm.AIR_TO_AIR)

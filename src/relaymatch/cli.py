@@ -140,14 +140,15 @@ def _cmd_verify(args) -> int:
         print(f"unstable: source {n} improves by switching to radios {list(better)}")
 
     # potential-identity audit on sampled unilateral deviations: dU and the
-    # base lambda from the kernel state kept on the matching, dLambda from a
-    # full rebuild of each deviated matching
+    # base lambda from the kernel state kept on the matching, dLambda from
+    # one full rebuild per distinct deviated matching
     rng = np.random.default_rng(args.seed)
+    spaces = {q: enumerate_strategies(topology.num_radios, q) for q in set(topology.quotas)}
     worst = 0.0
     base = global_satisfaction(matching, profiles, caps)
     for _ in range(args.samples):
         n = int(rng.integers(topology.num_sources))
-        space = enumerate_strategies(topology.num_radios, topology.quotas[n])
+        space = spaces[topology.quotas[n]]
         cand = space[int(rng.integers(len(space)))]
         du = (relay_utility(matching, n, cand, profiles, caps)
               - relay_utility(matching, n, matching.radios_of(n), profiles, caps))

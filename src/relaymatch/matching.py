@@ -9,7 +9,9 @@ One kernel, _MatchingState, holds the rate, satisfaction and relay-utility
 arithmetic; the solvers run on it, and global_satisfaction, relay_utility
 and is_stable are thin wrappers over it. A matching keeps the state the
 wrappers last built for it (see _state), so repeated queries on one
-matching build it once.
+matching build it once, and it keeps the answers to repeated questions:
+the deviated matchings with_strategy made from it and the relay utilities
+relay_utility computed on that state.
 """
 
 from __future__ import annotations
@@ -99,15 +101,16 @@ class Matching:
 
     Stored source-side as sorted radio tuples; per-radio loads are derived,
     so mutuality holds by construction. `_kernel` holds the kernel state the
-    wrappers last built for this matching; it is never copied or pickled.
+    wrappers last built for this matching, and `_children` the matchings
+    with_strategy made from it; neither is ever copied or pickled.
     """
 
-    __slots__ = ("_strategies", "_num_radios", "_kernel")
+    __slots__ = ("_strategies", "_num_radios", "_kernel", "_children")
 
     def __init__(self, strategies: Sequence[Iterable[int]], num_radios: int):
         self._num_radios = int(num_radios)
         self._strategies = tuple(_canonical(s, self._num_radios) for s in strategies)
-        self._kernel = None
+        self._kernel = self._children = None
 
     @property
     def num_sources(self) -> int:
@@ -132,14 +135,31 @@ class Matching:
         return loads
 
     def with_strategy(self, source: int, radios: Iterable[int]) -> "Matching":
+        """This matching with source's strategy replaced by `radios`.
+
+        The child is kept on this matching, one per source and canonical
+        strategy, so asking again returns the same object, whose own kept
+        kernel state already holds its answers. No child refers to its
+        parent, so `m = m.with_strategy(...)` frees each old m; a matching
+        the caller holds keeps one child per distinct deviation asked of it,
+        until it is freed."""
         if not 0 <= source < len(self._strategies):
             raise ConfigurationError(f"unknown source id {source}")
-        new = list(self._strategies)
-        new[source] = _canonical(radios, self._num_radios)
-        m = Matching.__new__(Matching)
-        m._strategies = tuple(new)
-        m._num_radios = self._num_radios
-        m._kernel = None
+        radios = _canonical(radios, self._num_radios)
+        kept = self._children
+        if kept is None:
+            kept = self._children = [{} for _ in self._strategies]
+        # indexed by source first, so a source that is no index (1.0) raises
+        # TypeError and never hits the entry kept for 1
+        children = kept[source]
+        m = children.get(radios)
+        if m is None:
+            new = list(self._strategies)
+            new[source] = radios
+            m = children[radios] = Matching.__new__(Matching)
+            m._strategies = tuple(new)
+            m._num_radios = self._num_radios
+            m._kernel = m._children = None
         return m
 
     def __reduce__(self):
@@ -420,9 +440,10 @@ def _state(m: Matching, profiles, caps: np.ndarray) -> _MatchingState:
     The kept state is reused while caps is the same array with unchanged
     bytes and profiles holds the same objects, in the same number: either
     it is the very tuple the state was built from, or each of its entries
-    is the kept one. Any other call builds a fresh state and replaces it.
-    Callers only read the state, never move it: a moved state would answer
-    for another matching."""
+    is the kept one. Any other call builds a fresh state and replaces it,
+    and with it the relay utilities kept beside it (m._kernel[4], per
+    source a dict that relay_utility fills). Callers only read the state,
+    never move it: a moved state would answer for another matching."""
     raw = caps.tobytes()
     kept = m._kernel
     if (kept is not None and kept[0] is caps and kept[1] == raw
@@ -432,7 +453,7 @@ def _state(m: Matching, profiles, caps: np.ndarray) -> _MatchingState:
         return kept[3]
     profiles = tuple(profiles)
     state = _MatchingState(m.strategies, caps.tolist(), profiles, m.num_radios)
-    m._kernel = (caps, raw, profiles, state)
+    m._kernel = (caps, raw, profiles, state, [None] * len(state.strategies))
     return state
 
 
@@ -450,10 +471,23 @@ def relay_utility(m: Matching, source: int, radios: Iterable[int],
     sharing a radio of the candidate, the satisfaction change versus the
     deviator dropping out entirely. Unilateral differences of this value
     equal the corresponding differences of global satisfaction.
+
+    Each utility computed is kept beside m's kept kernel state, one per
+    source and canonical strategy, and asking again returns it; it is
+    dropped with that state whenever _state builds a new one.
     """
     if not 0 <= source < m.num_sources:
         raise ConfigurationError(f"unknown source id {source}")
-    return _state(m, profiles, caps).utility(source, _canonical(radios, m.num_radios))
+    state = _state(m, profiles, caps)
+    radios = _canonical(radios, m.num_radios)
+    utilities = m._kernel[4]
+    # indexed by source first, as in Matching.with_strategy
+    kept = utilities[source] or {}
+    u = kept.get(radios)
+    if u is None:
+        u = kept[radios] = state.utility(source, radios)
+        utilities[source] = kept
+    return u
 
 
 def is_feasible(m: Matching, topology) -> bool:

@@ -357,6 +357,8 @@ def build_capacity_table(topology: Topology, gains: LinkGainTable | None = None)
     and relay."""
     gains = gains or build_gain_table(topology)
     caps = np.empty((topology.num_sources, topology.num_radios))
+    if not topology.sources:        # no link to compute, check or name
+        return caps
     owner = topology.radio_owner
     with np.errstate(over="ignore", invalid="ignore"):     # refused below, by name
         for l, radio in enumerate(topology.radios):

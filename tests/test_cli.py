@@ -6,6 +6,7 @@ import math
 import re
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -600,8 +601,17 @@ class TestVerify:
 
     def test_audit_keeps_one_kernel_state(self, tmp_path, capsys, monkeypatch):
         # one state kept on the matching for is_stable and the audit's dU
-        # and base lambda, and one full rebuild per sample for dLambda
+        # and base lambda, and one full rebuild per distinct deviated
+        # matching for dLambda: a repeated draw returns the kept child
         topo_path = make_topology_file(tmp_path)
+        topology, _ = rm.load_topology(topo_path)
+        rng = np.random.default_rng(0)      # verify's default --seed
+        deviations = set()
+        for _ in range(25):
+            n = int(rng.integers(topology.num_sources))
+            space = cli.enumerate_strategies(topology.num_radios, topology.quotas[n])
+            deviations.add((n, space[int(rng.integers(len(space)))]))
+        assert len(deviations) < 25
         matching_path = tmp_path / "matching.json"
         assert main(["run", "--topology", str(topo_path), "--seed", "2",
                      "--out", str(matching_path)]) == 0
@@ -617,7 +627,30 @@ class TestVerify:
                      str(matching_path), "--samples", "25",
                      "--allow-unstable"]) == 0
         assert "over 25 samples" in capsys.readouterr().out
-        assert len(built) == 25 + 1
+        assert len(built) == 1 + len(deviations)
+
+    def test_audit_builds_each_strategy_space_once(self, tmp_path, capsys, monkeypatch):
+        topo_path = make_topology_file(tmp_path)
+        topology, _ = rm.load_topology(topo_path)
+        assert len(set(topology.quotas)) == 2
+        matching_path = tmp_path / "matching.json"
+        assert main(["run", "--topology", str(topo_path), "--seed", "2",
+                     "--out", str(matching_path)]) == 0
+        capsys.readouterr()
+        quotas = []
+        enumerate_strategies = cli.enumerate_strategies
+
+        def spy(num_radios, quota):
+            quotas.append(quota)
+            return enumerate_strategies(num_radios, quota)
+
+        monkeypatch.setattr(cli, "enumerate_strategies", spy)
+        assert main(["verify", "--topology", str(topo_path), "--matching",
+                     str(matching_path), "--samples", "25"]) == 0
+        assert sorted(quotas) == sorted(set(topology.quotas))
+        # the draws, and so the printed deviation, are pinned
+        assert capsys.readouterr().out == (
+            "stable\npotential-identity max deviation over 25 samples: 3.331e-16\n")
 
     @pytest.mark.parametrize("doc", [{"a": [1]}, [[0]], {"0": "x", "1": [0]},
                                      {"-1": [0]}, {"0": [0], "00": [1], "2": []},

@@ -495,3 +495,97 @@ class TestKeptKernel:
                       copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
             assert other == m and other._kernel is None
         assert pickle.dumps(m) == unevaluated
+
+
+class TestKeptAnswers:
+    """The deviated matchings and relay utilities a matching keeps once
+    asked for them."""
+
+    def test_one_child_per_source_and_strategy(self):
+        m = rm.Matching([(0,), (1,), ()], num_radios=4)
+        child = m.with_strategy(1, (2, 1))
+        assert m.with_strategy(1, [1, 2]) is child
+        assert m.with_strategy(1, (np.int64(1), 2)) is child
+        others = {(2, (1, 2)): m.with_strategy(2, (1, 2)),
+                  (1, (1, 3)): m.with_strategy(1, (1, 3)),
+                  (1, ()): m.with_strategy(1, ())}
+        assert len({id(c) for c in (child, *others.values())}) == 4
+        for (n, radios), c in {(1, (1, 2)): child, **others}.items():
+            strategies = [*m.strategies[:n], radios, *m.strategies[n + 1:]]
+            fresh = rm.Matching(strategies, 4)
+            assert c == fresh and hash(c) == hash(fresh)
+        assert m.strategies == ((0,), (1,), ())
+
+    def test_kept_answers_equal_fresh_ones(self):
+        topo, profiles, caps, m, space, _ = _random_matching(13, 5, 3, 2)
+        questions = [(n, cand) for n, s in enumerate(space) for cand in s]
+
+        def fresh_answers(profiles):
+            state = _MatchingState(m.strategies, caps.tolist(), profiles, topo.num_radios)
+            return [(rm.global_satisfaction(rm.Matching(
+                        [*m.strategies[:n], cand, *m.strategies[n + 1:]], topo.num_radios),
+                        profiles, caps).hex(), state.utility(n, cand).hex())
+                    for n, cand in questions]
+
+        def kept_answers(profiles):
+            return [(rm.global_satisfaction(m.with_strategy(n, cand), profiles, caps).hex(),
+                     rm.relay_utility(m, n, cand, profiles, caps).hex())
+                    for n, cand in questions]
+
+        first = kept_answers(profiles)
+        children = [m.with_strategy(n, cand) for n, cand in questions]
+        assert kept_answers(profiles) == first == fresh_answers(profiles)
+        assert all(m.with_strategy(n, cand) is c for (n, cand), c in zip(questions, children))
+        # the kept utilities are dropped with the kernel state they lean on
+        caps *= 1.5
+        assert kept_answers(profiles) == fresh_answers(profiles) != first
+        other = tuple(dataclasses.replace(p, required_rate_bps=2 * p.required_rate_bps)
+                      for p in profiles)
+        assert kept_answers(other) == fresh_answers(other)
+        assert kept_answers(profiles) == fresh_answers(profiles)
+
+    def test_refusals_unchanged_and_keep_nothing(self):
+        m = rm.Matching([(0,), (1,), ()], num_radios=4)
+        profiles = (rm.SatisfactionProfile(10e6),) * 3
+        caps = np.full((3, 4), 20e6)
+        child = m.with_strategy(2, (1,))
+        u = rm.relay_utility(m, 2, (1,), profiles, caps)
+        refusals = [(3, (1,), "unknown source id 3"), (-1, (1,), "unknown source id -1"),
+                    (2, (True,), "a strategy is a collection of integer radio ids, "
+                                 "not (True,)"),
+                    (2, (1.0,), "a strategy is a collection of integer radio ids, "
+                                "not (1.0,)"),
+                    (2, (4,), "radio id 4 out of range for 4 radios")]
+        for source, radios, message in refusals:
+            with pytest.raises(ConfigurationError) as err:
+                m.with_strategy(source, radios)
+            assert str(err.value) == message
+            with pytest.raises(ConfigurationError) as err:
+                rm.relay_utility(m, source, radios, profiles, caps)
+            assert str(err.value) == message
+        # a source that is no index does not hit the entries kept for 2
+        with pytest.raises(TypeError, match="list indices must be integers"):
+            m.with_strategy(2.0, (1,))
+        with pytest.raises(TypeError, match="list indices must be integers"):
+            rm.relay_utility(m, 2.0, (1,), profiles, caps)
+        assert [list(c) for c in m._children] == [[], [], [(1,)]]
+        assert [k and list(k) for k in m._kernel[4]] == [None, None, [(1,)]]
+        assert m.with_strategy(2, (1,)) is child
+        assert rm.relay_utility(m, 2, (1,), profiles, caps) == u
+        fresh = _MatchingState(m.strategies, caps.tolist(), profiles, 4)
+        assert (rm.relay_utility(m, 0, (0, 3), profiles, caps).hex()
+                == fresh.utility(0, (0, 3)).hex())
+        assert m.with_strategy(0, (0, 3)) == rm.Matching([(0, 3), (1,), ()], 4)
+
+    def test_pickles_carry_no_kept_answer(self):
+        topo, profiles, caps, m, space, _ = _random_matching(9, 4, 3, 2)
+        unevaluated = pickle.dumps(m)
+        cand = space[0][-1]
+        child = m.with_strategy(0, cand)
+        rm.relay_utility(m, 0, cand, profiles, caps)
+        rm.global_satisfaction(child, profiles, caps)
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and back._children is None and back._kernel is None
+        assert pickle.dumps(m) == unevaluated
+        assert back.with_strategy(0, cand) == child
+        assert back.with_strategy(0, cand) is not child

@@ -310,6 +310,16 @@ class TestCapacityCheckpoint:
             rm.build_capacity_table(*two_by_two(**topology_args))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("relay_power", [30.0, 1e300], ids=["finite", "overflowing"])
+    def test_no_sources_no_links(self, relay_power):
+        # with no source there is no link to compute, check or name, even
+        # when a radio's own terms would fail
+        topology, gains = two_by_two(relay_power=relay_power)
+        topology = dataclasses.replace(topology, sources=())
+        gains = rm.LinkGainTable(np.empty((0, 2)), gains.relay_to_destination)
+        caps = rm.build_capacity_table(topology, gains)
+        assert caps.shape == (0, 2)
+
 
 class TestSerialization:
     def test_round_trip_preserves_capacities(self, tmp_path):

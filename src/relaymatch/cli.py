@@ -139,23 +139,26 @@ def _cmd_verify(args) -> int:
         n, better = result.witness
         print(f"unstable: source {n} improves by switching to radios {list(better)}")
 
-    # potential-identity audit on sampled unilateral deviations: dU and the
-    # base lambda from the kernel state kept on the matching, dLambda from
-    # one full rebuild per distinct deviated matching
-    rng = np.random.default_rng(args.seed)
+    # potential-identity audit on every unilateral deviation, the space
+    # is_stable has just scanned: dU and the base lambda from the state kept
+    # on the matching, dLambda from a full rebuild of each deviated matching,
+    # built directly: with_strategy would keep every one on the matching
     spaces = {q: enumerate_strategies(topology.num_radios, q) for q in set(topology.quotas)}
-    worst = 0.0
+    strategies = list(matching.strategies)
     base = global_satisfaction(matching, profiles, caps)
-    for _ in range(args.samples):
-        n = int(rng.integers(topology.num_sources))
-        space = spaces[topology.quotas[n]]
-        cand = space[int(rng.integers(len(space)))]
-        du = (relay_utility(matching, n, cand, profiles, caps)
-              - relay_utility(matching, n, matching.radios_of(n), profiles, caps))
-        dlam = global_satisfaction(matching.with_strategy(n, cand),
-                                   profiles, caps) - base
-        worst = max(worst, abs(du - dlam))
-    print(f"potential-identity max deviation over {args.samples} samples: {worst:.3e}")
+    worst, count = 0.0, 0
+    for n, current in enumerate(matching.strategies):
+        u = relay_utility(matching, n, current, profiles, caps)
+        for cand in spaces[topology.quotas[n]]:
+            if cand != current:
+                strategies[n] = cand
+                du = relay_utility(matching, n, cand, profiles, caps) - u
+                deviated = Matching(strategies, topology.num_radios)
+                dlam = global_satisfaction(deviated, profiles, caps) - base
+                worst = max(worst, abs(du - dlam))
+                count += 1
+        strategies[n] = current
+    print(f"potential-identity max deviation over {count} deviations: {worst:.3e}")
     return 0 if result.stable or args.allow_unstable else 2
 
 
@@ -210,8 +213,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="stability and potential-identity audit")
     p.add_argument("--topology", type=Path, required=True)
     p.add_argument("--matching", type=Path, required=True)
-    p.add_argument("--samples", type=_non_negative("sample count"), default=200)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--allow-unstable", action="store_true",
                    help="exit 0 even when a blocking deviation exists")
     p.set_defaults(func=_cmd_verify)

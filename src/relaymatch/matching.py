@@ -80,6 +80,19 @@ def _radio_id(l) -> int:
     return operator.index(l)
 
 
+def _source_id(source, num_sources: int) -> int:
+    """A source id in [0, num_sources), refused as a radio id is. Per audited
+    deviation, with_strategy and relay_utility call it only for an id that
+    is not an int in range, so a valid id costs that path no call."""
+    try:
+        n = _radio_id(source)
+    except TypeError:
+        raise ConfigurationError(f"a source id is an integer, not {source!r}") from None
+    if not 0 <= n < num_sources:
+        raise ConfigurationError(f"unknown source id {source}")
+    return n
+
+
 def _canonical(radios: Iterable[int], num_radios: int) -> tuple:
     """A strategy as a sorted tuple of distinct radio ids in [0, num_radios).
     Radio ids are integers, Python's or numpy's, but not bools; anything
@@ -143,14 +156,12 @@ class Matching:
         parent, so `m = m.with_strategy(...)` frees each old m; a matching
         the caller holds keeps one child per distinct deviation asked of it,
         until it is freed."""
-        if not 0 <= source < len(self._strategies):
-            raise ConfigurationError(f"unknown source id {source}")
+        if source.__class__ is not int or not 0 <= source < len(self._strategies):
+            source = _source_id(source, len(self._strategies))
         radios = _canonical(radios, self._num_radios)
         kept = self._children
         if kept is None:
             kept = self._children = [{} for _ in self._strategies]
-        # indexed by source first, so a source that is no index (1.0) raises
-        # TypeError and never hits the entry kept for 1
         children = kept[source]
         m = children.get(radios)
         if m is None:
@@ -199,8 +210,7 @@ class Matching:
 
 def sv_rate(m: Matching, source: int, caps: np.ndarray) -> float:
     """Achieved rate of one source: sum of its equal time shares (bit/s)."""
-    if not 0 <= source < m.num_sources:
-        raise ConfigurationError(f"unknown source id {source}")
+    source = _source_id(source, m.num_sources)
     return float(_rate(caps[source], m.radios_of(source), m.loads()))
 
 
@@ -476,12 +486,11 @@ def relay_utility(m: Matching, source: int, radios: Iterable[int],
     source and canonical strategy, and asking again returns it; it is
     dropped with that state whenever _state builds a new one.
     """
-    if not 0 <= source < m.num_sources:
-        raise ConfigurationError(f"unknown source id {source}")
+    if source.__class__ is not int or not 0 <= source < len(m._strategies):
+        source = _source_id(source, len(m._strategies))
     state = _state(m, profiles, caps)
     radios = _canonical(radios, m.num_radios)
     utilities = m._kernel[4]
-    # indexed by source first, as in Matching.with_strategy
     kept = utilities[source] or {}
     u = kept.get(radios)
     if u is None:

@@ -1,6 +1,6 @@
 """Tests for bench/trajectory.py's rounds, trees, run record and two-tree
-verdict, smoke runs of bench/ab_inproc.py and bench/work.py, and every
-bench script's parser; no perfbench runs."""
+verdict, smoke runs of bench/work.py, and every bench script's parser; no
+perfbench runs."""
 
 import importlib
 import json
@@ -184,7 +184,7 @@ def test_session_without_out_exits_before_any_run(trajectory, sides, monkeypatch
     assert (BENCH.parent / "TRAJECTORY.json").read_bytes() == committed
 
 
-@pytest.mark.parametrize("script", ["trajectory.py", "ab_inproc.py", "work.py"])
+@pytest.mark.parametrize("script", ["trajectory.py", "work.py"])
 def test_bench_script_parses_help(script):
     proc = subprocess.run([sys.executable, str(BENCH / script), "--help"],
                           capture_output=True, text=True, timeout=60, check=False)
@@ -361,41 +361,6 @@ def test_trajectory_interleaves_worktrees_and_always_removes_them(trajectory,
     assert worktrees() == 1 and not any(scratch.iterdir())
 
 
-@pytest.mark.parametrize("solver,n", [("exhaustive", 3), ("best_response", 4)])
-def test_inproc_ab_same_tree_on_both_sides(solver, n):
-    root = str(BENCH.parent)
-    proc = subprocess.run(
-        [sys.executable, str(BENCH / "ab_inproc.py"), root, root, "--solver", solver,
-         "--n", str(n), "--rounds", "2", "--instances", "3"],
-        capture_output=True, text=True, timeout=300, check=False)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    unit = "ms/instance" if solver == "exhaustive" else "us/activation"
-    assert [line.split(":")[0] for line in lines[1:3]] == [
-        "round 1 (base first)", "round 2 (change first)"]
-    assert unit in lines[3] and "rounds" in lines[3]
-    assert lines[4] == "equal matchings 3/3, equal trace lambda bytes 3/3"
-
-
-def test_inproc_ab_audit_units_on_both_sides():
-    root = str(BENCH.parent)
-    command = [sys.executable, str(BENCH / "ab_inproc.py"), root, root,
-               "--solver", "audit", "--rounds", "2", "--instances", "3"]
-    proc = subprocess.run(command, capture_output=True, text=True, timeout=300,
-                          check=False)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0].startswith("audit oracle_audit units, 3 instances x 2 rounds")
-    assert [line.split(":")[0] for line in lines[1:3]] == [
-        "round 1 (base first)", "round 2 (change first)"]
-    assert "ms/instance" in lines[3] and "rounds" in lines[3]
-    assert lines[4] == "equal items 3/3, all checks passed 3/3"
-    # the workload fixes the shape
-    refused = subprocess.run(command + ["--n", "4"], capture_output=True, text=True,
-                             timeout=300, check=False)
-    assert refused.returncode == 2 and "--n and --quota" in refused.stderr
-
-
 def test_work_counts_are_equal_in_two_processes(tmp_path):
     reports = []
     for hash_seed in ("0", "1"):
@@ -425,11 +390,7 @@ def test_work_counts_are_equal_in_two_processes(tmp_path):
 
 @pytest.mark.parametrize("script,argv", [
     ("work", [".", "--workload", "oracle_audit", "--units", "0", "--out", "w.json"]),
-    ("ab_inproc", [".", ".", "--solver", "pma", "--n", "4", "--rounds", "0"]),
-    ("ab_inproc", [".", ".", "--solver", "pma", "--n", "4", "--rounds", "2",
-                   "--instances", "0"]),
-    ("ab_inproc", [".", ".", "--solver", "pma", "--n", "0", "--rounds", "2"]),
-], ids=["work-units", "ab-rounds", "ab-instances", "ab-n"])
+], ids=["work-units"])
 def test_empty_runs_are_refused_before_any_setup(script, argv, monkeypatch, capsys):
     # an empty run has no mean or median: argparse refuses it before the
     # workload's set-up or the packages' loading
@@ -439,7 +400,7 @@ def test_empty_runs_are_refused_before_any_setup(script, argv, monkeypatch, caps
     def no_setup(*args):
         raise AssertionError("set-up was reached")
 
-    monkeypatch.setattr(module, "measure" if script == "work" else "load", no_setup)
+    monkeypatch.setattr(module, "measure", no_setup)
     with pytest.raises(SystemExit) as err:
         module.main(argv)
     assert err.value.code == 2

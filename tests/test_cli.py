@@ -6,7 +6,6 @@ import math
 import re
 import shutil
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -182,8 +181,7 @@ def test_flag_prefix_exits_one(tmp_path, capsys, monkeypatch, argv, unknown):
     ["gen", "--out", "t.json"],
     ["run", "--topology", "t.json"],
     ["ensemble", "--config", "fig2", "--out", "r"],
-    ["verify", "--topology", "t.json", "--matching", "m.json"],
-], ids=["gen", "run", "ensemble", "verify"])
+], ids=["gen", "run", "ensemble"])
 def test_negative_seed_exits_one(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:
@@ -193,15 +191,17 @@ def test_negative_seed_exits_one(tmp_path, capsys, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_negative_sample_count_exits_one(tmp_path, capsys, monkeypatch):
-    # --samples -5 used to run no samples and report "over -5 samples"
+@pytest.mark.parametrize("flag", [["--samples", "5"], ["--seed", "0"]],
+                         ids=["samples", "seed"])
+def test_verify_has_no_sampler_flags(tmp_path, capsys, monkeypatch, flag):
+    # verify audits every deviation, so it takes no sample count and no seed
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:
-        main(["verify", "--topology", "t.json", "--matching", "m.json",
-              "--samples", "-1"])
+        main(["verify", "--topology", "t.json", "--matching", "m.json", *flag])
     assert err.value.code == 1
-    assert "sample count must be >= 0" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert f"error: unrecognized arguments: {' '.join(flag)}\n" in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("debug", [False, True])
@@ -570,7 +570,7 @@ class TestVerify:
         assert main(["oracle", "--topology", str(topo_path),
                      "--out", str(matching_path)]) == 0
         code = main(["verify", "--topology", str(topo_path),
-                     "--matching", str(matching_path), "--samples", "50"])
+                     "--matching", str(matching_path)])
         captured = capsys.readouterr()
         assert code == 0
         assert "stable" in captured.out
@@ -599,35 +599,41 @@ class TestVerify:
         assert main(args + ["--allow-unstable"]) == 0
         assert "unstable" in capsys.readouterr().out
 
+    @staticmethod
+    def _deviations(topology):
+        return sum(count_strategies(topology.num_radios, q) - 1 for q in topology.quotas)
+
     def test_audit_keeps_one_kernel_state(self, tmp_path, capsys, monkeypatch):
         # one state kept on the matching for is_stable and the audit's dU
-        # and base lambda, and one full rebuild per distinct deviated
-        # matching for dLambda: a repeated draw returns the kept child
+        # and base lambda, one full rebuild per deviated matching for
+        # dLambda, and no deviated matching kept on the audited one
         topo_path = make_topology_file(tmp_path)
         topology, _ = rm.load_topology(topo_path)
-        rng = np.random.default_rng(0)      # verify's default --seed
-        deviations = set()
-        for _ in range(25):
-            n = int(rng.integers(topology.num_sources))
-            space = cli.enumerate_strategies(topology.num_radios, topology.quotas[n])
-            deviations.add((n, space[int(rng.integers(len(space)))]))
-        assert len(deviations) < 25
+        deviations = self._deviations(topology)
         matching_path = tmp_path / "matching.json"
         assert main(["run", "--topology", str(topo_path), "--seed", "2",
                      "--out", str(matching_path)]) == 0
-        built = []
+        capsys.readouterr()
+        built, audited = [], []
         init = _MatchingState.__init__
+        is_stable = cli.is_stable
 
         def counting_init(self, *args):
             built.append(1)
             init(self, *args)
 
+        def spy(m, *args):
+            audited.append(m)
+            return is_stable(m, *args)
+
         monkeypatch.setattr(_MatchingState, "__init__", counting_init)
+        monkeypatch.setattr(cli, "is_stable", spy)
         assert main(["verify", "--topology", str(topo_path), "--matching",
-                     str(matching_path), "--samples", "25",
-                     "--allow-unstable"]) == 0
-        assert "over 25 samples" in capsys.readouterr().out
-        assert len(built) == 1 + len(deviations)
+                     str(matching_path), "--allow-unstable"]) == 0
+        assert f"over {deviations} deviations: " in capsys.readouterr().out
+        assert len(built) == 1 + deviations
+        (m,) = audited
+        assert m._children is None
 
     def test_audit_builds_each_strategy_space_once(self, tmp_path, capsys, monkeypatch):
         topo_path = make_topology_file(tmp_path)
@@ -646,11 +652,38 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "enumerate_strategies", spy)
         assert main(["verify", "--topology", str(topo_path), "--matching",
-                     str(matching_path), "--samples", "25"]) == 0
+                     str(matching_path)]) == 0
         assert sorted(quotas) == sorted(set(topology.quotas))
-        # the draws, and so the printed deviation, are pinned
+        # every deviation: 3 + 2 + 3 strategies other than each source's own
+        assert self._deviations(topology) == 8
         assert capsys.readouterr().out == (
-            "stable\npotential-identity max deviation over 25 samples: 3.331e-16\n")
+            "stable\npotential-identity max deviation over 8 deviations: 3.331e-16\n")
+
+    def test_a_wrong_utility_on_one_deviation_is_found(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # a sampler could miss the one deviation whose utility is off
+        topo_path = make_topology_file(tmp_path)
+        topology, _ = rm.load_topology(topo_path)
+        matching_path = tmp_path / "matching.json"
+        assert main(["run", "--topology", str(topo_path), "--seed", "2",
+                     "--out", str(matching_path)]) == 0
+        capsys.readouterr()
+        held = json.loads(matching_path.read_text())
+        n = topology.num_sources - 1
+        target = [s for s in cli.enumerate_strategies(topology.num_radios,
+                                                      topology.quotas[n])
+                  if list(s) != held[str(n)]][-1]
+        relay_utility = cli.relay_utility
+
+        def faulty(m, source, radios, *args):
+            u = relay_utility(m, source, radios, *args)
+            return u + 1e-6 if (source, tuple(radios)) == (n, target) else u
+
+        monkeypatch.setattr(cli, "relay_utility", faulty)
+        assert main(["verify", "--topology", str(topo_path), "--matching",
+                     str(matching_path), "--allow-unstable"]) == 0
+        printed = capsys.readouterr().out.splitlines()[-1]
+        assert float(printed.rsplit(": ", 1)[1]) >= 1e-6
 
     @pytest.mark.parametrize("doc", [{"a": [1]}, [[0]], {"0": "x", "1": [0]},
                                      {"-1": [0]}, {"0": [0], "00": [1], "2": []},
@@ -786,8 +819,7 @@ class TestFiniteOrRefused:
         topo.write_text(json.dumps(doc))
         key = [part for part in path if isinstance(part, str)][-1]
         for argv in (["run"], ["oracle"],
-                     ["verify", "--matching", str(matching), "--allow-unstable",
-                      "--samples", "20"]):
+                     ["verify", "--matching", str(matching), "--allow-unstable"]):
             code = main([*argv, "--topology", str(topo)])
             captured = capsys.readouterr()
             if code == 1:
@@ -830,7 +862,7 @@ class TestFiniteOrRefused:
             make_topology_file(tmp_path, name="topo.json")
         matching.write_text(json.dumps({**MATCHING, source: [value]}))
         code = main(["verify", "--topology", str(topo), "--matching", str(matching),
-                     "--allow-unstable", "--samples", "20"])
+                     "--allow-unstable"])
         captured = capsys.readouterr()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["matching.json", "topo.json"]
         if code == 1:

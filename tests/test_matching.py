@@ -550,7 +550,10 @@ class TestKeptAnswers:
         caps = np.full((3, 4), 20e6)
         child = m.with_strategy(2, (1,))
         u = rm.relay_utility(m, 2, (1,), profiles, caps)
-        refusals = [(3, (1,), "unknown source id 3"), (-1, (1,), "unknown source id -1"),
+        bad_sources = [(3, "unknown source id 3"), (-1, "unknown source id -1"),
+                       (True, "a source id is an integer, not True"),
+                       (2.0, "a source id is an integer, not 2.0")]
+        refusals = [*((source, (1,), message) for source, message in bad_sources),
                     (2, (True,), "a strategy is a collection of integer radio ids, "
                                  "not (True,)"),
                     (2, (1.0,), "a strategy is a collection of integer radio ids, "
@@ -563,12 +566,16 @@ class TestKeptAnswers:
             with pytest.raises(ConfigurationError) as err:
                 rm.relay_utility(m, source, radios, profiles, caps)
             assert str(err.value) == message
-        # a source that is no index does not hit the entries kept for 2
-        with pytest.raises(TypeError, match="list indices must be integers"):
-            m.with_strategy(2.0, (1,))
-        with pytest.raises(TypeError, match="list indices must be integers"):
-            rm.relay_utility(m, 2.0, (1,), profiles, caps)
+        for source, message in bad_sources:
+            with pytest.raises(ConfigurationError) as err:
+                rm.sv_rate(m, source, caps)
+            assert str(err.value) == message
+        # True is not taken for source 1, nor 2.0 for source 2; a numpy id is
+        # an index like Python's
         assert [list(c) for c in m._children] == [[], [], [(1,)]]
+        assert m.with_strategy(np.int64(2), (1,)) is child
+        assert rm.relay_utility(m, np.int64(2), (1,), profiles, caps) == u
+        assert rm.sv_rate(m, np.int64(1), caps) == rm.sv_rate(m, 1, caps)
         assert [k and list(k) for k in m._kernel[4]] == [None, None, [(1,)]]
         assert m.with_strategy(2, (1,)) is child
         assert rm.relay_utility(m, 2, (1,), profiles, caps) == u

@@ -14,12 +14,16 @@ workload's clock, so its checks are left out) it counts:
 - `c_calls`: calls those frames make into C functions (sys.setprofile
   `c_call` events), the cost instructions miss;
 - `exp_calls`: the calls of math.exp among them;
+- `callees`: those C calls per callee, by name, most first; they sum to
+  `c_calls`, and the numpy calls a change saves show here even where the
+  instructions barely move;
 - `top`: the ten code objects with the most instructions.
 
 The counts depend on no clock, so two processes give equal counts on one
 CPython version, which WORK.json records with the counts per unit and
 their means per unit per tree. The mean's `top` is per unit as well: each
-code object's instructions over all K units, divided by K. sweep_n8_n20
+code object's instructions over all K units, divided by K, and so are the
+mean's `callees`, cut to the ten most called. sweep_n8_n20
 runs with one worker, so the work of its pool is counted too. Tracing
 makes a unit of paired_n13 take about four seconds, and one of
 sweep_n8_n20 (48 replications) two and a half minutes. The script
@@ -83,8 +87,7 @@ class Meter:
         self.prefix = str(package) + os.sep
         self.perf_counter = clock
         self.on = False
-        self.instructions = Counter()
-        self.c_calls = self.exp_calls = 0
+        self.instructions, self.callees = Counter(), Counter()
 
     def clock(self):
         self.on = not self.on
@@ -105,13 +108,21 @@ class Meter:
 
     def profile(self, frame, event, arg):
         if event == "c_call" and frame.f_code.co_filename.startswith(self.prefix):
-            self.c_calls += 1
-            self.exp_calls += arg is math.exp
+            self.callees[callee(arg)] += 1
 
     def counts(self) -> dict:
         return {"instructions": sum(self.instructions.values()),
-                "c_calls": self.c_calls, "exp_calls": self.exp_calls,
+                "c_calls": sum(self.callees.values()),
+                "exp_calls": self.callees[callee(math.exp)],
+                "callees": dict(self.callees.most_common()),
                 "top": top(self.instructions)}
+
+
+def callee(fn) -> str:
+    """A C function's name: its module and qualified name, or for a method
+    its type's qualified name (ndarray.take, list.append)."""
+    module = getattr(fn, "__module__", None)
+    return f"{module}.{fn.__qualname__}" if module else fn.__qualname__
 
 
 def top(instructions: Counter) -> list:
@@ -130,7 +141,7 @@ def measure(workloads, directory: Path, workload: str, units: int) -> dict:
         raise RuntimeError(f"relaymatch imported from {package}, not {directory}")
     job = workloads.WORKLOADS[workload](SEED, smoke=False)
     job.workers = 1     # read by sweep_n8_n20 only
-    out, total = [], Counter()
+    out, total, callees = [], Counter(), Counter()
     with tempfile.TemporaryDirectory(prefix="work-") as workdir:
         job.setup(rm, workdir)
         if hasattr(job, "instrument"):
@@ -149,8 +160,10 @@ def measure(workloads, directory: Path, workload: str, units: int) -> dict:
                                    f"timed region open: {outcome.failures[:3]}")
             out.append(meter.counts())
             total.update(meter.instructions)
+            callees.update(meter.callees)
     mean = {key: sum(unit[key] for unit in out) / units
             for key in ("instructions", "c_calls", "exp_calls")}
+    mean["callees"] = [[name, n / units] for name, n in callees.most_common(TOP)]
     mean["top"] = [[name, n / units, share] for name, n, share in top(total)]
     return {"units": out, "mean": mean}
 
@@ -184,6 +197,9 @@ def main(argv=None) -> int:
                   f"{mean['exp_calls'] / 1e3:.2f} k exp calls per unit")
             for name, n, share in mean["top"]:
                 print(f"    {100 * share:5.1f} %  {name}")
+            print("  C calls per unit:")
+            for name, n in mean["callees"]:
+                print(f"    {n:9.1f}  {name}")
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(args.out)
     return 0

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ConfigurationError, EnumerationLimitError, from_fields
 from .experiments import ExperimentConfig, run_ensemble, run_sweep
-from .matching import (Matching, default_profiles, enumerate_strategies,
-                       global_satisfaction, is_feasible, is_stable, relay_utility)
+from .matching import (Matching, _state, default_profiles, enumerate_strategies,
+                       global_satisfaction, is_feasible, is_stable)
 from .radio import (PATH_LOSS_PRESETS, TopologyParams, build_capacity_table,
                     build_gain_table, generate_topology, load_topology,
                     save_topology)
@@ -40,17 +40,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _non_negative(name):
-    """argparse type for an int >= 0; the error names the value as name."""
-    def non_negative_int(text) -> int:
+def _at_least(least, name):
+    """argparse type for an int >= least; the error names the value as name."""
+    def integer(text) -> int:
         value = int(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 0, not {value}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {least}, not {value}")
         return value
-    return non_negative_int
+    return integer
 
 
-_seed = _non_negative("seed")
+_seed = _at_least(0, "seed")
 
 
 def _load_instance(path):
@@ -117,6 +117,8 @@ def _cmd_ensemble(args) -> int:
         if not kept:
             raise ConfigurationError(f"config has no solver of kind {args.solver!r}")
         config.solvers = kept
+    if args.workers is not None:
+        config.workers = args.workers
     if config.sweep_num_sources is not None:
         run_sweep(config, out_dir=args.out)
     else:
@@ -140,21 +142,21 @@ def _cmd_verify(args) -> int:
         print(f"unstable: source {n} improves by switching to radios {list(better)}")
 
     # potential-identity audit on every unilateral deviation, the space
-    # is_stable has just scanned: dU and the base lambda from the state kept
-    # on the matching, dLambda from a full rebuild of each deviated matching,
-    # built directly: with_strategy would keep every one on the matching
+    # is_stable has just scanned: dU and the base lambda from the state it
+    # kept on the matching, no utility kept; dLambda from a full rebuild of
+    # each deviated matching, built directly: with_strategy would keep each
     spaces = {q: enumerate_strategies(topology.num_radios, q) for q in set(topology.quotas)}
     strategies = list(matching.strategies)
-    base = global_satisfaction(matching, profiles, caps)
+    state = _state(matching, profiles, caps)
     worst, count = 0.0, 0
     for n, current in enumerate(matching.strategies):
-        u = relay_utility(matching, n, current, profiles, caps)
+        u = state.utility(n, current)
         for cand in spaces[topology.quotas[n]]:
             if cand != current:
                 strategies[n] = cand
-                du = relay_utility(matching, n, cand, profiles, caps) - u
+                du = state.utility(n, cand) - u
                 deviated = Matching(strategies, topology.num_radios)
-                dlam = global_satisfaction(deviated, profiles, caps) - base
+                dlam = global_satisfaction(deviated, profiles, caps) - state.lam
                 worst = max(worst, abs(du - dlam))
                 count += 1
         strategies[n] = current
@@ -206,6 +208,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=None, help="override master seed")
     p.add_argument("--solver", choices=SOLVER_KINDS, default=None,
                    help="restrict to one solver from the config")
+    p.add_argument("--workers", type=_at_least(1, "workers"), default=None,
+                   help="override the config's worker processes; results do not change")
     p.add_argument("--out", type=Path, required=True,
                    help="results directory")
     p.set_defaults(func=_cmd_ensemble)
@@ -220,7 +224,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exhaustive search for the global optimum")
     p.add_argument("--topology", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--cap", type=_non_negative("cap"), default=ENUMERATION_CAP)
+    p.add_argument("--cap", type=_at_least(0, "cap"), default=ENUMERATION_CAP)
     p.set_defaults(func=_cmd_oracle)
     return parser
 

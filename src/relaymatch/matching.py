@@ -96,7 +96,16 @@ def _source_id(source, num_sources: int) -> int:
 def _canonical(radios: Iterable[int], num_radios: int) -> tuple:
     """A strategy as a sorted tuple of distinct radio ids in [0, num_radios).
     Radio ids are integers, Python's or numpy's, but not bools; anything
-    else is refused rather than truncated."""
+    else is refused rather than truncated. A tuple of Python ints that is
+    already one comes back as it is."""
+    if radios.__class__ is tuple:
+        last = -1
+        for l in radios:
+            if l.__class__ is not int or not last < l < num_radios:
+                break
+            last = l
+        else:
+            return radios
     try:
         s = tuple(sorted(set(map(_radio_id, radios))))
     except TypeError:

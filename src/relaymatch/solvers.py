@@ -15,6 +15,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -450,42 +451,77 @@ def run_substitutable(topology, profiles, caps, config: SolverConfig, rng=None):
             trace.close(iteration if iteration and not truncated else None))
 
 
+@lru_cache(maxsize=64)
+def _oracle_layout(n_radio: int, n_src: int, quota: int) -> tuple:
+    """What exhaustive_search's tables for a source of this quota take from
+    the shape alone, in read-only arrays: the space (a tuple); strides and
+    starts, so set s with loads (a_0, .., a_k-1) sits at start[s] +
+    sum((a_j - 1) * N**(k-1-j)), a_j - 1 being the other sources on radio
+    s_j; per rate term j and entry, the radio read (n_radio, of capacity
+    0.0, past the set's end) and its load; per set size, the table's
+    slice, the grid shape and the index that reverses the load axes."""
+    space = tuple(enumerate_strategies(n_radio, quota))
+    cells = n_src ** np.array([len(s) for s in space])
+    start = np.cumsum(cells) - cells
+    radios = np.array([s + (n_radio,) * (quota - len(s)) for s in space])
+    place = np.maximum(cells[:, None] // n_src ** np.arange(1, quota + 1), 1)
+    stride = np.zeros((n_radio + 1, len(space)), dtype=np.intp)
+    stride[radios, np.arange(len(space))[:, None]] = place
+    owner = np.repeat(np.arange(len(space)), cells)
+    loads = (np.arange(cells.sum()) - start[owner]) // place[owner].T % n_src + 1.0
+    shapes = [(math.comb(n_radio, k),) + (n_src,) * k
+              for k in range(1, min(quota, n_radio) + 1)]
+    ends = list(itertools.accumulate(map(math.prod, shapes), initial=1))
+    blocks = tuple((slice(lo, hi), shape, (slice(None),) + (np.s_[::-1],) * (len(shape) - 1))
+                   for lo, hi, shape in zip(ends, ends[1:], shapes))
+    layout = space, stride[:-1], start, radios.T[:, owner], loads, blocks
+    for a in layout[1:5]:
+        a.flags.writeable = False
+    return layout
+
+
+@lru_cache(maxsize=256)
+def _pair_codes(n_radio: int, n_src: int, quota: int, other: int) -> np.ndarray:
+    """exhaustive_search's pair codes P_nk = stride_n . inc_k, inc = stride > 0,
+    for sources of these quotas, read-only."""
+    stride, inc = (_oracle_layout(n_radio, n_src, q)[1] for q in (quota, other))
+    codes = stride.T @ (inc > 0)
+    codes.flags.writeable = False
+    return codes
+
+
 def exhaustive_search(topology, profiles, caps, cap: int = ENUMERATION_CAP):
     """Global optimum over the full Cartesian strategy space: every radio
     subset up to each source's quota, the empty set included.
 
-    Each source's candidate sets are enumerated in canonical (size,
-    lexicographic) order, and strategy profiles in itertools.product order
-    over the sources, the last source varying fastest. The first profile
-    attaining the maximum wins, so ties break deterministically. Raises
-    EnumerationLimitError, naming the profile count, when the space exceeds
-    the cap.
+    Sets are in canonical (size, lexicographic) order and strategy profiles
+    in itertools.product order, the last source varying fastest; the first
+    profile attaining the maximum wins, so ties break deterministically.
+    Raises EnumerationLimitError, naming the profile count, when the space
+    exceeds the cap.
 
     A source's satisfaction depends only on its own set and the loads on
-    its radios, each between 1 and the number of sources N. So every source
-    gets one table, filled one set size at a time with the arithmetic of a
-    from-scratch recompute (rates divided and added in radio order, then
-    the profile's own evaluate): set s with loads (a_0, .., a_k-1) sits at
-    start[s] + sum((a_j - 1) * N**(k-1-j)), and a_j - 1 counts the other
-    sources on radio s_j. So n's entry is start_n[s_n] + sum over k != n of
-    P_nk[s_n, s_k], with integer pair codes P_nk = stride_n . inc_k built
-    once: no load vector is formed. A suffix-max table of the same layout
-    holds the largest entry over all loads >= the given ones.
+    its radios, each from 1 to N. So each source gets a table in its
+    shape's _oracle_layout, filled with a from-scratch recompute's
+    arithmetic (rates divided and added in radio order, then the profile's
+    own evaluate), and a suffix-max table holding the largest entry over
+    all loads >= the given ones; n's entry is start_n[s_n] + sum over
+    k != n of P_nk[s_n, s_k].
 
     Blocks of at most _ORACLE_CHUNK profiles, contiguous in product order,
     fix the leading sources and broadcast the trailing ones as a C-order
-    grid (one axis, source t's, cut to fit). Other sources can only add
-    load and IEEE addition is monotone, so every source's suffix-max entry
-    at the loads that sources 0..t put on its radios (a later source's
-    largest over its sets), added in source order from 0.0, bounds lambda
-    exactly; the largest such sum over the block's slice of t bounds the
-    block. Blocks are scored in descending bound order, ties in product
-    order, until the first whose bound is strictly below the best lambda so
-    far. lambda adds the looked-up satisfactions in source order, the IEEE
-    additions of a per-profile loop, so the optimum and its lambda are
-    bit-identical to one. np.argmax takes the first maximum within a block,
-    and a block's maximum replaces the best when it is larger, or equal at
-    a smaller profile index.
+    grid (source t's axis cut to fit). Other sources only add load and IEEE
+    addition is monotone, so the suffix-max entries at the loads sources
+    0..t put on each source's radios (a later source's largest over its
+    sets), added in source order from 0.0, bound lambda exactly, and their
+    largest sum over the block's slice of t bounds the block. Blocks are
+    scored in descending bound order, ties in product order, until a bound
+    falls strictly below the best lambda; a later source's entries less the
+    terms of sources 0..t are summed over the trailing grid once. lambda
+    adds the satisfactions in source order, as a per-profile loop does, so
+    the optimum and its lambda are bit-identical to that loop's: np.argmax
+    takes a block's first maximum, which replaces the best when larger, or
+    equal at a smaller profile index.
     """
     n_src, n_radio = topology.num_sources, topology.num_radios
     counts = [count_strategies(n_radio, q) for q in topology.quotas]
@@ -494,37 +530,24 @@ def exhaustive_search(topology, profiles, caps, cap: int = ENUMERATION_CAP):
         raise EnumerationLimitError(
             f"{total} strategy profiles exceed the exhaustive-search cap of {cap}")
 
-    per_source = [enumerate_strategies(n_radio, q) for q in topology.quotas]
-    strides, starts, tables, peaks = [], [], [], []
-    for n, space in enumerate(per_source):
-        row, evaluate = caps[n], profiles[n].evaluate
-        stride = np.zeros((n_radio, len(space)), dtype=np.intp)
-        empty = np.array([evaluate(0.0)])
-        table, peak, first = [empty], [empty], 1
-        while first < len(space):
-            k = len(space[first])
-            sets = np.array(space[first:first + math.comb(n_radio, k)])
-            loads = np.indices((n_src,) * k).reshape(k, -1) + 1
-            rate = 0.0
-            for j in range(k):
-                rate = rate + row[sets[:, j], None] / loads[j]
-                stride[sets[:, j], first + np.arange(len(sets))] = n_src ** (k - 1 - j)
-            sat = np.array([evaluate(r) for r in rate.ravel().tolist()])
-            table.append(sat)
-            sat = sat.reshape((len(sets),) + (n_src,) * k)
-            for axis in range(1, k + 1):
-                sat = np.flip(np.maximum.accumulate(np.flip(sat, axis), axis), axis)
-            peak.append(sat.ravel())
-            first += len(sets)
-        strides.append(stride)
-        starts.append(np.cumsum([0] + [n_src ** len(s) for s in space[:-1]]))
-        tables.append(np.concatenate(table))
-        peaks.append(np.concatenate(peak))
-    pairs = [[s.T @ (o > 0) for o in strides] for s in strides]   # inc = stride > 0
+    layouts = [_oracle_layout(n_radio, n_src, q) for q in topology.quotas]
+    tables, peaks = [], []
+    # the pad radio's capacity is 0.0, and a rate plus 0.0 is that rate
+    for row, (_, _, _, radios, loads, blocks), profile in zip(
+            np.append(caps, np.zeros((n_src, 1)), 1), layouts, profiles):
+        rate = sum(row.take(r) / a for r, a in zip(radios, loads))
+        tables.append(np.array([profile.evaluate(r) for r in rate.tolist()]))
+        peaks.append(tables[-1].copy())
+        for cells, shape, flip in blocks:   # loads reversed: a running max is a suffix max
+            grid = peaks[-1][cells].reshape(shape)[flip]
+            for axis in range(1, len(shape)):
+                np.maximum.accumulate(grid, axis, out=grid)
+    pairs = [[_pair_codes(n_radio, n_src, q, p) for p in topology.quotas]
+             for q in topology.quotas]
+    starts = [layout[2] for layout in layouts]
 
-    def entries(n, idx, fixed):
-        return sum((pairs[n][k][idx[n], idx[k]] for k in fixed if k != n),
-                   starts[n][idx[n]])
+    def entries(n, idx, fixed, base):
+        return sum((pairs[n][k][idx[n], idx[k]] for k in fixed if k != n), base)
 
     # sources after t form a grid of `tail` profiles; t's axis is cut to fit
     t = next(t for t in range(n_src) if math.prod(counts[t + 1:]) <= _ORACLE_CHUNK)
@@ -542,7 +565,7 @@ def exhaustive_search(topology, profiles, caps, cap: int = ENUMERATION_CAP):
                + [np.arange(c) for c in counts[t + 1:]])
         bound = 0.0
         for n, peak in enumerate(peaks):
-            top = peak.take(entries(n, idx, range(t + 1)))
+            top = peak.take(entries(n, idx, range(t + 1), starts[n][idx[n]]))
             bound = bound + (top.max(-1, keepdims=True) if n > t else top)
         bounds.append(np.maximum.reduceat(bound.reshape(-1, counts[t]),
                                           range(0, counts[t], width), 1))
@@ -550,6 +573,8 @@ def exhaustive_search(topology, profiles, caps, cap: int = ENUMERATION_CAP):
 
     grid = [np.arange(c).reshape((c,) + (1,) * (n_src - 1 - k))
             for k, c in enumerate(counts)]
+    later = {n: entries(n, grid, range(t + 1, n_src), starts[n][grid[n]])
+             for n in range(t + 1, n_src)}
     best_lam, best_index = -1.0, None
     for b in np.argsort(-bounds, axis=None, kind="stable").tolist():
         if bounds.flat[b] < best_lam:
@@ -559,13 +584,16 @@ def exhaustive_search(topology, profiles, caps, cap: int = ENUMERATION_CAP):
         idx = [*np.unravel_index(lead, counts[:t]), grid[t][a:a + width], *grid[t + 1:]]
         lam = 0.0
         for n, table in enumerate(tables):
-            lam = lam + table.take(entries(n, idx, range(n_src)))
+            # integer codes, trailing sources' first: an add then spans contiguous axes
+            lam = lam + table.take(
+                entries(n, idx, range(t + 1), 0) + later[n] if n > t
+                else entries(n, idx, reversed(range(n_src)), starts[n][idx[n]]))
         j = int(np.argmax(lam))
         index = (lead * counts[t] + a) * tail + j
         if lam.flat[j] > best_lam or lam.flat[j] == best_lam and index < best_index:
             best_lam, best_index = float(lam.flat[j]), index
     picks = np.unravel_index(best_index, counts)
-    return (Matching([space[int(i)] for space, i in zip(per_source, picks)], n_radio),
+    return (Matching([layout[0][int(i)] for layout, i in zip(layouts, picks)], n_radio),
             best_lam)
 
 

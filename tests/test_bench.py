@@ -388,6 +388,26 @@ def test_work_counts_are_equal_in_two_processes(tmp_path):
     assert reports[0]["python"] == platform.python_version()
 
 
+def test_work_counts_c_calls_per_callee(tmp_path):
+    # the per-callee counts of a unit are all of its C calls, by name
+    out = tmp_path / "work.json"
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "work.py"), str(BENCH.parent),
+         "--workload", "oracle_audit", "--units", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    (tree,) = json.loads(out.read_text())["trees"]
+    (unit,) = tree["units"]
+    callees = unit["callees"]
+    assert sum(callees.values()) == unit["c_calls"]
+    assert callees["math.exp"] == unit["exp_calls"] > 0
+    assert list(callees.values()) == sorted(callees.values(), reverse=True)
+    assert tree["mean"]["callees"] == [[name, float(n)] for name, n in
+                                       list(callees.items())[:10]]
+    for name, n in tree["mean"]["callees"]:
+        assert f"{n:9.1f}  {name}" in proc.stdout
+
+
 @pytest.mark.parametrize("script,argv", [
     ("work", [".", "--workload", "oracle_audit", "--units", "0", "--out", "w.json"]),
 ], ids=["work-units"])

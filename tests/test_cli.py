@@ -423,6 +423,57 @@ class TestEnsembleCommand:
         assert code == 1
         assert not (tmp_path / "r").exists()
 
+    def test_workers_flag_changes_no_output_byte(self, tmp_path, capsys, monkeypatch):
+        # --workers overrides the config's workers, as --seed overrides its
+        # master seed, and stays out of every file the ensemble writes
+        config = rm.ExperimentConfig(
+            topology=rm.TopologyParams(num_sources=3, num_relays=2,
+                                       radios_per_relay=1, source_radios=(1, 2),
+                                       path_loss=rm.AIR_TO_AIR),
+            solvers=[rm.SolverConfig(kind="pma"), rm.SolverConfig(kind="many_to_one")],
+            replications=2, master_seed=5, metrics=("runs", "cdf", "trace"))
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(config.to_dict()))
+        pools = []
+        pool = experiments.ProcessPoolExecutor
+
+        def spy(max_workers):
+            pools.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", spy)
+        outputs = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["ensemble", "--config", str(path), "--workers", workers,
+                         "--out", str(out)]) == 0
+            outputs[workers] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert pools == [2]
+        assert outputs["1"] == outputs["2"]
+        assert sorted(outputs["1"]) == [
+            "cdf_many_to_one.csv", "cdf_pma.csv", "manifest.json",
+            "mean_trace_many_to_one.csv", "mean_trace_pma.csv", "runs.csv"]
+        manifest = json.loads(outputs["2"]["manifest.json"])
+        assert manifest["config_sha256"] == config.config_hash()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_one_before_running(self, tmp_path, capsys,
+                                                       monkeypatch, workers):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "topology": {"num_sources": 2, "num_relays": 2},
+            "solvers": [{"kind": "pma"}], "metrics": ["runs"]}))
+        ran = []
+        monkeypatch.setattr(experiments, "solve", lambda *a, **k: ran.append(a))
+        with pytest.raises(SystemExit) as err:
+            main(["ensemble", "--config", str(path), "--workers", workers,
+                  "--out", str(tmp_path / "r")])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert f"workers must be >= 1, not {workers}" in captured.err
+        assert captured.out == "" and ran == []
+        assert not (tmp_path / "r").exists()
+
     def test_unknown_config_exits_one(self, tmp_path, capsys):
         assert main(["ensemble", "--config", "no-such-preset",
                      "--out", str(tmp_path / "r")]) == 1
@@ -635,6 +686,34 @@ class TestVerify:
         (m,) = audited
         assert m._children is None
 
+    def test_audit_keeps_no_utility(self, tmp_path, capsys, monkeypatch):
+        # every dU is read from the state is_stable kept on the matching,
+        # where relay_utility would keep each one beside it
+        topo_path = make_topology_file(tmp_path)
+        topology, _ = rm.load_topology(topo_path)
+        matching_path = tmp_path / "matching.json"
+        assert main(["run", "--topology", str(topo_path), "--seed", "2",
+                     "--out", str(matching_path)]) == 0
+        capsys.readouterr()
+        audited, utilities = [], []
+        is_stable, utility = cli.is_stable, _MatchingState.utility
+
+        def spy(m, *args):
+            audited.append(m)
+            return is_stable(m, *args)
+
+        def counting(state, source, radios):
+            utilities.append(source)
+            return utility(state, source, radios)
+
+        monkeypatch.setattr(cli, "is_stable", spy)
+        monkeypatch.setattr(_MatchingState, "utility", counting)
+        assert main(["verify", "--topology", str(topo_path), "--matching",
+                     str(matching_path), "--allow-unstable"]) == 0
+        (m,) = audited
+        assert len(utilities) == self._deviations(topology) + topology.num_sources
+        assert m._kernel[4] == [None] * topology.num_sources
+
     def test_audit_builds_each_strategy_space_once(self, tmp_path, capsys, monkeypatch):
         topo_path = make_topology_file(tmp_path)
         topology, _ = rm.load_topology(topo_path)
@@ -673,13 +752,13 @@ class TestVerify:
         target = [s for s in cli.enumerate_strategies(topology.num_radios,
                                                       topology.quotas[n])
                   if list(s) != held[str(n)]][-1]
-        relay_utility = cli.relay_utility
+        utility = _MatchingState.utility
 
-        def faulty(m, source, radios, *args):
-            u = relay_utility(m, source, radios, *args)
+        def faulty(state, source, radios):
+            u = utility(state, source, radios)
             return u + 1e-6 if (source, tuple(radios)) == (n, target) else u
 
-        monkeypatch.setattr(cli, "relay_utility", faulty)
+        monkeypatch.setattr(_MatchingState, "utility", faulty)
         assert main(["verify", "--topology", str(topo_path), "--matching",
                      str(matching_path), "--allow-unstable"]) == 0
         printed = capsys.readouterr().out.splitlines()[-1]

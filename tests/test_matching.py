@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import relaymatch as rm
 from relaymatch.errors import ConfigurationError, EnumerationLimitError
-from relaymatch.matching import (SATISFACTION_TOL, _MatchingState, _state,
-                                 count_strategies, enumerate_strategies)
+from relaymatch.matching import (SATISFACTION_TOL, _canonical, _MatchingState,
+                                 _radio_id, _state, count_strategies,
+                                 enumerate_strategies)
 
 from conftest import (_reference_global_satisfaction, _reference_is_stable,
                       _reference_relay_utility, make_instance)
@@ -58,6 +59,20 @@ class TestSatisfaction:
             rm.SatisfactionProfile(**kwargs)
 
 
+def _reference_canonical(radios, num_radios):
+    """_canonical without its pass-through: every strategy is mapped, sorted
+    and deduplicated."""
+    try:
+        s = tuple(sorted(set(map(_radio_id, radios))))
+    except TypeError:
+        raise ConfigurationError(
+            f"a strategy is a collection of integer radio ids, not {radios!r}") from None
+    if s and (s[0] < 0 or s[-1] >= num_radios):
+        bad = s[0] if s[0] < 0 else s[-1]
+        raise ConfigurationError(f"radio id {bad} out of range for {num_radios} radios")
+    return s
+
+
 class TestMatchingState:
     @pytest.mark.parametrize("radios", [(1.7,), [3.99], ("1",), (0, None), 2,
                                         (True,), (0, np.True_)])
@@ -78,6 +93,28 @@ class TestMatchingState:
         m = rm.Matching([np.array([3, 1]), (np.int32(2), np.uint8(2)), (1,)], 4)
         assert m.strategies == ((1, 3), (2,), (1,))
         assert all(type(l) is int for s in m.strategies for l in s)
+
+    @pytest.mark.parametrize("make, same", [
+        (lambda: (0, 2), True), (lambda: (2, 0), False), (lambda: (0, 0, 2), False),
+        (lambda: (True, 2), False), (lambda: (np.int64(0), 2), False),
+        (lambda: (-1, 2), False), (lambda: (0, 4), False), (lambda: [0, 2], False),
+        (lambda: (l for l in (2, 0)), False)],
+        ids=["canonical", "unsorted", "duplicate", "bool", "numpy-int", "negative",
+             "out-of-range", "list", "generator"])
+    def test_canonical_agrees_with_the_full_path(self, make, same):
+        # a canonical tuple of Python ints comes back as it is; everything
+        # else gives the full path's strategy or its refusal, word for word
+        try:
+            expected = _reference_canonical(make(), 4)
+        except ConfigurationError as err:
+            with pytest.raises(ConfigurationError) as got:
+                _canonical(make(), 4)
+            assert str(got.value) == str(err)
+            return
+        radios = make()
+        s = _canonical(radios, 4)
+        assert s == expected and all(type(l) is int for l in s)
+        assert (s is radios) == same
 
     @pytest.mark.parametrize("radios, named", [((7,), "radio id 7 "), ((-2, 1), "radio id -2 ")])
     def test_out_of_range_refusal_names_id(self, radios, named):

@@ -985,6 +985,30 @@ class TestExhaustive:
             h.update(repr((m.strategies, lam.hex())).encode())
         assert h.hexdigest() == SIX_RADIO_ORACLE_DIGEST
 
+    @pytest.mark.parametrize("params", [
+        dict(num_sources=3, num_relays=3, radios_per_relay=1, source_radios=(1, 2)),
+        dict(num_sources=2, num_relays=1, radios_per_relay=1, source_radios=3),
+    ], ids=["mixed-quotas", "quota-above-radios"])
+    def test_layouts_kept_per_shape_read_only_and_chunk_free(self, params):
+        # calls on two caps of one shape, interleaved, each under another
+        # _ORACLE_CHUNK: the layouts kept from the first call serve them all
+        topo, profiles, caps = make_instance(23, **params)
+        other = caps * np.linspace(0.4, 1.6, caps.size).reshape(caps.shape)
+        for chunk, c in [(7, caps), (64, other), (1, caps), (solvers._ORACLE_CHUNK, other)]:
+            with mock.patch.object(solvers, "_ORACLE_CHUNK", chunk):
+                m, lam = rm.exhaustive_search(topo, profiles, c)
+            m_ref, lam_ref = _reference_exhaustive(topo, profiles, c)
+            assert (m, lam.hex()) == (m_ref, lam_ref.hex())
+        shape = topo.num_radios, topo.num_sources
+        layouts = [solvers._oracle_layout(*shape, q) for q in topo.quotas]
+        assert all(a is b for a, b in zip(layouts, [solvers._oracle_layout(*shape, q)
+                                                     for q in topo.quotas]))
+        for (space, *arrays, blocks), q in zip(layouts, topo.quotas):
+            assert space == tuple(enumerate_strategies(topo.num_radios, q))
+            for a in [*arrays, *(solvers._pair_codes(*shape, q, p) for p in topo.quotas)]:
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[0] = 0
+
     def test_deterministic_tie_break(self):
         profiles = (rm.SatisfactionProfile(10e6),)
         caps = np.array([[20e6, 20e6]])

@@ -16,10 +16,12 @@ per-layer metrics), T being BENCHMARK.json's `run_seconds`; the trees go
 in the order given on odd rounds and reversed on even ones. R must be
 even, so every tree's mean position is the same and a drift of machine
 speed linear in time falls on all trees alike (Kalibera and Jones,
-"Rigorous benchmarking in reasonable time", ISMM 2013). Give one tree
-twice for an A/A control. A committed BENCH_<tag>.json is a one-tree
-session: `. --workload paired_n13 --workload sweep_n8_n20 --workload
-oracle_audit --trace 0 --trace 1 --rounds 2 --out BENCH_<tag>.json`.
+"Rigorous benchmarking in reasonable time", ISMM 2013). An odd R, an R
+below 2 or a W that is not among BENCHMARK.json's workloads is refused
+before any checkout or run. Give one tree twice for an A/A control. A
+committed BENCH_<tag>.json is a one-tree session: `. --workload
+paired_n13 --workload sweep_n8_n20 --workload oracle_audit --trace 0
+--trace 1 --rounds 2 --out BENCH_<tag>.json`.
 
 A run keeps the merge of the two JSON lines perfbench prints last, its
 `record` and its result (`metrics`, `correct`, ...), plus `exit_code`,
@@ -153,8 +155,6 @@ def measure(repo: Path, trees: list, workloads: list, rounds: int, out: Path,
             seed: int, traces: list) -> dict:
     """Run the interleaved rounds over `trees`, commits of `repo` or
     directories, writing the session to `out` after every run."""
-    if rounds < 2 or rounds % 2:
-        raise ValueError(f"rounds must be even and positive, not {rounds}")
     with checkouts(repo, trees) as places:
         session = {"workloads": workloads, "rounds": rounds, "seed": seed,
                    "traces": traces, "seconds": SECONDS, "complete": False,
@@ -239,12 +239,21 @@ def verdict(session: dict, workload: str, trace: int) -> str:
         fingerprint_line(*fingerprints)])
 
 
+def even_rounds(text: str) -> int:
+    """An argparse type: an even number of rounds, at least 2."""
+    value = int(text)
+    if value < 2 or value % 2:
+        raise argparse.ArgumentTypeError(f"must be even and at least 2, not {value}")
+    return value
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("trees", nargs="+", help="commits or directories, oldest first")
     p.add_argument("--workload", required=True, action="append",
+                   choices=[w["name"] for w in BENCHMARK["workloads"]],
                    help="repeat for several workloads")
-    p.add_argument("--rounds", type=int, required=True, help="an even number")
+    p.add_argument("--rounds", type=even_rounds, required=True, help="an even number")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trace", type=int, choices=(0, 1), action="append",
                    help="repeat to run both; default 0")

@@ -1,13 +1,15 @@
 """Count the work of benchmark units exactly: instructions, C calls, exp calls.
 
-    python3 bench/work.py TREE... --workload W --units K --out WORK.json
+    python3 bench/work.py TREE... --workload W [--workload W2 ...] --units K
+        --out WORK.json
 
 A TREE is a directory, measured in place, or a commit, checked out as
-bench/trajectory.py does. For each tree in turn, its `src/relaymatch` is
-imported afresh and units 0..K-1 of workload W from this checkout's
-perfbench/workloads.py run at seed 1, so the units are the benchmark's own.
-Within each unit's timed region (between the two readings of the
-workload's clock, so its checks are left out) it counts:
+bench/trajectory.py does. For each tree in turn and each workload W given,
+the tree's `src/relaymatch` is imported afresh and units 0..K-1 of W from
+this checkout's perfbench/workloads.py run at seed 1, so the units are the
+benchmark's own and a workload's counts equal those of a run given only
+that workload. Within each unit's timed region (between the two readings
+of the workload's clock, so its checks are left out) it counts:
 
 - `instructions`: bytecode instructions executed in frames of the tree's
   relaymatch sources (sys.settrace with f_trace_opcodes);
@@ -19,11 +21,20 @@ workload's clock, so its checks are left out) it counts:
   instructions barely move;
 - `top`: the ten code objects with the most instructions.
 
+What CPython reports as a C call is a call of a builtin function or
+method: math.exp, list.append, ndarray.take, ufunc.accumulate. Other numpy
+calls are not seen. numpy's Python-level functions (np.flip, np.append,
+np.indices) run in numpy's frames, so neither their instructions nor the
+C calls they make are counted; its dispatched C functions (np.concatenate,
+np.unravel_index) and its ufunc calls (np.add, np.exp) raise no `c_call`
+event. So a change that removes such calls shows only the ndarray.* C
+calls it replaces, if any.
+
 The counts depend on no clock, so two processes give equal counts on one
-CPython version, which WORK.json records with the counts per unit and
-their means per unit per tree. The mean's `top` is per unit as well: each
-code object's instructions over all K units, divided by K, and so are the
-mean's `callees`, cut to the ten most called. sweep_n8_n20
+CPython version, which WORK.json records with, per tree and per workload,
+the counts per unit and their means per unit. The mean's `top` is per unit
+as well: each code object's instructions over all K units, divided by K,
+and so are the mean's `callees`, cut to the ten most called. sweep_n8_n20
 runs with one worker, so the work of its pool is counted too. Tracing
 makes a unit of paired_n13 take about four seconds, and one of
 sweep_n8_n20 (48 replications) two and a half minutes. The script
@@ -180,26 +191,30 @@ def main(argv=None) -> int:
     workloads = load_workloads()
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("trees", nargs="+", help="commits or directories")
-    p.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    p.add_argument("--workload", required=True, action="append",
+                   choices=sorted(workloads.WORKLOADS), help="repeat for several workloads")
     p.add_argument("--units", type=positive, required=True)
     p.add_argument("--out", type=Path, required=True, help="WORK.json to write")
     args = p.parse_args(argv)
-    report = {"python": platform.python_version(), "workload": args.workload,
+    names = list(dict.fromkeys(args.workload))
+    report = {"python": platform.python_version(), "workloads": names,
               "units": args.units, "seed": SEED, "trees": []}
     with checkouts(ROOT, args.trees) as places:
         for tree, (directory, commit) in zip(args.trees, places):
-            entry = {"tree": tree, "commit": commit,
-                     **measure(workloads, directory, args.workload, args.units)}
+            entry = {"tree": tree, "commit": commit, "workloads": {}}
             report["trees"].append(entry)
-            mean = entry["mean"]
-            print(f"{tree}: {mean['instructions'] / 1e6:.3f} M instructions, "
-                  f"{mean['c_calls'] / 1e3:.1f} k C calls, "
-                  f"{mean['exp_calls'] / 1e3:.2f} k exp calls per unit")
-            for name, n, share in mean["top"]:
-                print(f"    {100 * share:5.1f} %  {name}")
-            print("  C calls per unit:")
-            for name, n in mean["callees"]:
-                print(f"    {n:9.1f}  {name}")
+            for workload in names:
+                entry["workloads"][workload] = counts = measure(
+                    workloads, directory, workload, args.units)
+                mean = counts["mean"]
+                print(f"{tree} {workload}: {mean['instructions'] / 1e6:.3f} M "
+                      f"instructions, {mean['c_calls'] / 1e3:.1f} k C calls, "
+                      f"{mean['exp_calls'] / 1e3:.2f} k exp calls per unit")
+                for name, n, share in mean["top"]:
+                    print(f"    {100 * share:5.1f} %  {name}")
+                print("  C calls per unit:")
+                for name, n in mean["callees"]:
+                    print(f"    {n:9.1f}  {name}")
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(args.out)
     return 0

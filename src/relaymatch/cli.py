@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -82,9 +82,10 @@ def _cmd_gen(args) -> int:
             doc = json.load(fh)
     flags = {"num_sources": args.sources, "num_relays": args.relays,
              "radios_per_relay": args.radios_per_relay,
-             "path_loss": PATH_LOSS_PRESETS.get(args.path_loss)}
-    params = replace(from_fields(TopologyParams, doc),
-                     **{k: v for k, v in flags.items() if v is not None})
+             "path_loss": args.path_loss and asdict(PATH_LOSS_PRESETS[args.path_loss])}
+    if isinstance(doc, dict):       # one document: a flag fixes what the file sets
+        doc = {**doc, **{k: v for k, v in flags.items() if v is not None}}
+    params = from_fields(TopologyParams, doc)
     topology = generate_topology(params, args.seed)
     gains = build_gain_table(topology)
     save_topology(args.out, topology, gains)

@@ -222,13 +222,12 @@ def satisfaction_vs_n(results: Sequence) -> list:
 def run_ensemble(config: ExperimentConfig, out_dir=None) -> EnsembleResult:
     """Run every configured solver on every replication's topology (shared
     within a replication); with out_dir, persist CSVs plus a manifest there.
-    The config is checked before any replication runs; one that sets
-    sweep_num_sources belongs to run_sweep."""
+    The config checked itself when it was built, before any replication
+    runs; one that sets sweep_num_sources belongs to run_sweep."""
     if config.sweep_num_sources is not None:
         raise ConfigurationError(
             "sweep_num_sources is set: run_sweep runs one ensemble per size, "
             "run_ensemble only topology.num_sources")
-    config.topology.validate()
     seeds = list(_replication_seeds(config.master_seed, config.replications,
                                     len(config.solvers)))
     # fork starts every worker up front, so start no more than there is work
@@ -253,8 +252,8 @@ def run_ensemble(config: ExperimentConfig, out_dir=None) -> EnsembleResult:
 def run_sweep(config: ExperimentConfig, out_dir=None) -> list:
     """Run one ensemble per entry of sweep_num_sources; each N gets its own
     deterministic seed root derived from (master_seed, N); with out_dir,
-    each size writes under out_dir/n<N>. Every size's config is checked
-    before the first replication runs."""
+    each size writes under out_dir/n<N>. Each size's topology parameters
+    check themselves when they are built, before the first replication runs."""
     if not config.sweep_num_sources:
         raise ConfigurationError("sweep_num_sources is empty")
     out = None if out_dir is None else Path(out_dir)
@@ -264,8 +263,6 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list:
             (config.master_seed, n)).generate_state(1)[0]),
         sweep_num_sources=None))
         for n in map(int, config.sweep_num_sources)]
-    for _, sub in subs:
-        sub.topology.validate()
     results = [(n, run_ensemble(sub, out_dir=None if out is None else out / f"n{n}"))
                for n, sub in subs]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Union
 
@@ -18,6 +19,17 @@ import numpy as np
 from .errors import ConfigurationError, from_fields
 
 log = logging.getLogger(__name__)
+
+
+def _refuse_non_finite(owner, prefix: str) -> None:
+    """Refuse a NaN or infinite number in owner's fields, tuples included: a
+    NaN fails every comparison after this and would reach the capacity table."""
+    for f in fields(owner):
+        value = getattr(owner, f.name)
+        parts = value if isinstance(value, (tuple, list)) else (value,)
+        if not all(v is None or isinstance(v, (int, PathLossModel)) or math.isfinite(v)
+                   for v in parts):
+            raise ConfigurationError(f"{prefix}{f.name} must be finite, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,9 +46,10 @@ class PathLossModel:
     shadowing_sigma_db: float = 0.0
     min_distance_m: float = 1.0
 
-    def check(self) -> None:
-        """Refuse a negative shadowing sigma, which would draw no shadowing,
-        and a minimum distance that cannot clamp a coincident link."""
+    def __post_init__(self):
+        """Refuse a non-finite number, a negative shadowing sigma, which would
+        draw no shadowing, and a minimum distance that cannot clamp a link."""
+        _refuse_non_finite(self, "path_loss.")
         if self.shadowing_sigma_db < 0:
             raise ConfigurationError("path_loss.shadowing_sigma_db must be >= 0")
         if self.min_distance_m <= 0:
@@ -159,6 +172,25 @@ class Topology:
     noise_density_dbm_hz: float = -174.0
     path_loss: PathLossModel = field(default_factory=PathLossModel)
 
+    def __post_init__(self):
+        """Every solver indexes sources, relays and radios by position, so a
+        quota below 1, an id that is not the node's position (radios counted
+        in relay order) or a repeated radio channel is refused."""
+        if any(s.num_radios < 1 for s in self.sources):
+            raise ConfigurationError(f"SourceNode key 'num_radios': every source needs "
+                                     f"a quota of at least 1, not {list(self.quotas)}")
+        for kind, nodes in (("SourceNode", self.sources), ("RelayNode", self.relays),
+                            ("RelayRadio", self.radios)):
+            ids = [node.id for node in nodes]
+            if ids != list(range(len(ids))):
+                raise ConfigurationError(f"{kind} key 'id': ids must be the positions "
+                                         f"0..{len(ids) - 1} in order, not {ids}")
+        channels = Counter(r.channel for r in self.radios)
+        if len(channels) < self.num_radios:
+            repeated = sorted(c for c, k in channels.items() if k > 1)
+            raise ConfigurationError(f"RelayRadio key 'channel': channels must be "
+                                     f"distinct, {repeated} repeat")
+
     @property
     def num_sources(self) -> int:
         return len(self.sources)
@@ -203,19 +235,8 @@ class TopologyParams:
     source_annulus: tuple[float, float] = (0.6, 1.0)   # fractions of the half-diagonal
     path_loss: PathLossModel = field(default_factory=PathLossModel)
 
-    def validate(self) -> None:
-        # every number is finite, path_loss's included: a NaN fails no
-        # comparison below and would reach the capacity table
-        for owner, prefix in ((self, ""), (self.path_loss, "path_loss.")):
-            for f in fields(owner):
-                value = getattr(owner, f.name)
-                if isinstance(value, PathLossModel):
-                    continue
-                parts = value if isinstance(value, (tuple, list)) else (value,)
-                if not all(v is None or isinstance(v, int) or math.isfinite(v)
-                           for v in parts):
-                    raise ConfigurationError(
-                        f"{prefix}{f.name} must be finite, not {value!r}")
+    def __post_init__(self):
+        _refuse_non_finite(self, "")
         if self.num_sources < 1 or self.num_relays < 1:
             raise ConfigurationError("need at least one source and one relay")
         if self.radios_per_relay < 1:
@@ -230,7 +251,6 @@ class TopologyParams:
             raise ConfigurationError("area side must be positive")
         if self.bandwidth_hz <= 0:
             raise ConfigurationError("bandwidth must be positive")
-        self.path_loss.check()
         if self.relay_radius_m <= 0 or self.relay_radius_m > self.area_side_m / 2:
             raise ConfigurationError("relay placement radius must fit inside the area")
         lo, hi = self.source_annulus
@@ -251,7 +271,6 @@ class TopologyParams:
 def generate_topology(params: TopologyParams, seed: int) -> Topology:
     """Deterministic scenario draw: relays in a disc around the central
     destination, sources in an annulus near the cell edge."""
-    params.validate()
     rng = np.random.default_rng(seed)
     half = params.area_side_m / 2.0
     dest = (half, half)
@@ -404,30 +423,12 @@ def topology_to_dict(topology: Topology, gains: LinkGainTable | None = None) -> 
 
 def topology_from_dict(doc: dict) -> tuple:
     """Returns (Topology, LinkGainTable) replayed bit-exactly from JSON. Besides
-    from_fields' key and type errors, a quota below 1, an id that is not the
-    node's position (radios counted in relay order), a repeated radio channel
-    or gain tables that do not fit the nodes raise ConfigurationError: every
-    solver indexes sources, relays and radios by position. So does a negative
-    shadowing sigma, as in TopologyParams.validate."""
+    from_fields' key and type errors and the dataclasses' own refusals, gain
+    tables that do not fit the nodes raise ConfigurationError."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"a topology file must hold a JSON object, not {doc!r}")
     gains = from_fields(LinkGainTable, doc.get("gains", {}))
     topo = from_fields(Topology, {k: v for k, v in doc.items() if k != "gains"})
-    topo.path_loss.check()
-    if any(s.num_radios < 1 for s in topo.sources):
-        raise ConfigurationError(f"SourceNode key 'num_radios': every source needs a "
-                                 f"quota of at least 1, not {list(topo.quotas)}")
-    for kind, nodes in (("SourceNode", topo.sources), ("RelayNode", topo.relays),
-                        ("RelayRadio", topo.radios)):
-        ids = [node.id for node in nodes]
-        if ids != list(range(len(ids))):
-            raise ConfigurationError(f"{kind} key 'id': ids must be the positions "
-                                     f"0..{len(ids) - 1} in order, not {ids}")
-    channels = [r.channel for r in topo.radios]
-    repeated = sorted({c for c in channels if channels.count(c) > 1})
-    if repeated:
-        raise ConfigurationError(f"RelayRadio key 'channel': channels must be "
-                                 f"distinct, {repeated} repeat")
     n, m = topo.num_sources, len(topo.relays)
     if gains.source_to_relay.shape != (n, m) or gains.relay_to_destination.shape != (m,):
         raise ConfigurationError(f"gain tables do not fit {n} sources and {m} relays")

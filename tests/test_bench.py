@@ -77,7 +77,7 @@ def test_pairs_alternate_and_a_failed_check_exits_one(trajectory, sides, monkeyp
     monkeypatch.setattr(trajectory, "run_one", fake_run_one)
     committed = (BENCH.parent / "TRAJECTORY.json").read_bytes()
     out = tmp_path / "ab.json"
-    argv = [*sides, "--workload", "w", "--rounds", "4", "--out", str(out)]
+    argv = [*sides, "--workload", "paired_n13", "--rounds", "4", "--out", str(out)]
     assert trajectory.main(argv) == 1
     assert calls == ["base", "change", "change", "base"] * 2
     printed = capsys.readouterr().out
@@ -108,7 +108,8 @@ def test_fingerprints_compared_per_pair(trajectory, sides, monkeypatch, tmp_path
         return run
 
     monkeypatch.setattr(trajectory, "run_one", fake_run_one)
-    argv = [*sides, "--workload", "w", "--rounds", "4", "--out", str(tmp_path / "s")]
+    argv = [*sides, "--workload", "paired_n13", "--rounds", "4",
+            "--out", str(tmp_path / "s")]
     assert trajectory.main(argv) == 0
     out = capsys.readouterr().out
     assert "stream fingerprints equal in 2/4 pairs (1 not compared)" in out
@@ -123,20 +124,21 @@ def test_one_block_per_workload_and_any_failure_exits_one(trajectory, sides,
 
     def fake_run_one(checkout, workload, seed, trace):
         calls.append((workload, checkout.name))
-        rate = {"w1": 1.0, "w2": 3.0}[workload] * (2 if checkout.name == "change" else 1)
+        rate = ({"paired_n13": 1.0, "oracle_audit": 3.0}[workload]
+                * (2 if checkout.name == "change" else 1))
         # only the first workload's last run fails, by its exit code
         return {"correct": True, "exit_code": int(len(calls) == 7),
                 "metrics": {"replications_per_s": {"unit": "1/s", "value": rate}},
                 "record": {"fingerprint": workload}}
 
     monkeypatch.setattr(trajectory, "run_one", fake_run_one)
-    argv = [*sides, "--workload", "w1", "--workload", "w2", "--rounds", "2",
-            "--out", str(tmp_path / "s")]
+    argv = [*sides, "--workload", "paired_n13", "--workload", "oracle_audit",
+            "--rounds", "2", "--out", str(tmp_path / "s")]
     assert trajectory.main(argv) == 1
-    assert calls == [("w1", "base"), ("w2", "base"), ("w1", "change"), ("w2", "change"),
-                     ("w1", "change"), ("w2", "change"), ("w1", "base"), ("w2", "base")]
-    blocks = capsys.readouterr().out.split("w2 seed 1")
-    assert len(blocks) == 2 and blocks[0].startswith("w1 seed 1, 2 pairs")
+    assert calls == [(w, side) for side in ("base", "change", "change", "base")
+                     for w in ("paired_n13", "oracle_audit")]
+    blocks = capsys.readouterr().out.split("oracle_audit seed 1")
+    assert len(blocks) == 2 and blocks[0].startswith("paired_n13 seed 1, 2 pairs")
     for block, (b, c) in zip(blocks, (("1", "2"), ("3", "6"))):
         assert "replications_per_s" in block and f" {b} [{b}-{b}] -> {c} [" in block
         assert "stream fingerprints equal in 2/2 pairs" in block
@@ -155,18 +157,19 @@ def test_seed_and_trace_reach_every_run(trajectory, sides, monkeypatch, tmp_path
 
     monkeypatch.setattr(trajectory, "run_one", fake_run_one)
     out = tmp_path / "traced.json"
-    argv = [*sides, "--workload", "w", "--rounds", "2", "--seed", "2", "--trace", "1",
-            "--out", str(out)]
+    argv = [*sides, "--workload", "paired_n13", "--rounds", "2", "--seed", "2",
+            "--trace", "1", "--out", str(out)]
     assert trajectory.main(argv) == 0
     assert seen == [(2, 1)] * 4
     # --trace 1 summarises BENCHMARK.json's per-layer metrics only
     printed = capsys.readouterr().out
-    assert printed.startswith("w seed 2, 2 pairs, trace 1")
+    assert printed.startswith("paired_n13 seed 2, 2 pairs, trace 1")
     assert "solvers.pma.us_per_activation" in printed and "won 2/2" in printed
     assert "replications_per_s" not in printed
     session = json.loads(out.read_text())
     assert (session["seed"], session["traces"]) == (2, [1])
-    assert list(session["trees"][1]["summary"]["w"]) == ["solvers.pma.us_per_activation"]
+    assert list(session["trees"][1]["summary"]["paired_n13"]) == [
+        "solvers.pma.us_per_activation"]
 
 
 def test_session_without_out_exits_before_any_run(trajectory, sides, monkeypatch,
@@ -178,7 +181,7 @@ def test_session_without_out_exits_before_any_run(trajectory, sides, monkeypatch
     monkeypatch.setattr(trajectory, "measure", no_measure)
     committed = (BENCH.parent / "TRAJECTORY.json").read_bytes()
     with pytest.raises(SystemExit) as err:
-        trajectory.main([*sides, "--workload", "w", "--rounds", "2"])
+        trajectory.main([*sides, "--workload", "paired_n13", "--rounds", "2"])
     assert err.value.code == 2
     assert "the following arguments are required: --out" in capsys.readouterr().err
     assert (BENCH.parent / "TRAJECTORY.json").read_bytes() == committed
@@ -246,7 +249,7 @@ def test_one_tree_session_with_both_traces_is_a_bench_file(trajectory, monkeypat
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
     repo = stub_checkout(tmp_path)
     out = tmp_path / "BENCH_t.json"
-    argv = [str(repo), "--workload", "w", "--trace", "0", "--trace", "1",
+    argv = [str(repo), "--workload", "paired_n13", "--trace", "0", "--trace", "1",
             "--rounds", "2", "--out", str(out)]
     assert trajectory.main(argv) == 0
     session = json.loads(out.read_text())
@@ -259,7 +262,7 @@ def test_one_tree_session_with_both_traces_is_a_bench_file(trajectory, monkeypat
         assert {"record", "metrics", "correct", "exit_code", "clean"} <= set(run)
         assert run["clean"] is None and run["exit_code"] == 0
     # end-to-end metrics from the untraced runs, per-layer from the traced
-    assert sorted(tree["summary"]["w"]) == ["replications_per_s",
+    assert sorted(tree["summary"]["paired_n13"]) == ["replications_per_s",
                                             "solvers.pma.us_per_activation"]
     assert tree["src_sha256"] == "s"
 
@@ -304,11 +307,6 @@ def test_trajectory_interleaves_worktrees_and_always_removes_them(trajectory,
         return [tuple(line.split(" ", 1)) for line in log.read_text().splitlines()]
 
     out = tmp_path / "TRAJECTORY.json"
-    # an odd round count would run the trees given last later on average
-    with pytest.raises(ValueError, match="even"):
-        trajectory.measure(repo, ["HEAD~2", "HEAD~1"], ["w"], 3, out, 1, [0])
-    assert not log.exists() and not out.exists() and worktrees() == 1
-
     session = trajectory.measure(repo, ["HEAD~2", "HEAD~1"], ["w"], 4, out, 1, [0])
     # the order flips every round
     assert [speed for speed, _ in ran()] == ["1.0", "2.0", "2.0", "1.0"] * 2
@@ -362,29 +360,38 @@ def test_trajectory_interleaves_worktrees_and_always_removes_them(trajectory,
 
 
 def test_work_counts_are_equal_in_two_processes(tmp_path):
+    # each process measures both workloads, in opposite orders: a workload's
+    # counts are the same whether it runs first, as it would alone, or second
     reports = []
-    for hash_seed in ("0", "1"):
+    for hash_seed, order in (("0", ["oracle_audit", "paired_n13"]),
+                             ("1", ["paired_n13", "oracle_audit"])):
         out = tmp_path / f"work{hash_seed}.json"
         proc = subprocess.run(
             [sys.executable, str(BENCH / "work.py"), str(BENCH.parent),
-             "--workload", "oracle_audit", "--units", "2", "--out", str(out)],
+             *(arg for name in order for arg in ("--workload", name)),
+             "--units", "2", "--out", str(out)],
             capture_output=True, text=True, timeout=300, check=False,
             env={**os.environ, "PYTHONHASHSEED": hash_seed})
         assert proc.returncode == 0, proc.stderr
-        reports.append(json.loads(out.read_text()))
-    assert reports[0] == reports[1]
-    (tree,) = reports[0]["trees"]
-    units, mean = tree["units"], tree["mean"]
-    assert len(units) == 2
-    for unit in units:
-        assert unit["instructions"] > unit["c_calls"] > unit["exp_calls"] > 0
-        assert len(unit["top"]) == 10
-    assert mean["instructions"] == (units[0]["instructions"] + units[1]["instructions"]) / 2
-    # the mean's top counts are per unit too: each share is its count over
-    # the mean's instructions
-    assert len(mean["top"]) == 10
-    for _, count, share in mean["top"]:
-        assert share == pytest.approx(count / mean["instructions"], rel=1e-12)
+        report = json.loads(out.read_text())
+        assert report["workloads"] == order
+        reports.append(report)
+    (first,), (second,) = (report["trees"] for report in reports)
+    assert first == second and sorted(first["workloads"]) == ["oracle_audit",
+                                                              "paired_n13"]
+    for counts in first["workloads"].values():
+        units, mean = counts["units"], counts["mean"]
+        assert len(units) == 2
+        for unit in units:
+            assert unit["instructions"] > unit["c_calls"] > unit["exp_calls"] > 0
+            assert len(unit["top"]) == 10
+        assert mean["instructions"] == (units[0]["instructions"]
+                                        + units[1]["instructions"]) / 2
+        # the mean's top counts are per unit too: each share is its count
+        # over the mean's instructions
+        assert len(mean["top"]) == 10
+        for _, count, share in mean["top"]:
+            assert share == pytest.approx(count / mean["instructions"], rel=1e-12)
     assert reports[0]["python"] == platform.python_version()
 
 
@@ -397,6 +404,7 @@ def test_work_counts_c_calls_per_callee(tmp_path):
         capture_output=True, text=True, timeout=300, check=False)
     assert proc.returncode == 0, proc.stderr
     (tree,) = json.loads(out.read_text())["trees"]
+    tree = tree["workloads"]["oracle_audit"]
     (unit,) = tree["units"]
     callees = unit["callees"]
     assert sum(callees.values()) == unit["c_calls"]
@@ -408,12 +416,23 @@ def test_work_counts_c_calls_per_callee(tmp_path):
         assert f"{n:9.1f}  {name}" in proc.stdout
 
 
-@pytest.mark.parametrize("script,argv", [
-    ("work", [".", "--workload", "oracle_audit", "--units", "0", "--out", "w.json"]),
-], ids=["work-units"])
-def test_empty_runs_are_refused_before_any_setup(script, argv, monkeypatch, capsys):
-    # an empty run has no mean or median: argparse refuses it before the
-    # workload's set-up or the packages' loading
+@pytest.mark.parametrize("script,argv,message", [
+    ("work", [".", "--workload", "oracle_audit", "--units", "0", "--out", "w.json"],
+     "must be at least 1, not 0"),
+    ("trajectory", [".", "--workload", "oracle_audit", "--rounds", "0", "--out", "s.json"],
+     "must be even and at least 2, not 0"),
+    # an odd round count would run the trees given last later on average
+    ("trajectory", [".", "--workload", "oracle_audit", "--rounds", "3", "--out", "s.json"],
+     "must be even and at least 2, not 3"),
+    ("trajectory", [".", "--workload", "nosuch", "--rounds", "2", "--out", "s.json"],
+     "invalid choice: 'nosuch'"),
+], ids=["work-units", "trajectory-no-rounds", "trajectory-odd-rounds",
+        "trajectory-unknown-workload"])
+def test_empty_runs_are_refused_before_any_setup(script, argv, message, monkeypatch,
+                                                 capsys):
+    # an empty run has no mean or median, and an odd or unknown one no
+    # verdict: argparse refuses them before any checkout, the workload's
+    # set-up or the packages' loading
     monkeypatch.syspath_prepend(str(BENCH))
     module = importlib.import_module(script)
 
@@ -424,4 +443,4 @@ def test_empty_runs_are_refused_before_any_setup(script, argv, monkeypatch, caps
     with pytest.raises(SystemExit) as err:
         module.main(argv)
     assert err.value.code == 2
-    assert "must be at least 1, not 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err

@@ -84,6 +84,19 @@ class TestGen:
         doc = json.loads(out.read_text())
         assert doc["path_loss"]["intercept_db"] == 103.0
 
+    def test_flag_fixes_a_value_the_config_file_sets(self, tmp_path, capsys):
+        # the file and the flags are decoded as one document
+        cfg = tmp_path / "params.json"
+        cfg.write_text(json.dumps({"num_sources": 0}))
+        out = tmp_path / "topo.json"
+        assert main(["gen", "--config", str(cfg), "--sources", "3",
+                     "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["sources"]) == 3
+        out.unlink()
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "need at least one source and one relay" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -582,16 +595,18 @@ class TestEnsembleCommand:
         assert "configuration error" in err and named in err
         assert ran == [] and not (tmp_path / "r").exists()
 
-    def test_sweep_checks_only_swept_sizes(self, tmp_path, capsys):
-        # the top-level 0 sources would be refused, but no run uses them
+    def test_sweep_topology_block_is_refused_at_load(self, tmp_path, capsys):
+        # no run uses the top-level 0 sources, but config_sha256 records them
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({
             "topology": {"num_sources": 0, "num_relays": 2, "radios_per_relay": 1,
                          "source_radios": 1},
             "sweep_num_sources": [2], "solvers": [{"kind": "pma"}],
             "metrics": ["runs"]}))
-        assert main(["ensemble", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
-        assert (tmp_path / "r" / "n2" / "runs.csv").exists()
+        assert main(["ensemble", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
+        assert ("ExperimentConfig key 'topology': need at least one source and one relay"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "r").exists()
 
     # config_sha256 of each preset; the JSON decoder must not move them
     PRESET_DIGESTS = {

@@ -109,19 +109,30 @@ class TestConfig:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_json_round_trip_is_exact(self, data):
-        finite = st.floats(allow_nan=False, allow_infinity=False)
-        pair = st.tuples(finite, finite)
+        # only valid parameters can be built; an int given for a float field
+        # must come back as an int
+        def number(lo, hi):
+            return st.one_of(st.integers(lo, hi), st.floats(lo, hi))
+
+        def ordered(values):
+            return values.map(lambda pair: tuple(sorted(pair)))
+
+        positive = st.one_of(st.integers(1, 10 ** 9), st.floats(1e-6, 1e300))
         path_loss = st.one_of(
             st.sampled_from(sorted(rm.PATH_LOSS_PRESETS.values(), key=repr)),
-            st.builds(rm.PathLossModel, finite, finite, finite, finite))
+            st.builds(rm.PathLossModel, number(-1e300, 1e300), number(-1e300, 1e300),
+                      number(0, 1e300), positive))
         topology = st.builds(
             rm.TopologyParams,
             num_sources=st.integers(1, 30), num_relays=st.integers(1, 10),
             radios_per_relay=st.integers(1, 4),
-            source_radios=st.one_of(st.none(), st.integers(1, 3),
-                                    st.tuples(st.integers(1, 3), st.integers(1, 3))),
-            area_side_m=finite, bandwidth_hz=finite,
-            rate_requirement_bps=pair, source_annulus=pair, path_loss=path_loss)
+            source_radios=st.one_of(st.none(), st.integers(1, 3), ordered(
+                st.tuples(st.integers(1, 3), st.integers(1, 3)))),
+            area_side_m=number(400, 1e300), bandwidth_hz=positive,
+            rate_requirement_bps=ordered(st.tuples(positive, positive)),
+            source_annulus=ordered(st.lists(st.floats(0, 1, exclude_min=True),
+                                            min_size=2, max_size=2, unique=True)),
+            path_loss=path_loss)
         kinds = data.draw(st.lists(st.sampled_from(rm.solvers.SOLVER_KINDS),
                                    min_size=1, unique=True))
         solvers = [rm.SolverConfig(kind=k,

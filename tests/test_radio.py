@@ -165,36 +165,69 @@ class TestTopologyGeneration:
         ("path_loss.shadowing_sigma_db", math.nan),
         ("path_loss.min_distance_m", math.inf)])
     def test_non_finite_params_rejected(self, field, value):
+        # refused when built, by the constructor and by replace of a valid value
         name = field.removeprefix("path_loss.")
-        params = (rm.TopologyParams(**{field: value}) if name == field else
-                  rm.TopologyParams(path_loss=rm.PathLossModel(**{name: value})))
-        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
-            params.validate()
+        valid = rm.TopologyParams() if name == field else rm.PathLossModel()
+        for build in (type(valid), lambda **change: dataclasses.replace(valid, **change)):
+            with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+                build(**{name: value})
 
     @pytest.mark.parametrize("distance", [0.0, -3.0])
     def test_non_positive_min_distance_rejected(self, distance):
-        params = rm.TopologyParams(path_loss=rm.PathLossModel(min_distance_m=distance))
         with pytest.raises(ConfigurationError,
                            match=r"path_loss\.min_distance_m must be > 0"):
-            params.validate()
+            rm.PathLossModel(min_distance_m=distance)
 
     def test_link_count_bounded(self):
-        # 10 x 10 x 10 links at the limit pass; one source more is refused
+        # 10 x 10 x 10 links at the limit pass; one source more is refused,
+        # by the constructor and by replace (run_sweep sizes each N so)
         scale = round(MAX_LINKS ** (1 / 3))
         assert scale ** 3 == MAX_LINKS
-        rm.TopologyParams(num_sources=scale, num_relays=scale,
-                          radios_per_relay=scale).validate()
-        with pytest.raises(ConfigurationError, match=(
-                f"num_sources x num_relays x radios_per_relay = {scale + 1} x "
-                f"{scale} x {scale} = {(scale + 1) * scale ** 2} ")):
+        at_limit = rm.TopologyParams(num_sources=scale, num_relays=scale,
+                                     radios_per_relay=scale)
+        message = (f"num_sources x num_relays x radios_per_relay = {scale + 1} x "
+                   f"{scale} x {scale} = {(scale + 1) * scale ** 2} ")
+        with pytest.raises(ConfigurationError, match=message):
             rm.TopologyParams(num_sources=scale + 1, num_relays=scale,
-                              radios_per_relay=scale).validate()
+                              radios_per_relay=scale)
+        with pytest.raises(ConfigurationError, match=message):
+            dataclasses.replace(at_limit, num_sources=scale + 1)
 
     @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4"])
     def test_presets_within_link_bound(self, preset):
         config = rm.ExperimentConfig.from_json(preset_path(preset))
         for n in config.sweep_num_sources or [config.topology.num_sources]:
-            dataclasses.replace(config.topology, num_sources=n).validate()
+            dataclasses.replace(config.topology, num_sources=n)
+
+    @pytest.mark.parametrize("build", ["constructor", "replace"])
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda t: {"sources": (dataclasses.replace(t.sources[0], num_radios=0),
+                                *t.sources[1:])},
+         "SourceNode key 'num_radios': every source needs a quota of at least 1, "
+         "not [0, 1, 1]"),
+        (lambda t: {"relays": t.relays[::-1]},
+         "RelayNode key 'id': ids must be the positions 0..1 in order, not [1, 0]"),
+        (lambda t: {"relays": (dataclasses.replace(t.relays[0],
+                                                   radios=t.relays[0].radios[::-1]),
+                               *t.relays[1:])},
+         "RelayRadio key 'id': ids must be the positions 0..3 in order, not [1, 0, 2, 3]"),
+        (lambda t: {"relays": tuple(dataclasses.replace(r, radios=tuple(
+            dataclasses.replace(c, channel=7) for c in r.radios)) for r in t.relays)},
+         "RelayRadio key 'channel': channels must be distinct, [7] repeat"),
+    ], ids=["quota-zero", "relay-id", "radio-id", "repeated-channel"])
+    def test_topology_structure_refused_when_built(self, corrupt, message, build):
+        # the loader's refusals hold for a Topology built in Python: every
+        # solver indexes sources, relays and radios by position
+        topo = rm.generate_topology(rm.TopologyParams(num_sources=3, num_relays=2,
+                                                      source_radios=1), 1)
+        change = corrupt(topo)
+        with pytest.raises(ConfigurationError) as err:
+            if build == "replace":
+                dataclasses.replace(topo, **change)
+            else:
+                rm.Topology(**{**{f.name: getattr(topo, f.name)
+                                  for f in dataclasses.fields(topo)}, **change})
+        assert str(err.value) == message
 
 
 class TestGainAndCapacityTables:
@@ -335,8 +368,7 @@ class TestSerialization:
         assert topo2.quotas == topo.quotas
 
     def test_negative_shadowing_sigma_is_refused_on_load(self, tmp_path):
-        # TopologyParams.validate refuses it; a loaded Topology with it would
-        # build its gains without shadowing
+        # a loaded Topology with it would build its gains without shadowing
         topo = rm.generate_topology(rm.TopologyParams(num_sources=3), 1)
         doc = topology_to_dict(topo)
         doc["path_loss"]["shadowing_sigma_db"] = -4.0
